@@ -69,12 +69,6 @@ class SpectrumReport:
             return 0.0
         return max(abs(p) for p in self.points)
 
-    def distance_to(self, w: complex) -> float:
-        """Distance from the point ``w`` to the reported spectrum."""
-        if not self.points:
-            return np.inf
-        return min(abs(p - w) for p in self.points)
-
     def array(self) -> np.ndarray:
         return np.asarray(self.points, dtype=complex)
 

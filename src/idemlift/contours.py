@@ -277,11 +277,6 @@ def square_polygon(center: complex, half_side: float) -> JordanPolygon:
 # escape arc
 
 
-def _angular_gap(phi: float, beta: float) -> float:
-    d = (phi - beta) % (2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d)
-
-
 def _ray_objective(phi: float, pts: np.ndarray, angles: np.ndarray) -> tuple[float, float]:
     ang = float(np.min(np.minimum((phi - angles) % (2 * np.pi),
                                   (angles - phi) % (2 * np.pi))))

@@ -326,6 +326,17 @@ def sqrt_cut(
     return result
 
 
+@lru_cache(maxsize=1)
+def _near_one_contour() -> ContourData:
+    """The circle |z| = 1/2 of ``sqrt_near_one``, built on first use."""
+    return ContourData(
+        polygon=circle_polygon(0j, 0.5),
+        eps=1.0 / 3.0,
+        branch="principal-near-positive",
+        label="sqrt-near-one",
+    )
+
+
 def sqrt_near_one(
     y: Element,
     audit_sink: list[QuadratureAudit] | None = None,
@@ -345,13 +356,7 @@ def sqrt_near_one(
         raise SpectrumTooLarge(
             f"spectral radius {rep.radius:.6g} is not inside the disc of radius 1/3"
         )
-    cd = ContourData(
-        polygon=circle_polygon(0j, 0.5),
-        eps=1.0 / 3.0,
-        branch="principal-near-positive",
-        label="sqrt-near-one",
-    )
-    result, audit = _integrate(lambda zs: np.sqrt(1.0 - zs), y, cd)
+    result, audit = _integrate(lambda zs: np.sqrt(1.0 - zs), y, _near_one_contour())
     if audit_sink is not None:
         audit_sink.append(audit)
     return 0.5 * result - 0.5 * alg.one()

@@ -7,7 +7,12 @@ enclosures still hold.  The local path corrects a section a(lambda) by a
 square root with a branch cut along an escape ray; the self-adjoint path
 replaces it by a Riesz projection over a mirror-symmetric loop; the
 orthogonal-family path runs a Kaplansky-style induction where each new
-idempotent is built orthogonal to the sum of its predecessors.
+idempotent is built orthogonal to the sum of its predecessors, one
+per-lambda kernel serving both the step and the lifted family.
+
+Every path returns a LiftTrace whose points carry the lifted idempotent
+under "p" (``trace.point(lam).p``).  A family from lift_family raises
+EnclosureFailed at a lambda where its step's frozen enclosures fail.
 """
 
 from __future__ import annotations
@@ -50,8 +55,6 @@ __all__ = [
     "TOL_ORTH",
     "LiftPoint",
     "LiftTrace",
-    "OrthoPoint",
-    "OrthoStepTrace",
     "lift_trivial",
     "choose_sign",
     "lift_local",
@@ -74,7 +77,7 @@ _EXACT = 1e-12  # slack for spectra that our algebra kinds report exactly
 
 @dataclass(frozen=True)
 class LiftPoint:
-    """One grid point of a local or self-adjoint lift.
+    """One grid point of a lift.
 
     ``allowances`` carries, per defect, the tail slack of the defect
     element (nonzero only over truncated-series algebras): the certified
@@ -97,10 +100,15 @@ class LiftPoint:
 
 @dataclass(frozen=True)
 class LiftTrace:
+    """The grid points of one lift plus what it froze at lambda = 0: the
+    contours and branch sheet of the local paths, the smallness bound
+    ``eps0`` of an orthogonal step."""
+
     points: tuple[LiftPoint, ...]
-    sheet: int
-    contours: tuple[ContourData, ...]
     audits: tuple[QuadratureAudit, ...]
+    contours: tuple[ContourData, ...] = ()
+    sheet: int = 0
+    eps0: float | None = None
     label: str = ""
 
     def point(self, lam: complex) -> LiftPoint:
@@ -118,43 +126,6 @@ class LiftTrace:
         return max(vals) if vals else math.nan
 
     def valid_points(self) -> tuple[LiftPoint, ...]:
-        return tuple(pt for pt in self.points if pt.valid)
-
-
-@dataclass(frozen=True)
-class OrthoPoint:
-    """One grid point of an orthogonal-family induction step."""
-
-    lam: complex
-    valid: bool
-    defects: dict[str, float] = field(default_factory=dict)
-    elements: dict[str, Element] = field(default_factory=dict)
-    allowances: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def f(self) -> Element | None:
-        return self.elements.get("f")
-
-    def certified(self, key: str) -> float:
-        return max(0.0, self.defects[key] - self.allowances.get(key, 0.0))
-
-
-@dataclass(frozen=True)
-class OrthoStepTrace:
-    points: tuple[OrthoPoint, ...]
-    eps0: float
-    audits: tuple[QuadratureAudit, ...]
-    label: str = ""
-
-    def worst(self, key: str) -> float:
-        vals = [pt.defects[key] for pt in self.points if pt.valid and key in pt.defects]
-        return max(vals) if vals else math.nan
-
-    def worst_certified(self, key: str) -> float:
-        vals = [pt.certified(key) for pt in self.points if pt.valid and key in pt.defects]
-        return max(vals) if vals else math.nan
-
-    def valid_points(self) -> tuple[OrthoPoint, ...]:
         return tuple(pt for pt in self.points if pt.valid)
 
 
@@ -306,7 +277,7 @@ def lift_local(
                 allow,
             )
         )
-    return LiftTrace(tuple(points), sheet, (cd,), tuple(audits), label="local")
+    return LiftTrace(tuple(points), tuple(audits), (cd,), sheet, label="local")
 
 
 # ---------------------------------------------------------------------------
@@ -390,29 +361,62 @@ def lift_local_sa(
                 allow,
             )
         )
-    return LiftTrace(tuple(points), 0, (cd0, cd1), tuple(audits), label="self-adjoint")
+    return LiftTrace(tuple(points), tuple(audits), (cd0, cd1), label="self-adjoint")
 
 
 # ---------------------------------------------------------------------------
 # orthogonal step
 
 
-def _ortho_enclosures(a: Element, z: Element, eps0: float) -> bool:
+def _ortho_enclosures(a: Element, z: Element, eps0: float) -> Element | None:
     """The frozen smallness conditions: sigma(z) in the eps0 disc,
-    sigma(a) within 1/3 of {0, 1}, and sigma(4z(2a-1)^-2) in the 1/3 disc."""
+    sigma(a) within 1/3 of {0, 1}, and sigma(4z(2a-1)^-2) in the 1/3 disc.
+    Returns (2a-1)^-2 where they hold, None where they fail."""
     sp_z = z.spectrum()
     if any(abs(w) >= eps0 for w in sp_z.points):
-        return False
+        return None
     sp_a = a.spectrum()
     if any(min(abs(w), abs(1 - w)) >= 1.0 / 3.0 for w in sp_a.points):
-        return False
-    one = a.algebra.one()
+        return None
+    m = 2.0 * a - a.algebra.one()
     try:
-        m2 = ((2.0 * a - one) * (2.0 * a - one)).inverse()
+        m2inv = (m * m).inverse()
     except NotInvertible:
-        return False
-    sp_y = (4.0 * (z * m2)).spectrum()
-    return all(abs(w) < 1.0 / 3.0 for w in sp_y.points)
+        return None
+    sp_y = (4.0 * (z * m2inv)).spectrum()
+    return m2inv if all(abs(w) < 1.0 / 3.0 for w in sp_y.points) else None
+
+
+def _cut_down(e: Element, b: Element) -> tuple[Element, Element, Element]:
+    """The complement c = 1 - e, a = c b c and z = a^2 - a."""
+    c = e.algebra.one() - e
+    a = c * b * c
+    return c, a, a * a - a
+
+
+def _ortho_point(
+    e_fam: ElementFamily,
+    sec_v: Section,
+    eps0: float,
+    lam: complex,
+    audit_sink: list[QuadratureAudit] | None = None,
+) -> dict[str, Element] | None:
+    """The per-lambda body of the orthogonal step: the elements of the
+    idempotent f = a + (1-e) w (2a-1) (stored under "p") at lam, or None
+    where a predecessor or the frozen enclosures fail there."""
+    try:
+        e = e_fam(lam)
+    except EnclosureFailed:
+        return None
+    c, a, z = _cut_down(e, sec_v(lam))
+    m2inv = _ortho_enclosures(a, z, eps0)
+    if m2inv is None:
+        return None
+    m = 2.0 * a - e.algebra.one()
+    w = sqrt_near_one(4.0 * (z * m2inv), audit_sink=audit_sink)
+    x = c * w
+    r = x * m
+    return {"a": a, "z": z, "w": w, "x": x, "r": r, "p": a + r, "e": e, "m2inv": m2inv}
 
 
 def lift_ortho_step(
@@ -422,7 +426,7 @@ def lift_ortho_step(
     v_fam: ElementFamily,
     sec_v: Section,
     grid: Sequence[complex],
-) -> OrthoStepTrace:
+) -> LiftTrace:
     """One induction step: build an idempotent family f lifting v and
     orthogonal to the already-lifted e (pi e = u, u v = v u = 0).
 
@@ -431,7 +435,9 @@ def lift_ortho_step(
     and the correction r = (1-e) w (2a-1) with w solving
     w^2 + w + z(2a-1)^{-2} = 0 restores idempotency without leaving the
     complement.  eps0 is the largest dyadic 2^-k whose smallness
-    conditions hold at the base point.
+    conditions hold at the base point.  A grid point is invalid where
+    those conditions fail or e cannot be evaluated (a predecessor's
+    enclosures failed there).
     """
     grid_pts = _grid_tuple(grid)
     alg = pi.source
@@ -451,18 +457,11 @@ def lift_ortho_step(
     if (sec_v.defect(0.0)) > TOL_LIFT:
         raise SectionInvalid("section does not lift v at the base point")
 
-    def cut_down(lam: complex) -> tuple[Element, Element, Element]:
-        e = e_fam(lam)
-        b = sec_v(lam)
-        a = (one - e) * b * (one - e)
-        z = a * a - a
-        return e, a, z
-
-    _, a_base, z_base = cut_down(0.0)
+    _, a_base, z_base = _cut_down(e0, sec_v(0.0))
     eps0 = 0.0
     for k in range(1, 41):
         cand = 2.0**-k
-        if _ortho_enclosures(a_base, z_base, cand):
+        if _ortho_enclosures(a_base, z_base, cand) is not None:
             eps0 = cand
             break
     if eps0 == 0.0:
@@ -471,21 +470,15 @@ def lift_ortho_step(
         )
 
     audits: list[QuadratureAudit] = []
-    points: list[OrthoPoint] = []
+    points: list[LiftPoint] = []
     for lam in grid_pts:
-        e, a, z = cut_down(lam)
-        if not _ortho_enclosures(a, z, eps0):
-            points.append(OrthoPoint(lam, False, {"enclosure": math.inf}))
+        els = _ortho_point(e_fam, sec_v, eps0, lam, audits)
+        if els is None:
+            points.append(LiftPoint(lam, False, {"enclosure": math.inf}))
             continue
+        e, a, z, w, r, f = (els[k] for k in ("e", "a", "z", "w", "r", "p"))
         m = 2.0 * a - one
-        m2inv = (m * m).inverse()
-        y = 4.0 * (z * m2inv)
-        w = sqrt_near_one(y, audit_sink=audits)
-        x = (one - e) * w
-        r = x * m
-        f = a + r
-        v = v_fam(lam)
-        group = {"a": a, "z": z, "w": w, "x": x, "r": r, "f": f}
+        group = {k: els[k] for k in ("a", "z", "w", "x", "r", "p")}
         commutators = [
             g1 * g2 - g2 * g1
             for n1, g1 in group.items()
@@ -497,23 +490,17 @@ def lift_ortho_step(
             "idempotency": f * f - f,
             "ef": e * f,
             "fe": f * e,
-            "lift": pi.apply(lam, f) - v,
-            "eq17": w * w + w + z * m2inv,
+            "lift": pi.apply(lam, f) - v_fam(lam),
+            "eq17": w * w + w + z * els["m2inv"],
             "quadratic": r * r + m * r + z,
             "commutation": worst_comm,
         }
         allow = {k: d.algebra.tail_bound(d) for k, d in gaps.items()}
         allow["lift"] += alg.tail_bound(f)
         points.append(
-            OrthoPoint(
-                lam,
-                True,
-                {k: d.norm() for k, d in gaps.items()},
-                {**group, "e": e},
-                allow,
-            )
+            LiftPoint(lam, True, {k: d.norm() for k, d in gaps.items()}, els, allow)
         )
-    return OrthoStepTrace(tuple(points), eps0, tuple(audits))
+    return LiftTrace(tuple(points), tuple(audits), eps0=eps0, label="orthogonal")
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +514,17 @@ def lift_family(
     grid: Sequence[complex],
     sa: bool = False,
     cap: int = 64,
-) -> tuple[list[ElementFamily], list[OrthoStepTrace]]:
+) -> tuple[list[ElementFamily], list[LiftTrace]]:
     """Lift finitely many pairwise orthogonal idempotent families to
     pairwise orthogonal idempotent lifts, one induction step per family.
 
     Step k takes e = p_1 + ... + p_{k-1} (already lifted, memoized),
     u = q_1 + ... + q_{k-1} and v = q_k.  With ``sa`` the sections are
     symmetrized first, which keeps every output self-adjoint on real
-    grids.  Returns the lifted families and the per-step traces.
+    grids.  Returns the lifted families and the per-step traces.  A
+    lifted family returns its step's idempotents on the grid and runs
+    the step's kernel elsewhere; it raises EnclosureFailed wherever the
+    step's frozen enclosures (or a predecessor's) fail.
     """
     if len(qs) != len(secs):
         raise ParameterError("need exactly one section per target family")
@@ -542,10 +532,9 @@ def lift_family(
         raise ParameterError(f"family list exceeds the configured cap {cap}")
     alg = pi.source
     balg = pi.target
-    one = alg.one()
 
     lifted: list[ElementFamily] = []
-    traces: list[OrthoStepTrace] = []
+    traces: list[LiftTrace] = []
     for k, (qk, seck) in enumerate(zip(qs, secs)):
         if sa:
             seck = symmetrize(seck)
@@ -572,22 +561,18 @@ def lift_family(
             raise
         traces.append(trace)
 
-        cache: dict[complex, Element] = {}
+        # None marks a lambda where the step's enclosures fail
+        cache: dict[complex, Element | None] = {pt.lam: pt.p for pt in trace.points}
 
-        def f_eval(lam: complex, _e=e_fam, _sec=seck, _cache=cache) -> Element:
+        def f_eval(lam: complex, _k=k, _e=e_fam, _sec=seck, _eps0=trace.eps0, _cache=cache) -> Element:
             lam = complex(lam)
-            if lam in _cache:
-                return _cache[lam]
-            e = _e(lam)
-            b = _sec(lam)
-            a = (one - e) * b * (one - e)
-            z = a * a - a
-            m = 2.0 * a - one
-            m2inv = (m * m).inverse()
-            w = sqrt_near_one(4.0 * (z * m2inv))
-            f = a + (one - e) * w * m
-            _cache[lam] = f
-            return f
+            if lam not in _cache:
+                els = _ortho_point(_e, _sec, _eps0, lam)
+                _cache[lam] = None if els is None else els["p"]
+            p = _cache[lam]
+            if p is None:
+                raise EnclosureFailed(f"family {_k}: frozen enclosures fail at lambda = {lam}")
+            return p
 
         lifted.append(
             ElementFamily(alg, f_eval, radius=min(qk.radius, seck.radius))

@@ -108,19 +108,17 @@ def run_record(
     return rec
 
 
-def trace_rows(points, grid) -> list[dict]:
-    """Rows for a LiftTrace / OrthoStepTrace points tuple."""
-    out = []
-    for lam, pt in zip(grid, points):
-        out.append(
-            {
-                "lambda": _lam_pair(lam),
-                "valid": pt.valid,
-                "defects": {k: _num(v) for k, v in sorted(pt.defects.items())},
-                "allowances": {k: _num(v) for k, v in sorted(pt.allowances.items())},
-            }
-        )
-    return out
+def trace_rows(points) -> list[dict]:
+    """Rows for the points of a LiftTrace, one per grid point, in order."""
+    return [
+        {
+            "lambda": _lam_pair(pt.lam),
+            "valid": pt.valid,
+            "defects": {k: _num(v) for k, v in sorted(pt.defects.items())},
+            "allowances": {k: _num(v) for k, v in sorted(pt.allowances.items())},
+        }
+        for pt in points
+    ]
 
 
 def build_report(

@@ -178,9 +178,7 @@ def build_dual_testbed(
 
     def oracle_local(trace, grid) -> list[dict]:
         worst = 0.0
-        for lam, pt in zip(grid, trace.points):
-            if not pt.valid:
-                continue
+        for pt in trace.valid_points():
             rep = dual.matrix_representation(pt.elements["a"])
             want = _dense_projection(rep, 1.0, 0.45)
             got = dual.matrix_representation(pt.elements["p"])
@@ -299,9 +297,7 @@ def build_block_testbed(k: int = 2, m: int = 2, seed: int = 0) -> Scenario:
 
     def oracle_local(trace, grid) -> list[dict]:
         worst = 0.0
-        for lam, pt in zip(grid, trace.points):
-            if not pt.valid:
-                continue
+        for pt in trace.valid_points():
             rep = block.matrix_representation(pt.elements["a"])
             want = _dense_projection(rep, 1.0, 0.45)
             got = block.matrix_representation(pt.elements["p"])
@@ -608,12 +604,9 @@ def build_example3(
         # the matrix component of the second lift must match the dense
         # spectral projector of the matrix component of its section input
         worst = 0.0
-        trace = traces[1]
-        for lam, pt in zip(grid, trace.points):
-            if not pt.valid:
-                continue
+        for pt in traces[1].valid_points():
             a_mat = mats.matrix_representation(source.component(pt.elements["a"], 1))
-            p_mat = mats.matrix_representation(source.component(pt.elements["f"], 1))
+            p_mat = mats.matrix_representation(source.component(pt.p, 1))
             want = _dense_projection(a_mat, 1.0, 0.45)
             worst = max(worst, float(np.linalg.norm(p_mat - want, 2)))
         return [check_record("matrix-component-oracle", worst, ORACLE_TOL)]
@@ -889,7 +882,7 @@ def _local_run(scn: Scenario, grid, tol) -> dict:
         path,
         "lift",
         grid=grid,
-        rows=trace_rows(trace.points, grid),
+        rows=trace_rows(trace.points),
         checks=checks,
         audits=trace.audits,
         notes=f"sheet {trace.sheet}",
@@ -919,7 +912,7 @@ def _sa_run(scn: Scenario, grid, tol) -> dict:
         path,
         "lift",
         grid=grid,
-        rows=trace_rows(trace.points, grid),
+        rows=trace_rows(trace.points),
         checks=checks,
         audits=trace.audits,
     )
@@ -956,7 +949,7 @@ def _family_runs(scn: Scenario, grid, tol, sa: bool, path: int) -> list[dict]:
                 path,
                 "lift",
                 grid=grid,
-                rows=trace_rows(trace.points, grid),
+                rows=trace_rows(trace.points),
                 checks=checks,
                 audits=trace.audits,
                 notes=f"frozen smallness bound {trace.eps0}",
@@ -967,7 +960,14 @@ def _family_runs(scn: Scenario, grid, tol, sa: bool, path: int) -> list[dict]:
     worst_pair = 0.0
     worst_partial = 0.0
     worst_sa = 0.0
-    for lam in grid:
+    # a lambda is checked only where every step's enclosures held
+    for step_pts in zip(*(trace.points for trace in traces)):
+        lam = step_pts[0].lam
+        if not all(pt.valid for pt in step_pts):
+            rows.append(
+                {"lambda": [lam.real, lam.imag], "valid": False, "defects": {}, "allowances": {}}
+            )
+            continue
         vals = [f(lam) for f in fams]
         pair = 0.0
         for i, vi in enumerate(vals):
@@ -990,7 +990,7 @@ def _family_runs(scn: Scenario, grid, tol, sa: bool, path: int) -> list[dict]:
         worst_partial = max(worst_partial, partial)
         rows.append(
             {
-                "lambda": [complex(lam).real, complex(lam).imag],
+                "lambda": [lam.real, lam.imag],
                 "valid": True,
                 "defects": defects,
                 "allowances": {k: 0.0 for k in defects},

@@ -1,12 +1,16 @@
 """Lifting algorithms on finite-dimensional testbeds with dense oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
+from idemlift import lifting
 from idemlift.algebra import (
     BlockTriangularAlgebra,
     DualAlgebra,
     MatrixAlgebra,
+    ProductAlgebra,
     alg_exp,
 )
 from idemlift.errors import (
@@ -26,6 +30,7 @@ from idemlift.lifting import (
     lift_ortho_step,
     lift_trivial,
 )
+from idemlift.scenarios import Scenario, run_verification
 from oracles import contour_projection
 
 M4 = MatrixAlgebra(4)
@@ -255,7 +260,7 @@ def test_ortho_step_with_no_predecessor_matches_local():
     t_ortho = lift_ortho_step(pi, zero_family(DUAL4), zero_family(M4), q, sec, GRID)
     t_local = lift_local(pi, q, sec, GRID)
     gap = max(
-        (po.elements["f"] - pl.elements["p"]).norm()
+        (po.elements["p"] - pl.elements["p"]).norm()
         for po, pl in zip(t_ortho.points, t_local.points)
     )
     assert gap <= 1e-10
@@ -267,7 +272,7 @@ def test_ortho_step_idempotent_section_is_fixed():
     sec = Section(pi, q, lambda lam: DUAL4.from_parts(q(lam), M4.zero()))
     trace = lift_ortho_step(pi, zero_family(DUAL4), zero_family(M4), q, sec, GRID)
     for pt in trace.points:
-        assert (pt.elements["f"] - pt.elements["a"]).norm() <= 1e-12
+        assert (pt.elements["p"] - pt.elements["a"]).norm() <= 1e-12
 
 
 def test_ortho_step_defect_suite():
@@ -376,6 +381,116 @@ def test_lift_family_respects_cap_and_shape():
         lift_family(pi, [q, q], [sec, sec], GRID, cap=1)
 
 
+def diagonal_targets(count: int) -> list[ElementFamily]:
+    seeds = [np.zeros((4, 4), dtype=complex) for _ in range(count)]
+    for i, s in enumerate(seeds):
+        s[i, i] = 1.0
+    return [ElementFamily(M4, lambda lam, _s=s: rotated_projection(lam, _s)) for s in seeds]
+
+
+def test_lift_family_solves_each_point_once(monkeypatch):
+    # the lifted families hand back the step's idempotents, so evaluating
+    # them on the grid adds no square root to the one per (step, point)
+    calls = []
+    real = lifting.sqrt_near_one
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lifting, "sqrt_near_one", counted)
+    pi = dual_pi()
+    rng = np.random.default_rng(59)
+    targets = diagonal_targets(3)
+    secs = [
+        Section(
+            pi,
+            tgt,
+            lambda lam, _t=tgt, _n=M4.random_element(rng): DUAL4.from_parts(
+                _t(lam), (0.2 + 0.1 * lam) * _n
+            ),
+        )
+        for tgt in targets
+    ]
+    grid = GRID[::5]
+    fams, traces = lift_family(pi, targets, secs, grid)
+    per_step = [len(trace.valid_points()) for trace in traces]
+    assert per_step == [len(grid)] * 3
+    assert len(calls) == sum(per_step)
+    for lam in grid:
+        for fam, trace in zip(fams, traces):
+            assert fam(lam) is trace.point(complex(lam)).p
+    assert len(calls) == sum(per_step)
+
+
+# ---------------------------------------------------------------------------
+# validity over a non-radical kernel: pi reads the first factor of M4 x M4
+
+
+PROD = ProductAlgebra((M4, M4))
+GROWTH = 0.5  # the kernel factor c lam I of the first section leaves the
+# frozen enclosures once c lam > 0.067, i.e. for lam > 0.134
+SPLIT_GRID = (-0.2, 0.0, 0.1, 0.3)
+
+
+def product_family_data():
+    pi = HomFamily(
+        PROD,
+        M4,
+        lambda lam, x: PROD.component(x, 0),
+        embed=lambda lam, b: PROD.from_components(b, M4.zero()),
+        label="first-factor",
+    )
+    targets = diagonal_targets(3)
+    growth = [GROWTH, 0.0, 0.0]
+    secs = [
+        Section(
+            pi,
+            tgt,
+            lambda lam, _t=tgt, _c=c: PROD.from_components(_t(lam), (_c * lam) * M4.one()),
+        )
+        for tgt, c in zip(targets, growth)
+    ]
+    return pi, targets, secs
+
+
+def test_lift_family_invalid_point_propagates_through_later_steps():
+    pi, targets, secs = product_family_data()
+    fams, traces = lift_family(pi, targets, secs, SPLIT_GRID)
+    for trace in traces:
+        assert [pt.valid for pt in trace.points] == [True, True, True, False]
+        assert trace.worst("idempotency") <= 1e-9
+        assert trace.worst("ef") <= 1e-9
+    for fam in fams:
+        with pytest.raises(EnclosureFailed):
+            fam(0.3)
+        with pytest.raises(EnclosureFailed):
+            fam(0.25)  # off the grid: the step's kernel runs and fails
+        p = fam(0.05)  # off the grid and inside the enclosures
+        assert (p * p - p).norm() <= 1e-9
+
+    scn = Scenario(
+        id="product-split",
+        source=PROD,
+        target=M4,
+        pi=pi,
+        grid=SPLIT_GRID,
+        theorem_paths=(3,),
+        family_targets=tuple(targets),
+        family_sections=tuple(secs),
+        kernel_required=False,
+    )
+    report = run_verification(scn)
+    runs = {run["name"]: run for run in report["runs"]}
+    ortho = runs["family-orthogonality"]
+    assert [row["valid"] for row in ortho["rows"]] == [True, True, True, False]
+    assert all(c["passed"] for c in ortho["checks"])
+    for k in range(3):
+        assert not runs[f"family-step-{k}"]["passed"]
+    assert not report["passed"]
+    json.loads(json.dumps(report, allow_nan=False))
+
+
 # ---------------------------------------------------------------------------
 # block-triangular testbed: a non-constant homomorphism family
 
@@ -406,8 +521,6 @@ def block_pi(block: BlockTriangularAlgebra, prod) -> HomFamily:
 
 
 def test_lift_local_block_testbed():
-    from idemlift.algebra import ProductAlgebra
-
     block = BlockTriangularAlgebra(2, 2)
     prod = ProductAlgebra((MatrixAlgebra(2), MatrixAlgebra(2)))
     pi = block_pi(block, prod)
