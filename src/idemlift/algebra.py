@@ -46,6 +46,7 @@ from .errors import (
 )
 
 CONDITION_LIMIT = 1e12
+RESOLVENT_BLOCK_BYTES = 1 << 16  # one block of MatrixAlgebra.resolvent_integral
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +312,17 @@ class BanachAlgebra:
         one = self.one()
         return [self.inverse(self.add(self.scale(z, one), self.neg(x))) for z in zs]
 
+    def resolvent_integral(
+        self, x: Element, zs: Sequence[complex], weights: Sequence[complex]
+    ) -> Element:
+        """``sum_k weights[k] * (zs[k] - x)^-1``; subclasses may contract
+        the weights before building any element."""
+        return self.weighted_sum(self.resolvent_batch(x, zs), weights)
+
+    def _untailed(self, p):
+        """``p`` without its carried tail bound (``p`` where there is none)."""
+        return p
+
     def add_tail(self, x: Element, t: float) -> Element | None:
         """Absorb an extra certified remainder ``t`` into the stored tail
         bound of ``x``; None when the algebra has no tail channel."""
@@ -448,16 +460,29 @@ class MatrixAlgebra(BanachAlgebra):
             )
         return Element(self, mat)
 
-    def resolvent_batch(self, x: Element, zs: Sequence[complex]) -> list[Element]:
-        p = self._own(x)
-        zs = np.asarray(list(zs), dtype=complex)
+    def _resolvents(self, p, zs: np.ndarray) -> np.ndarray:
         stack = zs[:, None, None] * np.eye(self.n) - p[None, :, :]
         with np.errstate(divide="ignore", invalid="ignore"):
             conds = np.linalg.cond(stack)
         if np.any(~np.isfinite(conds)) or np.any(conds > CONDITION_LIMIT):
             raise NotInvertible("resolvent point too close to the spectrum")
-        inv = np.linalg.inv(stack)
-        return [self.wrap(inv[k]) for k in range(len(zs))]
+        return np.linalg.inv(stack)
+
+    def resolvent_batch(self, x: Element, zs: Sequence[complex]) -> list[Element]:
+        inv = self._resolvents(self._own(x), np.asarray(list(zs), dtype=complex))
+        return [self.wrap(r) for r in inv]
+
+    def resolvent_integral(self, x, zs, weights):
+        """In blocks of RESOLVENT_BLOCK_BYTES, so memory does not grow with the
+        node count; summed on from the running total, in ``weighted_sum``'s order."""
+        p = self._own(x)
+        zs, ws = np.asarray(list(zs), dtype=complex), np.asarray(list(weights), dtype=complex)
+        step = max(1, RESOLVENT_BLOCK_BYTES // (16 * self.n * self.n))
+        total = np.zeros((0, self.n, self.n), dtype=complex)
+        for lo in range(0, len(zs), step):
+            terms = ws[lo : lo + step, None, None] * self._resolvents(p, zs[lo : lo + step])
+            total = np.sum(np.concatenate((total, terms)), axis=0, keepdims=True)
+        return self.wrap(total[0] if len(total) else self._zero())
 
     def weighted_sum(self, elems, coeffs):
         stack = np.stack([self._own(e) for e in elems])
@@ -673,13 +698,6 @@ class BlockTriangularAlgebra(BanachAlgebra):
 
     def wrap(self, payload) -> Element:
         return Element(self, self._check(np.asarray(payload, dtype=complex)))
-
-    def from_blocks(self, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> Element:
-        out = np.zeros((self.size, self.size), dtype=complex)
-        out[: self.k, : self.k] = x
-        out[: self.k, self.k :] = y
-        out[self.k :, self.k :] = z
-        return self.wrap(out)
 
     def blocks(self, e: Element) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         p = self._own(e)
@@ -1048,6 +1066,9 @@ class WienerAlgebra(BanachAlgebra):
     def tail_bound(self, x: Element) -> float:
         return self._own(x).tail
 
+    def _untailed(self, p):
+        return _WienerPayload(p.coeffs, 0.0)
+
     def add_tail(self, x: Element, t: float) -> Element | None:
         if t < 0.0:
             return None
@@ -1176,18 +1197,23 @@ class UnitizationAlgebra(BanachAlgebra):
             v = b._own(bumped)
         return (b._scale(1.0 / c, v), 1.0 / c)
 
-    def resolvent_batch(self, x: Element, zs: Sequence[complex]) -> list[Element]:
-        """Share the radical powers across all resolvent points.
+    def resolvent_integral(self, x, zs, weights):
+        """Contract the quadrature weights before building any element.
 
-        ``(z - x)^{-1} = sum_n f^n / (z - c)^{n+1}`` for ``x = f + c``;
-        the powers of ``f`` do not depend on ``z``, so computing them
-        once turns a contour's worth of inversions into cheap weighted
-        sums.  The cut-off remainder is certified into the tail channel
-        exactly as in ``_inverse``.
+        ``(z - x)^{-1} = sum_n f^n / (z - c)^{n+1}`` for ``x = f + c``, so
+        the integral is ``sum_n s_n f^n`` with the scalars
+        ``s_n = sum_k w_k (z_k - c)^{-(n+1)}``: the powers of ``f`` are
+        computed once and summed once.  The certified tail is the one the
+        per-node sum would carry, ``sum_n t_n tail(f^n) + sum_k |w_k| bump_k``
+        with ``t_n = sum_k |w_k| |z_k - c|^{-(n+1)}`` and ``bump_k`` the
+        cut-off Neumann remainder at node k, certified as in ``_inverse``.
         """
-        p = self._own(x)
         b = self.base
-        f, c = p
+        f, c = self._own(x)
+        ds = np.asarray(zs, dtype=complex) - c
+        ws = np.asarray(weights, dtype=complex)
+        if np.any(np.abs(ds) < 1e-300):
+            raise NotInvertible("resolvent point hits the one-point spectrum")
         cap = self.base.nilpotency_index
         if cap is None:
             cap = 64
@@ -1198,35 +1224,28 @@ class UnitizationAlgebra(BanachAlgebra):
             if b._norm(term) == 0.0:
                 exact = True
                 break
-            powers.append(b.wrap(term))
+            powers.append(term)
             term = b._mul(term, f)
-        fnorm = b._norm(f)
-        last_norm = b._norm(term)
-        out = []
-        for z in zs:
-            d = complex(z) - c
-            if abs(d) < 1e-300:
-                raise NotInvertible("resolvent point hits the one-point spectrum")
-            weights = []
-            w = 1.0 / d
-            for _ in powers:
-                w /= d
-                weights.append(w)
-            rad = b.weighted_sum(powers, weights) if powers else b.zero()
-            if not exact:
-                r = fnorm / abs(d)
-                if r >= 1.0:
-                    raise NotInvertible(
-                        "radical Neumann series cannot be certified at this norm"
-                    )
-                bump = last_norm / (abs(d) ** (len(powers) + 2) * (1.0 - r))
-                rad = b.add_tail(rad, bump)
-                if rad is None:
-                    raise NotInvertible(
-                        "no tail channel to carry the Neumann remainder"
-                    )
-            out.append(self.wrap((b._own(rad), 1.0 / d)))
-        return out
+        # row n holds (z_k - c)^-(n+1), the weight of f^n at node k
+        inv = np.cumprod(np.broadcast_to(1.0 / ds, (len(powers) + 1, len(ds))), axis=0)
+        tails = np.array([b.tail_bound(b.wrap(p)) for p in powers])
+        tail = float((np.abs(inv[1:]) @ np.abs(ws)) @ tails)
+        if not exact:
+            r = b._norm(f) / np.abs(ds)
+            if np.any(r >= 1.0):
+                raise NotInvertible(
+                    "radical Neumann series cannot be certified at this norm"
+                )
+            bump = b._norm(term) / (np.abs(ds) ** (len(powers) + 2) * (1.0 - r))
+            tail += float(np.abs(ws) @ bump)
+        # round up past the rounding error of these sums of nonnegative
+        # terms, so that the certificate does not rest on their order
+        tail *= 1.0 + (len(ds) + len(powers) + 4) * 2.0**-50
+        stored = [b.wrap(b._untailed(p)) for p in powers]
+        rad = b.add_tail(b.weighted_sum(stored, inv[1:] @ ws), tail)
+        if rad is None:
+            raise NotInvertible("no tail channel to carry the Neumann remainder")
+        return self.wrap((b._own(rad), complex(ws @ inv[0])))
 
     def _adjoint(self, p):
         return (self.base._adjoint(p[0]), np.conj(p[1]))
@@ -1343,16 +1362,9 @@ class ProductAlgebra(BanachAlgebra):
             raise ParameterError("component count mismatch")
         return self.wrap(tuple(f._own(c) for f, c in zip(self.factors, comps)))
 
-    def resolvent_batch(self, x: Element, zs: Sequence[complex]) -> list[Element]:
-        zs = list(zs)
-        per_factor = [
-            f.resolvent_batch(f.wrap(a), zs)
-            for f, a in zip(self.factors, self._own(x))
-        ]
-        return [
-            self.wrap(tuple(f._own(col[k]) for f, col in zip(self.factors, per_factor)))
-            for k in range(len(zs))
-        ]
+    def resolvent_integral(self, x, zs, weights):
+        parts = zip(self.factors, self._own(x))
+        return self.wrap(tuple(f._own(f.resolvent_integral(f.wrap(a), zs, weights)) for f, a in parts))
 
     def tail_bound(self, x: Element) -> float:
         return max(

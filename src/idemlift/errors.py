@@ -77,10 +77,6 @@ class NotIdempotentInput(IdemliftError):
     code = "not-idempotent-input"
 
 
-class NotOrthogonalInput(IdemliftError):
-    code = "not-orthogonal-input"
-
-
 class SectionInvalid(IdemliftError):
     code = "section-invalid"
 

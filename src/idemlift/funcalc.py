@@ -8,8 +8,8 @@ principal-value convention at the cut ever enters; a loop-closure check
 guards against a contour that sneaks across the cut.
 
 Quadrature is composite Gauss-Legendre per polygon edge with adaptive
-node doubling.  Node evaluations are summed pairwise in a fixed order,
-which keeps results bit-reproducible.
+node doubling.  The weighted resolvent sum is formed by the algebra's
+``resolvent_integral``; results are deterministic for a fixed version.
 """
 
 from __future__ import annotations
@@ -186,8 +186,7 @@ def _integrate(
         zs, coeffs = _loop_nodes(cd.polygon, n)
         gv = np.asarray(scalar_fn(zs), dtype=complex)
         weights = gv * coeffs / (2j * math.pi)
-        resolvents = alg.resolvent_batch(a, zs)
-        total = alg.weighted_sum(resolvents, weights)
+        total = alg.resolvent_integral(a, zs, weights)
         if prev is not None:
             gap = total - prev
             # convergence concerns the stored data; carried tail bounds

@@ -403,11 +403,9 @@ def _ortho_point(
 ) -> dict[str, Element] | None:
     """The per-lambda body of the orthogonal step: the elements of the
     idempotent f = a + (1-e) w (2a-1) (stored under "p") at lam, or None
-    where a predecessor or the frozen enclosures fail there."""
-    try:
-        e = e_fam(lam)
-    except EnclosureFailed:
-        return None
+    where the frozen enclosures fail there.  A predecessor failing at lam
+    raises its EnclosureFailed."""
+    e = e_fam(lam)
     c, a, z = _cut_down(e, sec_v(lam))
     m2inv = _ortho_enclosures(a, z, eps0)
     if m2inv is None:
@@ -472,7 +470,11 @@ def lift_ortho_step(
     audits: list[QuadratureAudit] = []
     points: list[LiftPoint] = []
     for lam in grid_pts:
-        els = _ortho_point(e_fam, sec_v, eps0, lam, audits)
+        try:
+            els = _ortho_point(e_fam, sec_v, eps0, lam, audits)
+        except EnclosureFailed:
+            points.append(LiftPoint(lam, False, {"predecessor": math.inf}))
+            continue
         if els is None:
             points.append(LiftPoint(lam, False, {"enclosure": math.inf}))
             continue

@@ -176,7 +176,7 @@ def build_dual_testbed(
         for tgt, nz in zip(fam_targets, fam_noises)
     )
 
-    def oracle_local(trace, grid) -> list[dict]:
+    def oracle_local(trace) -> list[dict]:
         worst = 0.0
         for pt in trace.valid_points():
             rep = dual.matrix_representation(pt.elements["a"])
@@ -295,7 +295,7 @@ def build_block_testbed(k: int = 2, m: int = 2, seed: int = 0) -> Scenario:
     sec_top = make_sec(q_top, corners[0])
     sec_bot = make_sec(q_bot, corners[1])
 
-    def oracle_local(trace, grid) -> list[dict]:
+    def oracle_local(trace) -> list[dict]:
         worst = 0.0
         for pt in trace.valid_points():
             rep = block.matrix_representation(pt.elements["a"])
@@ -600,7 +600,7 @@ def build_example3(
         + (0.15 + 0.05 * lam) * kernel_noise(1, lam),
     )
 
-    def oracle_family(fams, traces, grid) -> list[dict]:
+    def oracle_family(fams, traces) -> list[dict]:
         # the matrix component of the second lift must match the dense
         # spectral projector of the matrix component of its section input
         worst = 0.0
@@ -876,7 +876,7 @@ def _local_run(scn: Scenario, grid, tol) -> dict:
         ),
     ]
     if scn.oracle_local is not None:
-        checks.extend(scn.oracle_local(trace, grid))
+        checks.extend(scn.oracle_local(trace))
     return run_record(
         name,
         path,
@@ -999,11 +999,12 @@ def _family_runs(scn: Scenario, grid, tol, sa: bool, path: int) -> list[dict]:
     checks = [
         check_record("pairwise-orthogonality", worst_pair, tol["tol_orth"]),
         check_record("partial-sum-idempotency", worst_partial, tol["tol_orth"]),
+        check_record("validity-covers-grid", float(sum(not row["valid"] for row in rows)), 0.0),
     ]
     if sa:
         checks.append(check_record("self-adjointness", worst_sa, tol["tol_idem"]))
     if scn.oracle_family is not None:
-        checks.extend(scn.oracle_family(fams, traces, grid))
+        checks.extend(scn.oracle_family(fams, traces))
     out.append(
         run_record(
             f"{base_name}-orthogonality",

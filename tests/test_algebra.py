@@ -238,6 +238,63 @@ def test_unitization_spectrum_and_inverse() -> None:
         il.UnitizationAlgebra(il.MatrixAlgebra(2))
 
 
+def _series_resolvent_case(seed: int):
+    """A unitized series element f + c whose f carries a nonzero tail, and
+    a ring of weighted nodes around c."""
+    wien = il.WienerAlgebra(il.ConvolutionAlgebra(10), 3)
+    up = il.UnitizationAlgebra(wien)
+    rng = np.random.default_rng(seed)
+    f = wien.add_tail(wien.random_element(rng, 0.1), 1e-3)
+    c = 0.2 + 0.1j
+    zs = c + 0.6 * np.exp(2j * np.pi * (np.arange(24) + 0.3) / 24)
+    ws = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+    return up, f, c, zs, ws
+
+
+def test_resolvent_integral_matches_per_node_sum() -> None:
+    up, f, c, zs, ws = _series_resolvent_case(71)
+    assert up.base.tail_bound(f) > 0.0
+    x = up.from_parts(f, c)
+    conv = il.ConvolutionAlgebra(10)
+    exact = il.UnitizationAlgebra(conv)  # no tails: the Neumann series ends
+    y = exact.from_parts(conv.random_element(np.random.default_rng(5), 0.3), c)
+    prod = il.ProductAlgebra((up, il.MatrixAlgebra(2)))
+    mat = il.MatrixAlgebra(2).wrap(np.array([[0.25, 0.1], [0.0, 0.1 + 0.05j]]))
+    for alg, el in ((up, x), (exact, y), (prod, prod.from_components(x, mat))):
+        got = alg.resolvent_integral(el, zs, ws)
+        ref = alg.weighted_sum([alg.inverse(z * alg.one() - el) for z in zs], ws)
+        gap = got - ref
+        assert gap.norm() - alg.tail_bound(gap) <= 1e-12, alg.kind
+        # the same certified bound, rounded up, never below the reference
+        assert alg.tail_bound(ref) <= alg.tail_bound(got), alg.kind
+        assert alg.tail_bound(got) <= alg.tail_bound(ref) * (1.0 + 1e-12), alg.kind
+    assert up.tail_bound(up.resolvent_integral(x, zs, ws)) > 0.0
+
+
+def test_resolvent_integral_refuses_uncertified_nodes() -> None:
+    up, f, c, zs, ws = _series_resolvent_case(73)
+    x = up.from_parts(f, c)
+    with pytest.raises(NotInvertible, match="one-point spectrum"):
+        up.resolvent_integral(x, np.append(zs, c), np.append(ws, 1.0))
+    near = c + 0.5 * f.norm()  # |z - c| < ||f||: the Neumann ratio is >= 1
+    with pytest.raises(NotInvertible, match="cannot be certified"):
+        up.resolvent_integral(x, np.append(zs, near), np.append(ws, 1.0))
+
+
+def test_matrix_resolvent_integral_in_blocks_equals_default_path() -> None:
+    alg = il.MatrixAlgebra(16)  # 16 nodes per block of RESOLVENT_BLOCK_BYTES
+    rng = np.random.default_rng(79)
+    x = alg.random_element(rng, 0.3)
+    for k in (1, 16, 50):  # one partial block, one full block, four blocks
+        zs = 2.0 * np.exp(2j * np.pi * (np.arange(k) + 0.3) / k)
+        ws = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        got = alg.resolvent_integral(x, zs, ws).payload
+        ref = alg.weighted_sum(alg.resolvent_batch(x, zs), ws).payload
+        assert got.tobytes() == ref.tobytes(), k
+    with pytest.raises(NotInvertible, match="too close to the spectrum"):
+        alg.resolvent_integral(x, np.append(zs, x.spectrum().points[0]), np.append(ws, 1.0))
+
+
 def test_unitization_norm_is_l1_sum() -> None:
     conv = il.ConvolutionAlgebra(32)
     alg = il.UnitizationAlgebra(conv)

@@ -469,6 +469,18 @@ def test_lift_family_invalid_point_propagates_through_later_steps():
         p = fam(0.05)  # off the grid and inside the enclosures
         assert (p * p - p).norm() <= 1e-9
 
+
+def test_ortho_step_records_predecessor_failures_apart():
+    # step 0 fails its own frozen enclosures at lambda = 0.3; the later
+    # steps fail there only because their predecessor e does
+    pi, targets, secs = product_family_data()
+    _, traces = lift_family(pi, targets, secs, SPLIT_GRID)
+    keys = [sorted(trace.points[-1].defects) for trace in traces]
+    assert keys == [["enclosure"], ["predecessor"], ["predecessor"]]
+
+
+def test_family_orthogonality_record_fails_on_invalid_rows():
+    pi, targets, secs = product_family_data()
     scn = Scenario(
         id="product-split",
         source=PROD,
@@ -484,7 +496,9 @@ def test_lift_family_invalid_point_propagates_through_later_steps():
     runs = {run["name"]: run for run in report["runs"]}
     ortho = runs["family-orthogonality"]
     assert [row["valid"] for row in ortho["rows"]] == [True, True, True, False]
-    assert all(c["passed"] for c in ortho["checks"])
+    failed = {c["name"]: c["value"] for c in ortho["checks"] if not c["passed"]}
+    assert failed == {"validity-covers-grid": 1.0}
+    assert not ortho["passed"]
     for k in range(3):
         assert not runs[f"family-step-{k}"]["passed"]
     assert not report["passed"]
