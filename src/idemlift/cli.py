@@ -229,3 +229,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(_summarise(report, cfg.out, cfg.csv))
     return 0 if report_passed(report) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,8 +7,12 @@ angles are tracked cumulatively along the integration loop, so no
 principal-value convention at the cut ever enters; a loop-closure check
 guards against a contour that sneaks across the cut.
 
-Quadrature is composite Gauss-Legendre per polygon edge with adaptive
-node doubling.  The weighted resolvent sum is formed by the algebra's
+Quadrature doubles its node count until two passes agree.  Polygons
+use composite Gauss-Legendre per edge, and each doubling starts over.
+The fixed circle |z| = 1/2 of ``sqrt_near_one`` uses the periodic
+trapezoid rule, which converges geometrically; each doubling keeps half
+of the previous sum and evaluates only the new midpoint nodes.  The
+weighted resolvent sum is formed by the algebra's
 ``resolvent_integral``; results are deterministic for a fixed version.
 """
 
@@ -22,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import BanachAlgebra, Element, SpectrumReport
-from .contours import JordanPolygon, PolygonalArc, circle_polygon
+from .contours import JordanPolygon, PolygonalArc
 from .errors import (
     DegenerateGeometry,
     ParameterError,
@@ -46,6 +50,8 @@ __all__ = [
 QUAD_TOL = 1e-11
 QUAD_START_NODES = 16
 QUAD_MAX_NODES = 2**14
+_NEAR_ONE_RADIUS = 0.5
+_NEAR_ONE_START_NODES = 32
 
 _BRANCHES = ("none", "cut", "principal-near-positive")
 
@@ -101,7 +107,12 @@ class ContourData:
 
 @dataclass(frozen=True)
 class QuadratureAudit:
-    """Convergence record of one adaptive contour integration."""
+    """Convergence record of one adaptive contour integration.
+
+    ``nodes_per_edge`` is the final node count per polygon edge; on the
+    circle of ``sqrt_near_one`` it is the node count of its one closed
+    edge, i.e. every node evaluated.
+    """
 
     nodes_per_edge: int
     delta: float
@@ -171,29 +182,56 @@ def _tracked_angles(zs: np.ndarray, cut_angle: float) -> np.ndarray:
     return tracked
 
 
+# a node rule maps (n, refining) to the nodes of the pass with n nodes per
+# edge, their dz coefficients, and the share of the previous total the
+# pass carries over (0 when it starts over)
+_NodeRule = Callable[[int, bool], tuple[np.ndarray, np.ndarray, float]]
+
+
+def _polygon_rule(polygon: JordanPolygon) -> _NodeRule:
+    def rule(n: int, refining: bool) -> tuple[np.ndarray, np.ndarray, float]:
+        return (*_loop_nodes(polygon, n), 0.0)
+
+    return rule
+
+
+def _circle_rule(n: int, refining: bool) -> tuple[np.ndarray, np.ndarray, float]:
+    """Periodic trapezoid rule with n nodes on |z| = 1/2; a refining
+    pass holds only the odd nodes, the previous pass's midpoints."""
+    k = np.arange(1, n, 2) if refining else np.arange(n)
+    zs = _NEAR_ONE_RADIUS * np.exp(2j * math.pi * k / n)
+    return zs, (2j * math.pi / n) * zs, 0.5 if refining else 0.0
+
+
 def _integrate(
     scalar_fn: Callable[[np.ndarray], np.ndarray],
     a: Element,
-    cd: ContourData,
-) -> tuple[Element, QuadratureAudit]:
-    """(1/2pi i) * integral of scalar_fn(z) (z - a)^(-1) dz over the loop,
-    with adaptive node doubling."""
+    rule: _NodeRule,
+    n: int,
+    audit_sink: list[QuadratureAudit] | None,
+) -> Element:
+    """(1/2pi i) * integral of scalar_fn(z) (z - a)^(-1) dz over the loop
+    of ``rule``, starting at n nodes per edge, with adaptive doubling;
+    the convergence record goes to ``audit_sink``."""
     alg: BanachAlgebra = a.algebra
-    n = cd.nodes_per_edge
     prev: Element | None = None
     refinements = 0
     while True:
-        zs, coeffs = _loop_nodes(cd.polygon, n)
+        zs, coeffs, carry = rule(n, prev is not None)
         gv = np.asarray(scalar_fn(zs), dtype=complex)
         weights = gv * coeffs / (2j * math.pi)
         total = alg.resolvent_integral(a, zs, weights)
+        if carry:
+            total = carry * prev + total
         if prev is not None:
             gap = total - prev
             # convergence concerns the stored data; carried tail bounds
             # do not shrink with node count and are certified separately
             delta = max(0.0, gap.norm() - alg.tail_bound(gap))
             if delta < QUAD_TOL:
-                return total, QuadratureAudit(n, delta, refinements)
+                if audit_sink is not None:
+                    audit_sink.append(QuadratureAudit(n, delta, refinements))
+                return total
         if 2 * n > QUAD_MAX_NODES:
             raise QuadratureNotConverged(
                 f"contour integral did not stabilise below {QUAD_TOL} "
@@ -244,10 +282,7 @@ def contour_apply(
     whole spectrum of ``a`` must be strictly inside with clearance eps/2.
     """
     _check_enclosure(a, cd, require_inside=True)
-    result, audit = _integrate(_vectorise(g), a, cd)
-    if audit_sink is not None:
-        audit_sink.append(audit)
-    return result
+    return _integrate(_vectorise(g), a, _polygon_rule(cd.polygon), cd.nodes_per_edge, audit_sink)
 
 
 def spectral_component_apply(
@@ -260,10 +295,7 @@ def spectral_component_apply(
     the spectrum (the rest must stay clear of the trace): the integral
     picks out g applied to the enclosed spectral component."""
     _check_enclosure(a, cd, require_inside=False)
-    result, audit = _integrate(_vectorise(g), a, cd)
-    if audit_sink is not None:
-        audit_sink.append(audit)
-    return result
+    return _integrate(_vectorise(g), a, _polygon_rule(cd.polygon), cd.nodes_per_edge, audit_sink)
 
 
 def riesz_projection(
@@ -275,10 +307,7 @@ def riesz_projection(
     the loop.  The contour must separate the spectrum: every point stays
     at distance >= eps/2, inside or outside."""
     _check_enclosure(a, cd, require_inside=False)
-    result, audit = _integrate(lambda zs: np.ones_like(zs), a, cd)
-    if audit_sink is not None:
-        audit_sink.append(audit)
-    return result
+    return _integrate(np.ones_like, a, _polygon_rule(cd.polygon), cd.nodes_per_edge, audit_sink)
 
 
 def sqrt_cut(
@@ -292,10 +321,15 @@ def sqrt_cut(
 
     The branch of sqrt is exp(log/2) with the argument tracked
     continuously along the loop relative to the cut ray; ``sheet`` = -1
-    negates the principal sheet globally.
+    negates the principal sheet globally.  Where ``cd`` records the cut
+    its loop was built around, ``cut`` must be that cut.
     """
     if not cut.is_ray:
         raise ParameterError("branch cuts along bent arcs are not supported")
+    if cd.cut is not None and cd.cut != cut:
+        raise ParameterError(
+            f"cut {cut.describe()} differs from the contour's cut {cd.cut.describe()}"
+        )
     if sheet is None:
         sheet = cd.sheet
     if sheet not in (1, -1):
@@ -319,21 +353,7 @@ def sqrt_cut(
         theta = _tracked_angles(zs, alpha)
         return sheet * np.sqrt(np.abs(zs)) * np.exp(0.5j * theta)
 
-    result, audit = _integrate(branch_sqrt, x, cd)
-    if audit_sink is not None:
-        audit_sink.append(audit)
-    return result
-
-
-@lru_cache(maxsize=1)
-def _near_one_contour() -> ContourData:
-    """The circle |z| = 1/2 of ``sqrt_near_one``, built on first use."""
-    return ContourData(
-        polygon=circle_polygon(0j, 0.5),
-        eps=1.0 / 3.0,
-        branch="principal-near-positive",
-        label="sqrt-near-one",
-    )
+    return _integrate(branch_sqrt, x, _polygon_rule(cd.polygon), cd.nodes_per_edge, audit_sink)
 
 
 def sqrt_near_one(
@@ -342,7 +362,8 @@ def sqrt_near_one(
 ) -> Element:
     """Solve w**2 + w + y/4 = 0 by w = -1/2 + (1/2) sqrt(1 - y), computed
     as a Cauchy integral over the circle |z| = 1/2 with the principal
-    (positive near 1) branch of sqrt(1 - z).
+    (positive near 1) branch of sqrt(1 - z), by the nested trapezoid
+    rule: 32 nodes, then doubled until two passes agree.
 
     Requires a unital algebra and a spectrum inside |z| < 1/3, which
     keeps 1 - z away from the negative reals on and inside the circle.
@@ -355,7 +376,7 @@ def sqrt_near_one(
         raise SpectrumTooLarge(
             f"spectral radius {rep.radius:.6g} is not inside the disc of radius 1/3"
         )
-    result, audit = _integrate(lambda zs: np.sqrt(1.0 - zs), y, _near_one_contour())
-    if audit_sink is not None:
-        audit_sink.append(audit)
+    result = _integrate(
+        lambda zs: np.sqrt(1.0 - zs), y, _circle_rule, _NEAR_ONE_START_NODES, audit_sink
+    )
     return 0.5 * result - 0.5 * alg.one()

@@ -2,9 +2,14 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 from idemlift.cli import main
-from idemlift.report import REPORT_VERSION
+from idemlift.report import REPORT_VERSION, report_passed
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def test_run_writes_report_and_exits_zero(tmp_path, capsys):
@@ -132,3 +137,21 @@ def test_cli_reports_are_deterministic(tmp_path):
     a.pop("timings")
     b.pop("timings")
     assert a == b
+
+
+def _run_module(args, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", *args], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    out = tmp_path / "r.json"
+    proc = _run_module(["idemlift.cli", "run", "example1", "--out", str(out)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout
+    assert report_passed(json.loads(out.read_text()))
+    proc = _run_module(["idemlift", "list"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "example1" in proc.stdout.split()

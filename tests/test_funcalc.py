@@ -1,5 +1,7 @@
 """Contour-integral functional calculus against eigendecomposition oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,15 @@ from oracles import (
     random_split_spectrum_matrix,
 )
 
-from idemlift.algebra import DualAlgebra, MatrixAlgebra, dist
+from idemlift import funcalc
+from idemlift.algebra import (
+    ConvolutionAlgebra,
+    DualAlgebra,
+    MatrixAlgebra,
+    UnitizationAlgebra,
+    WienerAlgebra,
+    dist,
+)
 from idemlift.contours import (
     PolygonalArc,
     build_escape_arc,
@@ -21,6 +31,7 @@ from idemlift.contours import (
 )
 from idemlift.errors import (
     DegenerateGeometry,
+    ParameterError,
     QuadratureNotConverged,
     SpectrumMeetsCut,
     SpectrumNotEnclosed,
@@ -181,6 +192,18 @@ def test_sqrt_cut_contour_independence() -> None:
     assert dist(s1, s2) <= 1e-10
 
 
+def test_sqrt_cut_rejects_a_cut_other_than_the_contours() -> None:
+    x = M2.wrap(np.diag([4.0, 9.0]).astype(complex))
+    P, cd = _gamma_for(x)
+    same = PolygonalArc(P.vertices, 2.0 * P.ray_direction)  # normalised on build
+    assert dist(sqrt_cut(x, same, cd), sqrt_cut(x, P, cd)) == 0.0
+    turned = PolygonalArc(P.vertices, 1j * P.ray_direction)
+    moved = PolygonalArc((P.vertices[0] + 0.1,), P.ray_direction)
+    for other in (turned, moved):
+        with pytest.raises(ParameterError, match="differs from the contour's cut"):
+            sqrt_cut(x, other, cd)
+
+
 def test_sqrt_cut_rejects_spectrum_near_cut() -> None:
     x = M2.wrap(np.diag([-1.0, 4.0]).astype(complex))
     P = PolygonalArc((0j,), -1 + 0j)
@@ -232,7 +255,6 @@ def test_sqrt_near_one_matches_direct_branch() -> None:
     alg = MatrixAlgebra(4)
     for _ in range(10):
         mat = random_split_spectrum_matrix(rng, 4, radius=0.3)
-        y = alg.wrap(mat - np.diag(np.diag(mat)) * 0)  # spectrum near {0,1}: too big
         small = alg.wrap(0.3 * (mat - eigenprojection_near(mat, 1.0, 0.4) @ mat))
         rep = small.spectrum()
         if rep.radius >= 1 / 3:
@@ -246,3 +268,100 @@ def test_sqrt_near_one_rejects_large_spectrum() -> None:
     y = M1.wrap(np.array([[0.4 + 0j]]))
     with pytest.raises(SpectrumTooLarge):
         sqrt_near_one(y)
+
+
+def _with_radius(rng, n, radius):
+    """Random diagonalisable n x n matrix with spectral radius ``radius``."""
+    eigs = radius * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+    eigs[0] = radius * np.exp(2j * np.pi * rng.uniform())
+    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+    return v @ np.diag(eigs) @ np.linalg.inv(v)
+
+
+def _jordan_root(lam, n):
+    """-1/2 + sqrt(1 - y)/2 for y = lam*I + N, N the nilpotent shift, by
+    the binomial series of sqrt(1 - lam) sqrt(1 - N/(1 - lam)), which
+    ends at N**n = 0."""
+    shift = np.eye(n, k=1, dtype=complex)
+    root = np.zeros((n, n), dtype=complex)
+    term = np.eye(n, dtype=complex)
+    for k in range(n):
+        root += math.prod((0.5 - j) / (j + 1) for j in range(k)) * term
+        term = term @ (-shift / (1.0 - lam))
+    return lam * np.eye(n) + shift, 0.5 * (-np.eye(n) + np.sqrt(1.0 - lam) * root)
+
+
+def test_sqrt_near_one_matches_dense_reference_up_to_radius_one_third() -> None:
+    rng = np.random.default_rng(31)
+    cases = []
+    for radius in (0.1, 0.2, 0.3, 0.32, 0.33):
+        mat = _with_radius(rng, 4, radius)
+        cases.append((mat, 0.5 * (-np.eye(4) + principal_sqrt(np.eye(4) - mat))))
+    mat = _with_radius(rng, 16, 0.33)
+    cases.append((mat, 0.5 * (-np.eye(16) + principal_sqrt(np.eye(16) - mat))))
+    cases.append(_jordan_root(0.3, 4))
+    cases.append(_jordan_root(-0.25j, 4))
+    for mat, ref in cases:
+        audits = []
+        w = sqrt_near_one(MatrixAlgebra(mat.shape[0]).wrap(mat), audit_sink=audits)
+        assert np.max(np.abs(w.payload - ref)) <= 1e-12
+        assert audits[0].nodes_per_edge <= 256
+
+
+def test_sqrt_near_one_evaluates_each_circle_node_once(monkeypatch) -> None:
+    seen = []
+    kernel = MatrixAlgebra.resolvent_integral
+
+    def spy(self, x, zs, weights):
+        seen.append(np.array(zs))
+        return kernel(self, x, zs, weights)
+
+    monkeypatch.setattr(MatrixAlgebra, "resolvent_integral", spy)
+    rng = np.random.default_rng(37)
+    for radius in (0.1, 0.3):
+        seen.clear()
+        audits = []
+        sqrt_near_one(MatrixAlgebra(4).wrap(_with_radius(rng, 4, radius)), audit_sink=audits)
+        nodes = np.concatenate(seen)
+        n = audits[0].nodes_per_edge
+        assert len(nodes) == n and len(seen) == audits[0].refinements + 1
+        # all of the n-point grid on |z| = 1/2, each point once
+        k = np.sort(np.round(np.angle(nodes) / (2 * np.pi) * n) % n)
+        np.testing.assert_array_equal(k, np.arange(n))
+        assert np.allclose(np.abs(nodes), 0.5)
+    assert [len(b) for b in seen] == [32, 32, 64]  # the radius 0.3 input
+
+
+def test_sqrt_near_one_gives_up_at_the_node_cap(monkeypatch) -> None:
+    y = MatrixAlgebra(4).wrap(_with_radius(np.random.default_rng(41), 4, 0.3))
+    audits = []
+    sqrt_near_one(y, audit_sink=audits)
+    assert audits[0].nodes_per_edge == 128
+    monkeypatch.setattr(funcalc, "QUAD_MAX_NODES", 64)
+    with pytest.raises(QuadratureNotConverged, match="at 64 nodes"):
+        sqrt_near_one(y)
+
+
+def test_sqrt_near_one_nested_sum_keeps_the_certified_tail() -> None:
+    wien = WienerAlgebra(ConvolutionAlgebra(10), 3)
+    up = UnitizationAlgebra(wien)
+    rng = np.random.default_rng(43)
+    for c in (0.05, 0.25j):
+        f = wien.add_tail(wien.random_element(rng, 0.05), 1e-3)
+        x = up.from_parts(f, c)
+        audits = []
+        w = sqrt_near_one(x, audit_sink=audits)
+        n = audits[0].nodes_per_edge
+        zs = 0.5 * np.exp(2j * np.pi * np.arange(n) / n)
+        ws = np.sqrt(1.0 - zs) * zs / n
+        # one-shot sums over the same n nodes: node by node, and fused
+        per_node = up.weighted_sum([up.inverse(z * up.one() - x) for z in zs], ws)
+        fused = up.resolvent_integral(x, zs, ws)
+        for ref in (per_node, fused):
+            ref = 0.5 * ref - 0.5 * up.one()
+            gap = w - ref
+            assert gap.norm() - up.tail_bound(gap) <= 1e-12
+            assert abs(up.tail_bound(w) / up.tail_bound(ref) - 1.0) <= 1e-12
+        # the certificate is never below the per-node one
+        assert up.tail_bound(w) >= up.tail_bound(0.5 * per_node - 0.5 * up.one())
+    assert n == 128  # the c = 0.25j input carried a sum through two doublings
