@@ -854,6 +854,12 @@ class ConvolutionAlgebra(BanachAlgebra):
 # truncated power series with summable coefficient norms
 
 
+# the spectrum of a series is sampled at 0 and on this many circles of
+# this many equispaced points each, out to the unit circle
+_SPECTRUM_CIRCLES = 8
+_SPECTRUM_ANGLES = 32
+
+
 @dataclass(frozen=True)
 class _WienerPayload:
     coeffs: tuple  # base payloads, length degree + 1
@@ -878,8 +884,6 @@ class WienerAlgebra(BanachAlgebra):
 
     base: BanachAlgebra
     degree: int
-    spectrum_circles: int = 8
-    spectrum_angles: int = 32
 
     kind = "wiener-truncated"
 
@@ -997,12 +1001,12 @@ class WienerAlgebra(BanachAlgebra):
 
     def _spectrum(self, p) -> SpectrumReport:
         pts: list[complex] = []
-        for j in range(self.spectrum_circles + 1):
-            r = j / self.spectrum_circles
+        for j in range(_SPECTRUM_CIRCLES + 1):
+            r = j / _SPECTRUM_CIRCLES
             if j == 0:
                 zs = [0j]
             else:
-                ang = 2.0 * np.pi * np.arange(self.spectrum_angles) / self.spectrum_angles
+                ang = 2.0 * np.pi * np.arange(_SPECTRUM_ANGLES) / _SPECTRUM_ANGLES
                 zs = list(r * np.exp(1j * ang))
             for z in zs:
                 val = self._eval_payload(p, z)

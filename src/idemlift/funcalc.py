@@ -53,7 +53,7 @@ QUAD_MAX_NODES = 2**14
 _NEAR_ONE_RADIUS = 0.5
 _NEAR_ONE_START_NODES = 32
 
-_BRANCHES = ("none", "cut", "principal-near-positive")
+_BRANCHES = ("none", "cut")
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ class ContourData:
     ``eps`` is the clearance margin the polygon was built with: the
     spectrum the contour is used against must stay at distance >= eps/2
     from the trace.  ``branch`` describes how square roots on the trace
-    are to be evaluated: not at all, relative to a cut ray, or as the
-    principal branch (used near 1 where it is positive).
+    are to be evaluated: not at all, or relative to the cut ray ``cut``.
+    Quadrature starts at ``QUAD_START_NODES`` per edge.
     """
 
     polygon: JordanPolygon
@@ -72,7 +72,6 @@ class ContourData:
     branch: str = "none"
     cut: PolygonalArc | None = None
     sheet: int = 1
-    nodes_per_edge: int = QUAD_START_NODES
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -87,8 +86,6 @@ class ContourData:
                 raise ParameterError("cut branch needs the cut arc")
             if not self.cut.is_ray:
                 raise ParameterError("branch cuts along bent arcs are not supported")
-        if self.nodes_per_edge < 2:
-            raise ParameterError("need at least two quadrature nodes per edge")
 
     def describe(self) -> dict:
         out: dict = {
@@ -96,7 +93,6 @@ class ContourData:
             "eps": self.eps,
             "branch": self.branch,
             "sheet": self.sheet,
-            "nodes_per_edge": self.nodes_per_edge,
         }
         if self.cut is not None:
             out["cut"] = self.cut.describe()
@@ -255,17 +251,12 @@ def _vectorise(g: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return run
 
 
-def _spectrum_points(a: Element) -> SpectrumReport:
-    return a.algebra.spectrum(a)
-
-
-def _check_enclosure(a: Element, cd: ContourData, *, require_inside: bool) -> None:
-    rep = _spectrum_points(a)
+def _check_enclosure(rep: SpectrumReport, cd: ContourData, *, require_inside: bool) -> None:
+    """Every spectrum point must keep eps/2 clear of the contour and,
+    with ``require_inside``, lie inside it."""
     for z in rep.points:
-        d = cd.polygon.distance_to_point(z)
-        if d < 0.5 * cd.eps:
-            kind = SpectrumNotEnclosed if require_inside else SpectrumOnContour
-            raise kind(f"spectrum point {z:.6g} lies within eps/2 of the contour")
+        if cd.polygon.distance_to_point(z) < 0.5 * cd.eps:
+            raise SpectrumOnContour(f"spectrum point {z:.6g} lies within eps/2 of the contour")
         if require_inside and cd.polygon.winding_number(z) != 1:
             raise SpectrumNotEnclosed(f"spectrum point {z:.6g} is not enclosed")
 
@@ -281,8 +272,8 @@ def contour_apply(
     ``g`` must be holomorphic inside the loop and continuous on it; the
     whole spectrum of ``a`` must be strictly inside with clearance eps/2.
     """
-    _check_enclosure(a, cd, require_inside=True)
-    return _integrate(_vectorise(g), a, _polygon_rule(cd.polygon), cd.nodes_per_edge, audit_sink)
+    _check_enclosure(a.spectrum(), cd, require_inside=True)
+    return _integrate(_vectorise(g), a, _polygon_rule(cd.polygon), QUAD_START_NODES, audit_sink)
 
 
 def spectral_component_apply(
@@ -294,8 +285,8 @@ def spectral_component_apply(
     """Like :func:`contour_apply`, but the loop may enclose only part of
     the spectrum (the rest must stay clear of the trace): the integral
     picks out g applied to the enclosed spectral component."""
-    _check_enclosure(a, cd, require_inside=False)
-    return _integrate(_vectorise(g), a, _polygon_rule(cd.polygon), cd.nodes_per_edge, audit_sink)
+    _check_enclosure(a.spectrum(), cd, require_inside=False)
+    return _integrate(_vectorise(g), a, _polygon_rule(cd.polygon), QUAD_START_NODES, audit_sink)
 
 
 def riesz_projection(
@@ -306,8 +297,8 @@ def riesz_projection(
     """Spectral projection of ``a`` onto the part of the spectrum inside
     the loop.  The contour must separate the spectrum: every point stays
     at distance >= eps/2, inside or outside."""
-    _check_enclosure(a, cd, require_inside=False)
-    return _integrate(np.ones_like, a, _polygon_rule(cd.polygon), cd.nodes_per_edge, audit_sink)
+    _check_enclosure(a.spectrum(), cd, require_inside=False)
+    return _integrate(np.ones_like, a, _polygon_rule(cd.polygon), QUAD_START_NODES, audit_sink)
 
 
 def sqrt_cut(
@@ -334,26 +325,20 @@ def sqrt_cut(
         sheet = cd.sheet
     if sheet not in (1, -1):
         raise ParameterError("sheet must be +1 or -1")
-    rep = _spectrum_points(x)
+    rep = x.spectrum()
     clearance = min((cut.distance_to_point(z) for z in rep.points), default=math.inf)
     if clearance <= cd.eps:
         raise SpectrumMeetsCut(
             f"spectrum clearance {clearance:.3g} from the cut is within eps={cd.eps:.3g}"
         )
-    for z in rep.points:
-        if cd.polygon.winding_number(z) != 1:
-            raise SpectrumNotEnclosed(f"spectrum point {z:.6g} is not enclosed")
-        if cd.polygon.distance_to_point(z) < 0.5 * cd.eps:
-            raise SpectrumOnContour(
-                f"spectrum point {z:.6g} lies within eps/2 of the contour"
-            )
+    _check_enclosure(rep, cd, require_inside=True)
     alpha = cut.angle
 
     def branch_sqrt(zs: np.ndarray) -> np.ndarray:
         theta = _tracked_angles(zs, alpha)
         return sheet * np.sqrt(np.abs(zs)) * np.exp(0.5j * theta)
 
-    return _integrate(branch_sqrt, x, _polygon_rule(cd.polygon), cd.nodes_per_edge, audit_sink)
+    return _integrate(branch_sqrt, x, _polygon_rule(cd.polygon), QUAD_START_NODES, audit_sink)
 
 
 def sqrt_near_one(
@@ -371,7 +356,7 @@ def sqrt_near_one(
     alg = y.algebra
     if not alg.is_unital:
         raise ParameterError("square root near one needs a unital algebra")
-    rep = _spectrum_points(y)
+    rep = y.spectrum()
     if rep.points and rep.radius >= 1.0 / 3.0:
         raise SpectrumTooLarge(
             f"spectral radius {rep.radius:.6g} is not inside the disc of radius 1/3"

@@ -129,6 +129,18 @@ class LiftTrace:
         return tuple(pt for pt in self.points if pt.valid)
 
 
+def _valid_point(
+    lam: complex, gaps: dict[str, Element], elements: dict[str, Element]
+) -> LiftPoint:
+    """The valid point at lam: the norm of each defect element, allowed
+    its tail; pi only sees the stored part of p, so p's tail is extra
+    slack on the lift defect."""
+    allow = {k: d.algebra.tail_bound(d) for k, d in gaps.items()}
+    p = elements["p"]
+    allow["lift"] += p.algebra.tail_bound(p)
+    return LiftPoint(lam, True, {k: d.norm() for k, d in gaps.items()}, elements, allow)
+
+
 # ---------------------------------------------------------------------------
 # trivial path
 
@@ -265,17 +277,8 @@ def lift_local(
             "eq2": z * z + (2.0 * a - one) * z - r,
             "eq5": x * x + x + r0,
         }
-        allow = {k: d.algebra.tail_bound(d) for k, d in gaps.items()}
-        # pi only sees the stored part of p, so its tail is extra slack
-        allow["lift"] += pi.source.tail_bound(p)
         points.append(
-            LiftPoint(
-                lam,
-                True,
-                {k: d.norm() for k, d in gaps.items()},
-                {"a": a, "r": r, "r0": r0, "x": x, "z": z, "p": p},
-                allow,
-            )
+            _valid_point(lam, gaps, {"a": a, "r": r, "r0": r0, "x": x, "z": z, "p": p})
         )
     return LiftTrace(tuple(points), tuple(audits), (cd,), sheet, label="local")
 
@@ -332,7 +335,6 @@ def lift_local_sa(
             "spectrum of the symmetrized section at 0 is not split by the two loops"
         )
 
-    one = alg.one()
     audits: list[QuadratureAudit] = []
     points: list[LiftPoint] = []
     for lam in grid_pts:
@@ -350,17 +352,7 @@ def lift_local_sa(
             "self-adjointness": p - p.adjoint(),
             "factorisation": (a - p) - (a * a - a) * (aux1 - aux0),
         }
-        allow = {k: d.algebra.tail_bound(d) for k, d in gaps.items()}
-        allow["lift"] += alg.tail_bound(p)
-        points.append(
-            LiftPoint(
-                lam,
-                True,
-                {k: d.norm() for k, d in gaps.items()},
-                {"a": a, "p": p, "a0": aux0, "a1": aux1},
-                allow,
-            )
-        )
+        points.append(_valid_point(lam, gaps, {"a": a, "p": p, "a0": aux0, "a1": aux1}))
     return LiftTrace(tuple(points), tuple(audits), (cd0, cd1), label="self-adjoint")
 
 
@@ -497,11 +489,7 @@ def lift_ortho_step(
             "quadratic": r * r + m * r + z,
             "commutation": worst_comm,
         }
-        allow = {k: d.algebra.tail_bound(d) for k, d in gaps.items()}
-        allow["lift"] += alg.tail_bound(f)
-        points.append(
-            LiftPoint(lam, True, {k: d.norm() for k, d in gaps.items()}, els, allow)
-        )
+        points.append(_valid_point(lam, gaps, els))
     return LiftTrace(tuple(points), tuple(audits), eps0=eps0, label="orthogonal")
 
 

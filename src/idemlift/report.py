@@ -73,8 +73,7 @@ def run_record(
 ) -> dict[str, Any]:
     """One lifting run (or probe batch) inside a scenario report.
 
-    ``rows`` are per-lambda dicts: {"lambda": [re, im], "valid": bool,
-    "defects": {name: value}, "allowances": {name: value}}.  The
+    ``rows`` are the per-lambda dicts of :func:`trace_rows`.  The
     validity boundary is derived here: the first and last valid grid
     points, or null when nothing was valid.
     """
@@ -109,7 +108,9 @@ def run_record(
 
 
 def trace_rows(points) -> list[dict]:
-    """Rows for the points of a LiftTrace, one per grid point, in order."""
+    """Rows for the points of a LiftTrace, one per grid point, in order:
+    {"lambda": [re, im], "valid": bool, "defects": {name: value},
+    "allowances": {name: value}}, with non-finite values as null."""
     return [
         {
             "lambda": _lam_pair(pt.lam),

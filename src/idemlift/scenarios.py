@@ -15,10 +15,11 @@ through the trivial path.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -40,6 +41,8 @@ from .lifting import (
     TOL_IDEM,
     TOL_LIFT,
     TOL_ORTH,
+    LiftPoint,
+    LiftTrace,
     lift_family,
     lift_local,
     lift_local_sa,
@@ -100,6 +103,19 @@ def _dense_projection(rep: np.ndarray, center: complex, radius: float, n: int = 
     for w in ring:
         acc += w * np.linalg.solve((center + radius * w) * eye - rep, eye)
     return (radius / n) * acc
+
+
+def _dense_projection_oracle(trace: LiftTrace) -> list[dict]:
+    """Local-lift oracle for algebras with a matrix representation: each
+    valid p must be the dense spectral projector of its section value a
+    onto the spectrum near 1."""
+    worst = 0.0
+    for pt in trace.valid_points():
+        a, p = pt.elements["a"], pt.p
+        want = _dense_projection(a.algebra.matrix_representation(a), 1.0, 0.45)
+        got = p.algebra.matrix_representation(p)
+        worst = max(worst, float(np.linalg.norm(got - want, 2)))
+    return [check_record("dense-projection-oracle", worst, ORACLE_TOL)]
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +192,6 @@ def build_dual_testbed(
         for tgt, nz in zip(fam_targets, fam_noises)
     )
 
-    def oracle_local(trace) -> list[dict]:
-        worst = 0.0
-        for pt in trace.valid_points():
-            rep = dual.matrix_representation(pt.elements["a"])
-            want = _dense_projection(rep, 1.0, 0.45)
-            got = dual.matrix_representation(pt.elements["p"])
-            worst = max(worst, float(np.linalg.norm(got - want, 2)))
-        return [check_record("dense-projection-oracle", worst, ORACLE_TOL)]
-
     def kernel_probe(rng_: np.random.Generator) -> list[dict]:
         worst = 0.0
         for _ in range(5):
@@ -212,7 +219,7 @@ def build_dual_testbed(
         family_targets=fam_targets,
         family_sections=fam_secs,
         probes=(("square-zero-kernel", kernel_probe), ("self-adjoint-targets", sa_probe)),
-        oracle_local=oracle_local,
+        oracle_local=_dense_projection_oracle,
         notes="constant surjection with nilpotent kernel; all defects should sit at quadrature accuracy",
     )
 
@@ -295,15 +302,6 @@ def build_block_testbed(k: int = 2, m: int = 2, seed: int = 0) -> Scenario:
     sec_top = make_sec(q_top, corners[0])
     sec_bot = make_sec(q_bot, corners[1])
 
-    def oracle_local(trace) -> list[dict]:
-        worst = 0.0
-        for pt in trace.valid_points():
-            rep = block.matrix_representation(pt.elements["a"])
-            want = _dense_projection(rep, 1.0, 0.45)
-            got = block.matrix_representation(pt.elements["p"])
-            worst = max(worst, float(np.linalg.norm(got - want, 2)))
-        return [check_record("dense-projection-oracle", worst, ORACLE_TOL)]
-
     def kernel_probe(rng_: np.random.Generator) -> list[dict]:
         worst = 0.0
         for _ in range(5):
@@ -345,7 +343,7 @@ def build_block_testbed(k: int = 2, m: int = 2, seed: int = 0) -> Scenario:
         family_targets=(q_top, q_bot),
         family_sections=(sec_top, sec_bot),
         probes=(("square-zero-kernel", kernel_probe), ("non-constant-family", twist_probe)),
-        oracle_local=oracle_local,
+        oracle_local=_dense_projection_oracle,
         notes="non-constant homomorphism family via nilpotent twist; no involution available",
     )
 
@@ -746,6 +744,98 @@ def _default_tolerances() -> dict[str, float]:
     }
 
 
+# The checks of each kind of lift trace, by trace label, in report order:
+# (check name, defect key, tolerance key).  The check value is the worst
+# certified defect over the valid points; the defect key None counts the
+# grid points outside the frozen enclosures instead, against 0.
+_IDEMPOTENCY = ("idempotency", "idempotency", "tol_idem")
+_LIFT = ("lift", "lift", "tol_lift")
+_COMMUTATION = ("commutation", "commutation", "tol_comm")
+_SELF_ADJOINTNESS = ("self-adjointness", "self-adjointness", "tol_idem")
+_COVERS_GRID = ("validity-covers-grid", None, "")
+_ORTHOGONALITY = (
+    ("pairwise-orthogonality", "pairwise-orthogonality", "tol_orth"),
+    ("partial-sum-idempotency", "partial-sum-idempotency", "tol_orth"),
+    _COVERS_GRID,
+)
+_CHECKS: dict[str, tuple[tuple[str, str | None, str], ...]] = {
+    "trivial": (_IDEMPOTENCY, _LIFT),
+    "local": (
+        _IDEMPOTENCY,
+        _LIFT,
+        _COMMUTATION,
+        ("eq2-residual", "eq2", "tol_idem"),
+        ("eq5-residual", "eq5", "tol_idem"),
+        _COVERS_GRID,
+    ),
+    "self-adjoint": (
+        _IDEMPOTENCY,
+        _LIFT,
+        _COMMUTATION,
+        _SELF_ADJOINTNESS,
+        ("factorisation", "factorisation", "tol_idem"),
+        _COVERS_GRID,
+    ),
+    "orthogonal": (
+        _IDEMPOTENCY,
+        _LIFT,
+        ("orthogonal-to-predecessors-left", "ef", "tol_orth"),
+        ("orthogonal-to-predecessors-right", "fe", "tol_orth"),
+        ("eq17-residual", "eq17", "tol_idem"),
+        ("quadratic-residual", "quadratic", "tol_idem"),
+        _COMMUTATION,
+        _COVERS_GRID,
+    ),
+    "orthogonality": _ORTHOGONALITY,
+    "orthogonality-sa": (*_ORTHOGONALITY, _SELF_ADJOINTNESS),
+}
+
+
+def _lift_record(
+    name: str,
+    path: int,
+    trace: LiftTrace,
+    grid: Sequence[complex],
+    tol: dict[str, float],
+    extra_checks: Sequence[dict] = (),
+    notes: str = "",
+) -> dict:
+    """The report record of one lift: a row per grid point, the checks
+    ``_CHECKS`` lists for the trace's label, then ``extra_checks``."""
+    checks = [
+        check_record(check, trace.worst_certified(key), tol[tol_key])
+        if key is not None
+        else check_record(check, float(len(grid) - len(trace.valid_points())), 0.0)
+        for check, key, tol_key in _CHECKS[trace.label]
+    ]
+    return run_record(
+        name,
+        path,
+        "trivial" if trace.label == "trivial" else "lift",
+        grid=grid,
+        rows=trace_rows(trace.points),
+        checks=[*checks, *extra_checks],
+        audits=trace.audits,
+        notes=notes,
+    )
+
+
+def _guarded(
+    name: str, path: int | None, kind: str, build: Callable[[], list[dict]]
+) -> list[dict]:
+    """The records ``build`` returns, or one error record where it raises."""
+    try:
+        return build()
+    except IdemliftError as exc:
+        return [run_record(name, path, kind, error=f"{type(exc).__name__}: {exc}")]
+
+
+def _worst_stored_norm(elements: Iterable[Element]) -> float:
+    """max(0, ||d|| - tail(d)) over ``elements``: the largest norm their
+    stored data shows, certified tails set aside."""
+    return max([0.0, *(d.norm() - d.algebra.tail_bound(d) for d in elements)])
+
+
 def _hypothesis_checks(
     scn: Scenario, grid: Sequence[complex], tol: dict[str, float], seed: int
 ) -> list[dict]:
@@ -754,11 +844,8 @@ def _hypothesis_checks(
     rng = np.random.default_rng(seed + 101)
 
     if pi.embed is not None:
-        worst = 0.0
-        for b in scn.target.probe_basis():
-            back = pi.apply(0.0, pi.embed(0.0, b)) - b
-            worst = max(worst, back.norm() - scn.target.tail_bound(back))
-        checks.append(check_record("surjectivity-at-base", worst, 1e-9))
+        backs = (pi.apply(0.0, pi.embed(0.0, b)) - b for b in scn.target.probe_basis())
+        checks.append(check_record("surjectivity-at-base", _worst_stored_norm(backs), 1e-9))
 
         lam_set = [0.0] if not scn.kernel_required else sorted(
             {0.0, float(np.real(grid[0])), float(np.real(grid[-1]))}
@@ -784,20 +871,13 @@ def _hypothesis_checks(
         inputs.append(scn.local_target)
     inputs.extend(scn.family_targets)
     if inputs:
-        worst = 0.0
-        for q in inputs:
-            d = q(0.0) * q(0.0) - q(0.0)
-            worst = max(worst, d.norm() - scn.target.tail_bound(d))
+        squares = (q(0.0) * q(0.0) - q(0.0) for q in inputs)
+        worst = _worst_stored_norm(squares)
         checks.append(check_record("input-idempotency", worst, tol["tol_idem"]))
 
     if len(scn.family_targets) > 1:
-        worst = 0.0
-        for i, qi in enumerate(scn.family_targets):
-            for j, qj in enumerate(scn.family_targets):
-                if i == j:
-                    continue
-                d = qi(0.0) * qj(0.0)
-                worst = max(worst, d.norm() - scn.target.tail_bound(d))
+        pairs = itertools.permutations(scn.family_targets, 2)
+        worst = _worst_stored_norm(qi(0.0) * qj(0.0) for qi, qj in pairs)
         checks.append(check_record("input-orthogonality", worst, tol["tol_orth"]))
 
     if any(p in (2, 4, 6) for p in scn.theorem_paths):
@@ -814,207 +894,82 @@ def _hypothesis_checks(
 def _trivial_runs(scn: Scenario, grid, tol) -> list[dict]:
     out = []
     for idx, q in enumerate(scn.trivial_targets):
-        lifted = lift_trivial(q, into=scn.source)
-        if lifted is None:
-            out.append(
-                run_record(
-                    f"trivial-{idx}",
-                    1,
-                    "trivial",
-                    error="target spectrum is not pinned to 0 or 1",
-                )
-            )
-            continue
-        rows = []
-        for lam in grid:
-            p = lifted(lam)
-            defects = {
-                "idempotency": (p * p - p).norm(),
-                "lift": (scn.pi.apply(lam, p) - q(lam)).norm(),
-            }
-            rows.append(
-                {
-                    "lambda": [complex(lam).real, complex(lam).imag],
-                    "valid": True,
-                    "defects": defects,
-                    "allowances": {k: 0.0 for k in defects},
-                }
-            )
-        checks = [
-            check_record("idempotency", max(r["defects"]["idempotency"] for r in rows), tol["tol_idem"]),
-            check_record("lift", max(r["defects"]["lift"] for r in rows), tol["tol_lift"]),
-        ]
-        out.append(
-            run_record(
-                f"trivial-{idx}", 1, "trivial", grid=grid, rows=rows, checks=checks
-            )
-        )
+        name = f"trivial-{idx}"
+        out.extend(_guarded(name, 1, "trivial", lambda: [_trivial_record(scn, q, grid, tol, name)]))
     return out
 
 
-def _local_run(scn: Scenario, grid, tol) -> dict:
-    name, path = "local", 1
-    shortcut = lift_trivial(scn.local_target, into=scn.source)
-    if shortcut is not None:
-        return run_record(
-            name, path, "trivial", notes="spectrally pinned target; trivial shortcut taken"
-        )
-    try:
-        trace = lift_local(scn.pi, scn.local_target, scn.local_section, grid)
-    except IdemliftError as exc:
-        return run_record(name, path, "lift", error=f"{type(exc).__name__}: {exc}")
-    checks = [
-        check_record("idempotency", trace.worst_certified("idempotency"), tol["tol_idem"]),
-        check_record("lift", trace.worst_certified("lift"), tol["tol_lift"]),
-        check_record("commutation", trace.worst_certified("commutation"), tol["tol_comm"]),
-        check_record("eq2-residual", trace.worst_certified("eq2"), tol["tol_idem"]),
-        check_record("eq5-residual", trace.worst_certified("eq5"), tol["tol_idem"]),
-        check_record(
-            "validity-covers-grid",
-            float(len(grid) - len(trace.valid_points())),
-            0.0,
-        ),
-    ]
-    if scn.oracle_local is not None:
-        checks.extend(scn.oracle_local(trace))
-    return run_record(
-        name,
-        path,
-        "lift",
-        grid=grid,
-        rows=trace_rows(trace.points),
-        checks=checks,
-        audits=trace.audits,
-        notes=f"sheet {trace.sheet}",
-    )
+def _trivial_record(scn: Scenario, q: ElementFamily, grid, tol, name: str) -> dict:
+    lifted = lift_trivial(q, into=scn.source)
+    if lifted is None:
+        return run_record(name, 1, "trivial", error="target spectrum is not pinned to 0 or 1")
+    points = []
+    for lam in grid:
+        p = lifted(lam)
+        defects = {
+            "idempotency": (p * p - p).norm(),
+            "lift": (scn.pi.apply(lam, p) - q(lam)).norm(),
+        }
+        points.append(LiftPoint(lam, True, defects, {"p": p}, dict.fromkeys(defects, 0.0)))
+    return _lift_record(name, 1, LiftTrace(tuple(points), (), label="trivial"), grid, tol)
 
 
-def _sa_run(scn: Scenario, grid, tol) -> dict:
-    name, path = "self-adjoint", 2
-    try:
-        trace = lift_local_sa(scn.pi, scn.local_target, scn.local_section, grid)
-    except IdemliftError as exc:
-        return run_record(name, path, "lift", error=f"{type(exc).__name__}: {exc}")
-    checks = [
-        check_record("idempotency", trace.worst_certified("idempotency"), tol["tol_idem"]),
-        check_record("lift", trace.worst_certified("lift"), tol["tol_lift"]),
-        check_record("commutation", trace.worst_certified("commutation"), tol["tol_comm"]),
-        check_record("self-adjointness", trace.worst_certified("self-adjointness"), tol["tol_idem"]),
-        check_record("factorisation", trace.worst_certified("factorisation"), tol["tol_idem"]),
-        check_record(
-            "validity-covers-grid",
-            float(len(grid) - len(trace.valid_points())),
-            0.0,
-        ),
-    ]
-    return run_record(
-        name,
-        path,
-        "lift",
-        grid=grid,
-        rows=trace_rows(trace.points),
-        checks=checks,
-        audits=trace.audits,
-    )
-
-
-def _family_runs(scn: Scenario, grid, tol, sa: bool, path: int) -> list[dict]:
-    base_name = "family-sa" if sa else "family"
-    try:
-        fams, traces = lift_family(
-            scn.pi, scn.family_targets, scn.family_sections, grid, sa=sa
-        )
-    except IdemliftError as exc:
-        return [run_record(base_name, path, "lift", error=f"{type(exc).__name__}: {exc}")]
-
-    out = []
-    for k, trace in enumerate(traces):
-        checks = [
-            check_record("idempotency", trace.worst_certified("idempotency"), tol["tol_idem"]),
-            check_record("lift", trace.worst_certified("lift"), tol["tol_lift"]),
-            check_record("orthogonal-to-predecessors-left", trace.worst_certified("ef"), tol["tol_orth"]),
-            check_record("orthogonal-to-predecessors-right", trace.worst_certified("fe"), tol["tol_orth"]),
-            check_record("eq17-residual", trace.worst_certified("eq17"), tol["tol_idem"]),
-            check_record("quadratic-residual", trace.worst_certified("quadratic"), tol["tol_idem"]),
-            check_record("commutation", trace.worst_certified("commutation"), tol["tol_comm"]),
-            check_record(
-                "validity-covers-grid",
-                float(len(grid) - len(trace.valid_points())),
-                0.0,
-            ),
-        ]
-        out.append(
+def _local_runs(scn: Scenario, grid, tol, name: str, path: int) -> list[dict]:
+    if lift_trivial(scn.local_target, into=scn.source) is not None:
+        return [
             run_record(
-                f"{base_name}-step-{k}",
-                path,
-                "lift",
-                grid=grid,
-                rows=trace_rows(trace.points),
-                checks=checks,
-                audits=trace.audits,
-                notes=f"frozen smallness bound {trace.eps0}",
+                name, path, "trivial", notes="spectrally pinned target; trivial shortcut taken"
             )
-        )
+        ]
+    trace = lift_local(scn.pi, scn.local_target, scn.local_section, grid)
+    oracle = scn.oracle_local(trace) if scn.oracle_local is not None else ()
+    return [_lift_record(name, path, trace, grid, tol, oracle, notes=f"sheet {trace.sheet}")]
 
-    rows = []
-    worst_pair = 0.0
-    worst_partial = 0.0
-    worst_sa = 0.0
-    # a lambda is checked only where every step's enclosures held
+
+def _sa_runs(scn: Scenario, grid, tol, name: str, path: int) -> list[dict]:
+    trace = lift_local_sa(scn.pi, scn.local_target, scn.local_section, grid)
+    return [_lift_record(name, path, trace, grid, tol)]
+
+
+def _orthogonality_trace(
+    fams: Sequence[ElementFamily], traces: Sequence[LiftTrace], sa: bool
+) -> LiftTrace:
+    """The joint defects of the lifted families: pairwise products,
+    partial sums and, with ``sa``, self-adjointness.  A lambda is checked
+    only where every step's enclosures held."""
+    points = []
     for step_pts in zip(*(trace.points for trace in traces)):
         lam = step_pts[0].lam
         if not all(pt.valid for pt in step_pts):
-            rows.append(
-                {"lambda": [lam.real, lam.imag], "valid": False, "defects": {}, "allowances": {}}
-            )
+            points.append(LiftPoint(lam, False))
             continue
         vals = [f(lam) for f in fams]
-        pair = 0.0
-        for i, vi in enumerate(vals):
-            for j, vj in enumerate(vals):
-                if i != j:
-                    d = vi * vj
-                    pair = max(pair, d.norm() - scn.source.tail_bound(d))
-        partial = 0.0
-        total = None
-        for v in vals:
-            total = v if total is None else total + v
-            d = total * total - total
-            partial = max(partial, d.norm() - scn.source.tail_bound(d))
-        defects = {"pairwise-orthogonality": pair, "partial-sum-idempotency": partial}
+        defects = {
+            "pairwise-orthogonality": _worst_stored_norm(
+                vi * vj for vi, vj in itertools.permutations(vals, 2)
+            ),
+            "partial-sum-idempotency": _worst_stored_norm(
+                s * s - s for s in itertools.accumulate(vals)
+            ),
+        }
         if sa:
-            sadef = max((v - v.adjoint()).norm() for v in vals)
-            defects["self-adjointness"] = sadef
-            worst_sa = max(worst_sa, sadef)
-        worst_pair = max(worst_pair, pair)
-        worst_partial = max(worst_partial, partial)
-        rows.append(
-            {
-                "lambda": [lam.real, lam.imag],
-                "valid": True,
-                "defects": defects,
-                "allowances": {k: 0.0 for k in defects},
-            }
+            defects["self-adjointness"] = max((v - v.adjoint()).norm() for v in vals)
+        points.append(LiftPoint(lam, True, defects, allowances=dict.fromkeys(defects, 0.0)))
+    return LiftTrace(tuple(points), (), label="orthogonality-sa" if sa else "orthogonality")
+
+
+def _family_runs(scn: Scenario, grid, tol, name: str, path: int) -> list[dict]:
+    sa = path in (4, 6)
+    fams, traces = lift_family(scn.pi, scn.family_targets, scn.family_sections, grid, sa=sa)
+    out = [
+        _lift_record(
+            f"{name}-step-{k}", path, trace, grid, tol, notes=f"frozen smallness bound {trace.eps0}"
         )
-    checks = [
-        check_record("pairwise-orthogonality", worst_pair, tol["tol_orth"]),
-        check_record("partial-sum-idempotency", worst_partial, tol["tol_orth"]),
-        check_record("validity-covers-grid", float(sum(not row["valid"] for row in rows)), 0.0),
+        for k, trace in enumerate(traces)
     ]
-    if sa:
-        checks.append(check_record("self-adjointness", worst_sa, tol["tol_idem"]))
-    if scn.oracle_family is not None:
-        checks.extend(scn.oracle_family(fams, traces))
-    out.append(
-        run_record(
-            f"{base_name}-orthogonality",
-            path,
-            "lift",
-            grid=grid,
-            rows=rows,
-            checks=checks,
-        )
-    )
+    joint = _orthogonality_trace(fams, traces, sa)
+    oracle = scn.oracle_family(fams, traces) if scn.oracle_family is not None else ()
+    out.append(_lift_record(f"{name}-orthogonality", path, joint, grid, tol, oracle))
     return out
 
 
@@ -1047,27 +1002,26 @@ def run_verification(
         clocked("trivial", lambda: _trivial_runs(scn, grid, tol))
     for path in scn.theorem_paths:
         if path == 1 and scn.local_target is not None:
-            clocked("local", lambda: [_local_run(scn, grid, tol)])
+            name, lift = "local", _local_runs
         elif path == 2 and scn.local_target is not None:
-            clocked("self-adjoint", lambda: [_sa_run(scn, grid, tol)])
+            name, lift = "self-adjoint", _sa_runs
         elif path in (3, 5) and scn.family_targets:
-            clocked("family", lambda: _family_runs(scn, grid, tol, False, path))
+            name, lift = "family", _family_runs
         elif path in (4, 6) and scn.family_targets:
-            clocked("family-sa", lambda: _family_runs(scn, grid, tol, True, path))
+            name, lift = "family-sa", _family_runs
+        else:
+            continue
+        clocked(
+            name, lambda: _guarded(name, path, "lift", lambda: lift(scn, grid, tol, name, path))
+        )
 
     probe_records: list[dict] = []
     for idx, (name, fn) in enumerate(scn.probes):
         start = time.perf_counter()
         rng = np.random.default_rng(seed + 1000 + idx)
-        try:
-            checks = fn(rng)
-            probe_records.append(
-                run_record(name, None, "probe", checks=checks)
-            )
-        except IdemliftError as exc:
-            probe_records.append(
-                run_record(name, None, "probe", error=f"{type(exc).__name__}: {exc}")
-            )
+        probe_records.extend(
+            _guarded(name, None, "probe", lambda: [run_record(name, None, "probe", checks=fn(rng))])
+        )
         timings[f"probe:{name}"] = time.perf_counter() - start
 
     return build_report(

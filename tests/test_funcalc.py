@@ -141,6 +141,33 @@ def test_riesz_rejects_spectrum_on_contour() -> None:
         riesz_projection(a, cd)
 
 
+_ENCLOSING_ENTRY_POINTS = {
+    "contour_apply": lambda a, cd: contour_apply(lambda z: z, a, cd),
+    "spectral_component_apply": lambda a, cd: funcalc.spectral_component_apply(
+        lambda z: z, a, cd
+    ),
+    "riesz_projection": riesz_projection,
+    "sqrt_cut": lambda a, cd: sqrt_cut(a, PolygonalArc((0j,), -1 + 0j), cd),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENCLOSING_ENTRY_POINTS))
+def test_enclosure_errors_agree_across_entry_points(entry) -> None:
+    run = _ENCLOSING_ENTRY_POINTS[entry]
+    cd = ContourData(circle_polygon(0j, 1.0), eps=0.2)
+    # within eps/2 of the loop, once inside it and once outside; every
+    # point stays clear of the cut along the negative reals
+    for near in (0.95j, 1.05j):
+        with pytest.raises(SpectrumOnContour):
+            run(M2.wrap(np.diag([0.5j, near])), cd)
+    far_outside = M2.wrap(np.diag([0.5j, 2j]))
+    if entry in ("contour_apply", "sqrt_cut"):
+        with pytest.raises(SpectrumNotEnclosed):
+            run(far_outside, cd)
+    else:
+        run(far_outside, cd)  # a separating loop may leave spectrum outside
+
+
 def test_sqrt_cut_known_diagonal() -> None:
     x = M2.wrap(np.diag([4.0, 9.0]).astype(complex))
     P, cd = _gamma_for(x)

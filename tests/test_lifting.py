@@ -30,7 +30,7 @@ from idemlift.lifting import (
     lift_ortho_step,
     lift_trivial,
 )
-from idemlift.scenarios import Scenario, run_verification
+from idemlift.scenarios import Scenario, build_scenario, run_verification
 from oracles import contour_projection
 
 M4 = MatrixAlgebra(4)
@@ -561,3 +561,14 @@ def test_lift_local_block_testbed():
     assert all(pt.valid for pt in trace.points)
     assert trace.worst("idempotency") <= 1e-9
     assert trace.worst("lift") <= 1e-8
+
+
+def test_lift_allowance_carries_the_tail_of_p():
+    # pi sees only the stored part of p, so the lift defect is allowed
+    # p's certified tail on top of the tail of the defect itself
+    scn = build_scenario("example2")
+    _, traces = lift_family(scn.pi, scn.family_targets, scn.family_sections, (0.0,))
+    pt = traces[0].point(0.0)
+    tail = scn.source.tail_bound(pt.p)
+    assert tail > 0.0
+    assert pt.allowances["lift"] >= tail

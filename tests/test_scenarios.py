@@ -165,3 +165,36 @@ def test_probe_records_carry_no_theorem_path():
     rep = run_verification(build_scenario("example1"), grid=SMALL_GRID, seed=0)
     assert all(p["theorem_path"] is None for p in rep["probes"])
     assert all(p["kind"] == "probe" for p in rep["probes"])
+
+
+def test_every_report_row_has_one_schema():
+    reports = [
+        run_verification(build_scenario(sid), grid=SMALL_GRID, seed=0)
+        for sid in ("block-testbed", "dual-testbed", "example1", "remark3-probe")
+    ]
+    # lambda = 2 lies outside the frozen enclosures of example2's family step
+    reports.append(run_verification(build_scenario("example2"), grid=(0.0, 2.0), seed=0))
+    invalid = []
+    for rep in reports:
+        for run in rep["runs"]:
+            for row in run["rows"]:
+                assert set(row) == {"lambda", "valid", "defects", "allowances"}
+                if row["valid"]:
+                    assert set(row["allowances"]) == set(row["defects"])
+                else:
+                    invalid.append(run["name"])
+                    # an invalid row keeps no allowance; its defects, if
+                    # any, only name why the point failed
+                    assert row["allowances"] == {}
+                    assert all(v is None for v in row["defects"].values())
+            if run["kind"] == "lift" and run["error"] is None:
+                assert "validity-covers-grid" in {c["name"] for c in run["checks"]}
+    assert invalid == ["family-step-0", "family-orthogonality"]
+
+
+def test_trivial_lift_outside_the_family_radius_is_an_error_record():
+    rep = run_verification(build_scenario("example1"), grid=(0.0, 1.5), seed=0)
+    trivial = [r for r in rep["runs"] if r["kind"] == "trivial"]
+    assert [r["name"] for r in trivial] == ["trivial-0", "trivial-1"]
+    assert all(r["error"].startswith("OutOfRadius") for r in trivial)
+    assert not rep["passed"]
