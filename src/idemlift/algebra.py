@@ -47,6 +47,53 @@ from .errors import (
 
 CONDITION_LIMIT = 1e12
 RESOLVENT_BLOCK_BYTES = 1 << 16  # one block of MatrixAlgebra.resolvent_integral
+_TINY = np.finfo(np.float64).tiny  # smallest normal float
+
+
+def _squared_frobenius(mats: np.ndarray) -> np.ndarray:
+    """``||A||_F^2`` of each matrix of a contiguous stack."""
+    flat = mats.reshape(len(mats), -1).view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def _checked_inv(stack: np.ndarray, message: str) -> np.ndarray:
+    """Inverse of a matrix, or of each matrix of a stack, refusing every
+    one that is not safely invertible with :class:`NotInvertible`.
+
+    Non-finite entries are refused first.  One batched ``np.linalg.inv``
+    follows; an exactly singular member is refused, not raised as
+    ``LinAlgError``.  Last, a member is refused where the bound
+    ``||A||_F ||A^-1||_F`` exceeds ``CONDITION_LIMIT`` or is not finite.
+    As ``||.||_2 <= ||.||_F <= sqrt(n) ||.||_2`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 6.2), the bound lies between
+    cond_2(A) and n cond_2(A): every matrix with cond_2 above the limit is
+    refused, and none with cond_2 below ``CONDITION_LIMIT / n``.  It costs
+    two sums of squares where cond_2 costs a batched SVD.  Before a
+    refusal, sums of squares that under- or overflowed are taken again with
+    each matrix scaled to largest entry 1, so that scale alone refuses
+    nothing.
+    """
+    mats = np.ascontiguousarray(stack).reshape((-1,) + stack.shape[-2:])
+    if not np.isfinite(mats).all():
+        raise NotInvertible(f"{message}: non-finite entries")
+    try:
+        inv = np.linalg.inv(mats)
+    except np.linalg.LinAlgError as exc:
+        raise NotInvertible(f"{message}: exactly singular") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq, sq_inv = _squared_frobenius(mats), _squared_frobenius(inv)
+        bound = np.sqrt(sq) * np.sqrt(sq_inv)
+        if min(sq.min(), sq_inv.min()) >= _TINY and (bound <= CONDITION_LIMIT).all():
+            return inv.reshape(stack.shape)
+        # refuse only on sums of squares that neither under- nor
+        # overflowed: sum again with each matrix scaled to largest entry 1
+        s = np.abs(mats).max(axis=(1, 2), keepdims=True)
+        bound = np.sqrt(_squared_frobenius(mats / s)) * np.sqrt(_squared_frobenius(inv * s))
+    if not (bound <= CONDITION_LIMIT).all():  # NaN compares False
+        raise NotInvertible(
+            f"{message}: condition bound {bound.max():.3e} exceeds {CONDITION_LIMIT:.1e}"
+        )
+    return inv.reshape(stack.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +481,7 @@ class MatrixAlgebra(BanachAlgebra):
         return float(np.linalg.norm(p, 2))
 
     def _inverse(self, p):
-        if not np.all(np.isfinite(p)):
-            raise NotInvertible("matrix contains non-finite entries")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.linalg.cond(p)
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-            raise NotInvertible(f"condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.1e}")
-        return np.linalg.inv(p)
+        return _checked_inv(p, "matrix is numerically singular")
 
     def _adjoint(self, p):
         return p.conj().T
@@ -462,11 +503,7 @@ class MatrixAlgebra(BanachAlgebra):
 
     def _resolvents(self, p, zs: np.ndarray) -> np.ndarray:
         stack = zs[:, None, None] * np.eye(self.n) - p[None, :, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            conds = np.linalg.cond(stack)
-        if np.any(~np.isfinite(conds)) or np.any(conds > CONDITION_LIMIT):
-            raise NotInvertible("resolvent point too close to the spectrum")
-        return np.linalg.inv(stack)
+        return _checked_inv(stack, "resolvent point too close to the spectrum")
 
     def resolvent_batch(self, x: Element, zs: Sequence[complex]) -> list[Element]:
         inv = self._resolvents(self._own(x), np.asarray(list(zs), dtype=complex))
@@ -672,13 +709,8 @@ class BlockTriangularAlgebra(BanachAlgebra):
     def _inverse(self, p):
         k = self.k
         x, y, z = p[:k, :k], p[:k, k:], p[k:, k:]
-        for blk in (x, z):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cond = np.linalg.cond(blk)
-            if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-                raise NotInvertible("diagonal block is numerically singular")
-        xi = np.linalg.inv(x)
-        zi = np.linalg.inv(z)
+        xi = _checked_inv(x, "diagonal block is numerically singular")
+        zi = _checked_inv(z, "diagonal block is numerically singular")
         out = np.zeros_like(p)
         out[:k, :k] = xi
         out[k:, k:] = zi
@@ -708,11 +740,7 @@ class BlockTriangularAlgebra(BanachAlgebra):
         p = self._own(x)
         zs = np.asarray(list(zs), dtype=complex)
         stack = zs[:, None, None] * np.eye(self.size) - p[None, :, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            conds = np.linalg.cond(stack)
-        if np.any(~np.isfinite(conds)) or np.any(conds > CONDITION_LIMIT):
-            raise NotInvertible("resolvent point too close to the spectrum")
-        inv = np.linalg.inv(stack)
+        inv = _checked_inv(stack, "resolvent point too close to the spectrum")
         inv[:, self.k :, : self.k] = 0.0
         return [self.wrap(inv[j]) for j in range(len(zs))]
 

@@ -178,17 +178,39 @@ class JordanPolygon:
             raise ParameterError("polygon is not simple")
 
     def _is_simple(self) -> bool:
-        n = len(self.vertices)
-        segs = [
-            (self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)
-        ]
-        for i in range(n):
-            for j in range(i + 2, n):
-                if i == 0 and j == n - 1:
-                    continue  # closing edge is adjacent to the first
-                if _segments_cross(*segs[i], *segs[j]):
-                    return False
-        return True
+        """No two non-adjacent edges meet, by ``_segments_cross``'s rule.
+
+        All pairs are tested at once with the same relative tolerance and
+        sign rule; only the pairs found collinear within that tolerance go
+        through ``_segments_cross`` for its overlap test.  Edge ``i`` runs
+        from vertex ``i`` to vertex ``i + 1``; the closing edge is adjacent
+        to the first, so that pair is skipped like every other adjacent one.
+        """
+        verts = self.vertices
+        n = len(verts)
+        i, j = np.triu_indices(n, k=2)
+        keep = ~((i == 0) & (j == n - 1))
+        i, j = i[keep], j[keep]
+        x = np.array([v.real for v in verts])
+        y = np.array([v.imag for v in verts])
+        mod = np.array([abs(v) for v in verts])  # the builtin abs, as the scalar rule
+        nxt = np.roll(np.arange(n), -1)
+        a, b, c, d = i, nxt[i], j, nxt[j]
+        scale = np.max([mod[a], mod[b], mod[c], mod[d], np.ones(len(a))], axis=0)
+        tol = 1e-12 * scale * scale
+
+        def sgn(o, p, q):
+            v = (x[p] - x[o]) * (y[q] - y[o]) - (y[p] - y[o]) * (x[q] - x[o])
+            return np.where(np.abs(v) <= tol, 0, np.where(v > 0, 1, -1))
+
+        s1, s2, s3, s4 = sgn(c, d, a), sgn(c, d, b), sgn(a, b, c), sgn(a, b, d)
+        if np.any((s1 * s2 < 0) & (s3 * s4 < 0)):
+            return False
+        collinear = np.flatnonzero((s1 == 0) & (s2 == 0) & (s3 == 0) & (s4 == 0))
+        return not any(
+            _segments_cross(verts[a[k]], verts[b[k]], verts[c[k]], verts[d[k]])
+            for k in collinear
+        )
 
     def edges(self) -> list[tuple[complex, complex]]:
         n = len(self.vertices)
@@ -277,13 +299,19 @@ def square_polygon(center: complex, half_side: float) -> JordanPolygon:
 # escape arc
 
 
-def _ray_objective(phi: float, pts: np.ndarray, angles: np.ndarray) -> tuple[float, float]:
-    ang = float(np.min(np.minimum((phi - angles) % (2 * np.pi),
-                                  (angles - phi) % (2 * np.pi))))
-    u = cmath.exp(1j * phi)
-    t = np.maximum(0.0, pts.real * u.real + pts.imag * u.imag)
-    eucl = float(np.min(np.abs(pts - t * u)))
-    return ang, eucl
+def _ray_objectives(
+    phis: Sequence[float], pts: np.ndarray, angles: np.ndarray
+) -> list[tuple[float, float]]:
+    """(angular distance, euclidean clearance) from the ray at each angle
+    of ``phis`` to the points, in one broadcast; each direction vector
+    comes from ``cmath.exp``, so an objective does not depend on which
+    other angles share its call."""
+    col = np.array(phis)[:, None]
+    ang = np.min(np.minimum((col - angles) % (2 * np.pi), (angles - col) % (2 * np.pi)), axis=1)
+    us = np.array([cmath.exp(1j * phi) for phi in phis])[:, None]
+    t = np.maximum(0.0, pts.real * us.real + pts.imag * us.imag)
+    eucl = np.min(np.abs(pts - t * us), axis=1)
+    return list(zip(ang.tolist(), eucl.tolist()))
 
 
 def build_escape_arc(spec) -> PolygonalArc:
@@ -291,8 +319,11 @@ def build_escape_arc(spec) -> PolygonalArc:
 
     The direction maximises the minimum angular distance to the spectrum
     directions, with euclidean clearance as tie-breaker and the lowest
-    angle in [0, 2pi) breaking exact ties.  A 360-direction grid search is
-    refined by ternary search around the best grid direction.
+    angle in [0, 2pi) breaking exact ties.  A 360-direction grid search,
+    evaluated in one broadcast, is refined by ternary search around the
+    best grid direction.  The search stops at its fixed point: once a
+    step leaves the bracket unchanged, every later step of the 200 would
+    repeat it.
     """
     pts = np.asarray(getattr(spec, "points", spec), dtype=complex)
     if pts.size == 0:
@@ -301,11 +332,10 @@ def build_escape_arc(spec) -> PolygonalArc:
         raise SpectrumContainsZero("spectrum touches the origin; no escape ray exists")
     angles = np.angle(pts)
 
+    phis = [2.0 * math.pi * j / 360.0 for j in range(360)]
     best_phi = 0.0
     best_obj = (-1.0, -1.0)
-    for j in range(360):
-        phi = 2.0 * math.pi * j / 360.0
-        obj = _ray_objective(phi, pts, angles)
+    for phi, obj in zip(phis, _ray_objectives(phis, pts, angles)):
         if obj[0] > best_obj[0] + 1e-12 or (
             abs(obj[0] - best_obj[0]) <= 1e-12 and obj[1] > best_obj[1] + 1e-12
         ):
@@ -317,12 +347,17 @@ def build_escape_arc(spec) -> PolygonalArc:
     for _ in range(200):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        if _ray_objective(m1, pts, angles) < _ray_objective(m2, pts, angles):
+        obj1, obj2 = _ray_objectives((m1, m2), pts, angles)
+        if obj1 < obj2:
+            if m1 == lo:
+                break
             lo = m1
         else:
+            if m2 == hi:
+                break
             hi = m2
     phi = (0.5 * (lo + hi)) % (2.0 * math.pi)
-    refined = _ray_objective(phi, pts, angles)
+    (refined,) = _ray_objectives((phi,), pts, angles)
     if refined >= best_obj:
         best_phi, best_obj = phi, refined
 

@@ -130,15 +130,21 @@ class LiftTrace:
 
 
 def _valid_point(
-    lam: complex, gaps: dict[str, Element], elements: dict[str, Element]
+    lam: complex,
+    gaps: dict[str, Element],
+    elements: dict[str, Element],
+    norms: dict[str, float] | None = None,
 ) -> LiftPoint:
     """The valid point at lam: the norm of each defect element, allowed
     its tail; pi only sees the stored part of p, so p's tail is extra
-    slack on the lift defect."""
+    slack on the lift defect.  ``norms`` holds defect norms the caller
+    has already taken."""
     allow = {k: d.algebra.tail_bound(d) for k, d in gaps.items()}
     p = elements["p"]
     allow["lift"] += p.algebra.tail_bound(p)
-    return LiftPoint(lam, True, {k: d.norm() for k, d in gaps.items()}, elements, allow)
+    norms = norms or {}
+    defects = {k: norms[k] if k in norms else d.norm() for k, d in gaps.items()}
+    return LiftPoint(lam, True, defects, elements, allow)
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +366,12 @@ def lift_local_sa(
 # orthogonal step
 
 
-def _ortho_enclosures(a: Element, z: Element, eps0: float) -> Element | None:
+def _ortho_enclosures(
+    a: Element, z: Element, eps0: float
+) -> tuple[Element, Element] | None:
     """The frozen smallness conditions: sigma(z) in the eps0 disc,
     sigma(a) within 1/3 of {0, 1}, and sigma(4z(2a-1)^-2) in the 1/3 disc.
-    Returns (2a-1)^-2 where they hold, None where they fail."""
+    Returns m = 2a-1 and m^-2 where they hold, None where they fail."""
     sp_z = z.spectrum()
     if any(abs(w) >= eps0 for w in sp_z.points):
         return None
@@ -376,7 +384,7 @@ def _ortho_enclosures(a: Element, z: Element, eps0: float) -> Element | None:
     except NotInvertible:
         return None
     sp_y = (4.0 * (z * m2inv)).spectrum()
-    return m2inv if all(abs(w) < 1.0 / 3.0 for w in sp_y.points) else None
+    return (m, m2inv) if all(abs(w) < 1.0 / 3.0 for w in sp_y.points) else None
 
 
 def _cut_down(e: Element, b: Element) -> tuple[Element, Element, Element]:
@@ -399,14 +407,14 @@ def _ortho_point(
     raises its EnclosureFailed."""
     e = e_fam(lam)
     c, a, z = _cut_down(e, sec_v(lam))
-    m2inv = _ortho_enclosures(a, z, eps0)
-    if m2inv is None:
+    found = _ortho_enclosures(a, z, eps0)
+    if found is None:
         return None
-    m = 2.0 * a - e.algebra.one()
+    m, m2inv = found
     w = sqrt_near_one(4.0 * (z * m2inv), audit_sink=audit_sink)
     x = c * w
     r = x * m
-    return {"a": a, "z": z, "w": w, "x": x, "r": r, "p": a + r, "e": e, "m2inv": m2inv}
+    return {"a": a, "z": z, "w": w, "x": x, "r": r, "p": a + r, "e": e, "m": m, "m2inv": m2inv}
 
 
 def lift_ortho_step(
@@ -430,9 +438,6 @@ def lift_ortho_step(
     enclosures failed there).
     """
     grid_pts = _grid_tuple(grid)
-    alg = pi.source
-    one = alg.one()
-
     e0, u0, v0 = e_fam(0.0), u_fam(0.0), v_fam(0.0)
     if (pi.apply(0.0, e0) - u0).norm() > TOL_LIFT:
         raise SectionInvalid("lifted predecessor does not map to its target")
@@ -470,8 +475,7 @@ def lift_ortho_step(
         if els is None:
             points.append(LiftPoint(lam, False, {"enclosure": math.inf}))
             continue
-        e, a, z, w, r, f = (els[k] for k in ("e", "a", "z", "w", "r", "p"))
-        m = 2.0 * a - one
+        e, z, w, r, m, f = (els[k] for k in ("e", "z", "w", "r", "m", "p"))
         group = {k: els[k] for k in ("a", "z", "w", "x", "r", "p")}
         commutators = [
             g1 * g2 - g2 * g1
@@ -479,7 +483,8 @@ def lift_ortho_step(
             for n2, g2 in group.items()
             if n1 < n2
         ]
-        worst_comm = max(commutators, key=lambda d: d.norm())
+        comm_norms = [d.norm() for d in commutators]
+        worst = max(range(len(commutators)), key=comm_norms.__getitem__)
         gaps = {
             "idempotency": f * f - f,
             "ef": e * f,
@@ -487,9 +492,9 @@ def lift_ortho_step(
             "lift": pi.apply(lam, f) - v_fam(lam),
             "eq17": w * w + w + z * els["m2inv"],
             "quadratic": r * r + m * r + z,
-            "commutation": worst_comm,
+            "commutation": commutators[worst],
         }
-        points.append(_valid_point(lam, gaps, els))
+        points.append(_valid_point(lam, gaps, els, {"commutation": comm_norms[worst]}))
     return LiftTrace(tuple(points), tuple(audits), eps0=eps0, label="orthogonal")
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import idemlift as il
+from idemlift.algebra import CONDITION_LIMIT, _checked_inv
 from idemlift.errors import (
     AlgebraMismatch,
     NoInvolution,
@@ -87,6 +88,78 @@ def test_matrix_inverse_condition_refusal() -> None:
         x.inverse()
     with pytest.raises(NotInvertible):
         alg.zero().inverse()
+
+
+def _graded_stack(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """``count`` random n x n matrices U diag(s) V^H whose singular values
+    fall geometrically from 1 to 10^-e, with e uniform in [0, 14]."""
+    out = []
+    for e in rng.uniform(0.0, 14.0, count):
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        out.append(u @ np.diag(np.logspace(0.0, -e, n)) @ v.conj().T)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_checked_inverse_refuses_every_ill_conditioned_matrix(n: int) -> None:
+    """||A||_F ||A^-1||_F lies in [cond_2, n cond_2]: every matrix with
+    cond_2 above the limit is refused, none with cond_2 below limit / n."""
+    stack = _graded_stack(np.random.default_rng(100 + n), n, 120)
+    conds = np.linalg.cond(stack)
+    assert np.any(conds > CONDITION_LIMIT) and np.any(conds < CONDITION_LIMIT / (2 * n))
+    for mat, cond in zip(stack, conds):
+        if cond > CONDITION_LIMIT:
+            with pytest.raises(NotInvertible, match="condition bound"):
+                _checked_inv(mat, "refused")
+            with pytest.raises(NotInvertible):
+                il.MatrixAlgebra(n).wrap(mat).inverse()
+        elif cond < CONDITION_LIMIT / (2 * n):
+            assert _checked_inv(mat, "refused").tobytes() == np.linalg.inv(mat).tobytes()
+    with pytest.raises(NotInvertible):
+        _checked_inv(stack, "refused")  # one refused member refuses the stack
+    fine = stack[conds < CONDITION_LIMIT / (2 * n)]
+    assert _checked_inv(fine, "refused").tobytes() == np.linalg.inv(fine).tobytes()
+    for scale in (1e-200, 1e200):  # the bound is scale-invariant; no square overflows
+        assert _checked_inv(scale * fine, "refused").shape == fine.shape
+
+
+def test_checked_inverse_maps_exact_singularity_and_non_finite_entries() -> None:
+    stack = np.stack([np.eye(3, dtype=complex)] * 4)
+    stack[2, :, 1] = 0.0  # an exactly singular member
+    with pytest.raises(NotInvertible, match="exactly singular") as info:
+        _checked_inv(stack, "refused")
+    assert not isinstance(info.value, np.linalg.LinAlgError)
+    for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+        stack = np.stack([np.eye(3, dtype=complex)] * 4)
+        stack[1, 0, 2] = bad
+        with pytest.raises(NotInvertible, match="non-finite"):
+            _checked_inv(stack, "refused")
+        with pytest.raises(NotInvertible):
+            il.MatrixAlgebra(3).wrap(stack[1]).inverse()
+
+
+def test_checked_inverse_guards_every_matrix_kernel() -> None:
+    """Plain and dual matrices, block-triangular elements and resolvents."""
+    mat = il.MatrixAlgebra(3)
+    with pytest.raises(NotInvertible):
+        mat.wrap(np.diag([1.0, 1.0, 0.0])).inverse()
+    dual = il.DualAlgebra(mat)
+    with pytest.raises(NotInvertible):
+        dual.from_parts(mat.wrap(np.diag([1.0, 1e-13, 1.0])), mat.one()).inverse()
+    x = mat.wrap(np.diag([0.5, 1.0, 2.0]))
+    for alg, elem in ((mat, x), (dual, dual.from_parts(x, mat.one()))):
+        with pytest.raises(NotInvertible, match="too close to the spectrum"):
+            alg.resolvent_batch(elem, [3.0, 1.0])
+    bt = il.BlockTriangularAlgebra(2, 3)
+    for diag in ([1.0, 0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1e-14]):
+        p = np.diag(diag).astype(complex)
+        p[0, 3] = 1.0
+        with pytest.raises(NotInvertible, match="diagonal block"):
+            bt.wrap(p).inverse()
+    y = bt.wrap(np.diag([0.5, 1.0, 2.0, 3.0, 4.0]))
+    with pytest.raises(NotInvertible, match="too close to the spectrum"):
+        bt.resolvent_batch(y, [5.0, 3.0])
 
 
 def test_inverses_roundtrip_all_kinds() -> None:

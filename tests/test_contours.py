@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import escape_direction_scalar, polygon_is_simple_pairwise
+
 from idemlift.algebra import SpectrumReport
 from idemlift.contours import (
     JordanPolygon,
@@ -163,3 +165,80 @@ def test_describe_serialisation() -> None:
     assert sorted(map(tuple, desc["vertices"])) == [
         (-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0),
     ]
+
+
+def _simple(verts) -> bool:
+    """``JordanPolygon._is_simple`` on the vertex loop as given, without
+    the constructor's orientation and simplicity checks."""
+    poly = object.__new__(JordanPolygon)
+    object.__setattr__(poly, "vertices", tuple(complex(v) for v in verts))
+    return poly._is_simple()
+
+
+def _agrees(verts) -> bool:
+    got = _simple(verts)
+    assert got == polygon_is_simple_pairwise(tuple(complex(v) for v in verts)), verts
+    return got
+
+
+def test_polygon_simplicity_agrees_with_pairwise_loop_on_special_cases() -> None:
+    assert not _agrees((0j, 1 + 1j, 1 + 0j, 1j))  # bow-tie
+    # a vertex touching a non-adjacent edge counts as no crossing
+    assert _agrees((0j, 4 + 0j, 4 + 4j, 2 + 0j, 4j))
+    # collinear edges 0->3 and 2->1 overlap
+    assert not _agrees((0j, 3 + 0j, 3 + 1j, 2 + 1j, 2 + 0j, 1 + 0j, 1 - 1j, -1j))
+    # collinear edges that only meet at an endpoint, or not at all
+    assert _agrees((0j, 1 + 0j, 1 + 1j, 3 + 1j, 3 + 0j, 2 + 0j, 2 - 1j, -1j))
+    # the closing edge folds back over the first: adjacent, so not tested
+    assert _agrees((0j, 2 + 0j, 1 + 1j, 1 + 0j))
+    assert _agrees((0j, 1 + 0j, 1 + 1j))
+
+
+def test_polygon_simplicity_agrees_on_rotated_gamma_templates() -> None:
+    """Rotation turns the template's exact zeros into 1e-16 cross-product
+    noise; the collinear outer edges x = R must still not cross."""
+    for k in range(360):
+        ray = PolygonalArc((0j,), cmath.exp(2j * math.pi * k / 360.0))
+        for eps, rho in ((0.1, 1.0), (0.3, 0.5), (1e-3, 2.0)):
+            verts = build_gamma_pair(ray, eps, rho).vertices
+            assert _agrees(verts), (k, eps)
+
+
+def test_polygon_simplicity_agrees_on_random_star_polygons() -> None:
+    rng = np.random.default_rng(19)
+    outcomes = set()
+    for _ in range(300):
+        n = int(rng.integers(3, 40))
+        theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        verts = rng.uniform(0.2, 3.0, n) * np.exp(1j * theta) + complex(*rng.normal(size=2))
+        if rng.uniform() < 0.5:  # a shuffled loop usually crosses itself
+            verts = rng.permutation(verts)
+        outcomes.add(_agrees(verts))
+    assert outcomes == {True, False}
+
+
+def _escape_direction(pts) -> complex:
+    return build_escape_arc(SpectrumReport(tuple(complex(p) for p in pts), True)).ray_direction
+
+
+def _same_bits(a: complex, b: complex) -> bool:
+    return np.array([a]).tobytes() == np.array([b]).tobytes()
+
+
+def test_escape_ray_matches_scalar_scan_bit_for_bit() -> None:
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        pts = rng.uniform(0.05, 3.0, n) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+        ref = PolygonalArc((0j,), escape_direction_scalar(pts)).ray_direction
+        assert _same_bits(_escape_direction(pts), ref), pts
+
+
+def test_escape_ray_matches_scalar_scan_on_exact_ties() -> None:
+    spectra = [np.exp(2j * np.pi * np.arange(k) / k) for k in range(1, 13)]
+    spectra += [[z, z.conjugate()] for z in (1 + 1j, -2 + 0.5j, 0.3 - 4j, 1j)]
+    spectra += [[1.0, -1.0], [1j, -1j], [2.0, 1 + 1j, 1 - 1j], [0.5, -0.5, 0.5j, -0.5j]]
+    for pts in spectra:
+        pts = np.asarray(pts, dtype=complex)
+        ref = PolygonalArc((0j,), escape_direction_scalar(pts)).ray_direction
+        assert _same_bits(_escape_direction(pts), ref), pts
