@@ -12,6 +12,8 @@ This demo works in a plain matrix algebra where numpy can check every
 claim independently.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from idemlift import (
@@ -77,8 +79,9 @@ gamma = ContourData(
 s = sqrt_cut(a, cut, gamma)
 print("square root residual ||s^2 - a|| =", (s * s - a).norm())
 
-# There are exactly two sheets and they differ by a global sign.
-s_neg = sqrt_cut(a, cut, gamma, sheet=-1)
+# There are exactly two sheets and they differ by a global sign; the
+# sheet is part of the contour data.
+s_neg = sqrt_cut(a, cut, replace(gamma, sheet=-1))
 print("sheet symmetry ||s + s_neg|| =", (s + s_neg).norm())
 
 # --- scalar sanity check -------------------------------------------------
@@ -89,8 +92,8 @@ cut1 = build_escape_arc(rep1)
 eps1 = cut1.distance_to_points(rep1.points) / 3.0
 cd1 = ContourData(build_gamma_pair(cut1, eps1, rep1.radius), eps=eps1, branch="cut", cut=cut1)
 print("sqrt(1) on each sheet:",
-      sqrt_cut(one, cut1, cd1, sheet=+1).payload[0, 0],
-      sqrt_cut(one, cut1, cd1, sheet=-1).payload[0, 0])
+      sqrt_cut(one, cut1, cd1).payload[0, 0],
+      sqrt_cut(one, cut1, replace(cd1, sheet=-1)).payload[0, 0])
 
 # --- applying other functions to a spectral component --------------------
 # spectral_component_apply computes g(a) restricted to the enclosed

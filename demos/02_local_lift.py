@@ -29,7 +29,7 @@ trace = lift_local(pi, q, sec, grid)
 
 # the trace records one point per grid value, plus the frozen contour data
 print()
-print("sheet chosen at the base point:", trace.sheet)
+print("sheet chosen at the base point:", trace.contours[0].sheet)
 print("points recorded:", len(trace.points),
       "valid:", len(trace.valid_points()))
 print("frozen contours:", [cd.label or cd.branch for cd in trace.contours])

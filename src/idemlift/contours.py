@@ -1,4 +1,4 @@
-"""Planar contour geometry: escape arcs, Jordan polygons, winding numbers.
+"""Planar contour geometry: escape rays, Jordan polygons, winding numbers.
 
 Everything here is exact-ish plane geometry with complex numbers; no
 quadrature happens in this module.  Polygons are stored as open vertex
@@ -15,12 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateGeometry,
-    ParameterError,
-    SpectrumContainsZero,
-    UnsupportedStrategy,
-)
+from .errors import DegenerateGeometry, ParameterError, SpectrumContainsZero
 
 __all__ = [
     "PolygonalArc",
@@ -43,12 +38,11 @@ def _segment_distance(z: complex, a: complex, b: complex) -> float:
     return abs(z - (a + t * d))
 
 
-def _ray_distance(z: complex, origin: complex, direction: complex) -> float:
-    """Distance from ``z`` to the ray ``origin + t*direction, t >= 0``."""
+def _ray_distance(z: complex, direction: complex) -> float:
+    """Distance from ``z`` to the ray ``t*direction, t >= 0``."""
     u = direction / abs(direction)
-    t = (z - origin).real * u.real + (z - origin).imag * u.imag
-    t = max(0.0, t)
-    return abs(z - (origin + t * u))
+    t = max(0.0, z.real * u.real + z.imag * u.imag)
+    return abs(z - t * u)
 
 
 def _cross(o: complex, a: complex, b: complex) -> float:
@@ -92,68 +86,35 @@ def _segments_cross(a: complex, b: complex, c: complex, d: complex) -> bool:
 
 @dataclass(frozen=True)
 class PolygonalArc:
-    """Simple polygonal arc from its first vertex out to infinity.
+    """Branch cut: the ray from the origin out to infinity in
+    ``ray_direction``, normalised to unit length on construction.
 
-    The arc consists of the segments between consecutive ``vertices``
-    followed by a half-line from the last vertex in ``ray_direction``.
-    The lifting constructions only ever need the degenerate case of a
-    single vertex at the origin, i.e. a plain ray.
+    The paper's escape arcs may bend, but a finite or sampled spectrum
+    always leaves a ray free, so a ray is all the lifts need.
     """
 
-    vertices: tuple[complex, ...]
     ray_direction: complex
 
     def __post_init__(self) -> None:
-        verts = tuple(complex(v) for v in self.vertices)
-        if not verts:
-            raise ParameterError("arc needs at least one vertex")
-        for u, v in zip(verts, verts[1:]):
-            if u == v:
-                raise ParameterError("consecutive arc vertices must be distinct")
         d = complex(self.ray_direction)
         if abs(d) == 0.0:
             raise ParameterError("ray direction must be nonzero")
-        object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "ray_direction", d / abs(d))
-        if not self._is_simple():
-            raise ParameterError("arc is not simple")
-
-    def _is_simple(self) -> bool:
-        segs = list(zip(self.vertices, self.vertices[1:]))
-        far = self.vertices[-1] + self.ray_direction * (
-            10.0 + 10.0 * max(abs(v) for v in self.vertices)
-        )
-        segs.append((self.vertices[-1], far))
-        for i in range(len(segs)):
-            for j in range(i + 2, len(segs)):
-                if _segments_cross(*segs[i], *segs[j]):
-                    return False
-        return True
-
-    @property
-    def is_ray(self) -> bool:
-        return len(self.vertices) == 1
 
     @property
     def angle(self) -> float:
-        """Angle of the terminal ray in (-pi, pi]."""
+        """Angle of the ray in (-pi, pi]."""
         return cmath.phase(self.ray_direction)
 
     def distance_to_point(self, z: complex) -> float:
-        best = _ray_distance(z, self.vertices[-1], self.ray_direction)
-        for u, v in zip(self.vertices, self.vertices[1:]):
-            best = min(best, _segment_distance(z, u, v))
-        return best
+        return _ray_distance(z, self.ray_direction)
 
     def distance_to_points(self, pts: Iterable[complex]) -> float:
         ds = [self.distance_to_point(z) for z in pts]
         return min(ds) if ds else math.inf
 
     def describe(self) -> dict:
-        return {
-            "vertices": [[v.real, v.imag] for v in self.vertices],
-            "ray_direction": [self.ray_direction.real, self.ray_direction.imag],
-        }
+        return {"ray_direction": [self.ray_direction.real, self.ray_direction.imag]}
 
 
 @dataclass(frozen=True)
@@ -296,7 +257,7 @@ def square_polygon(center: complex, half_side: float) -> JordanPolygon:
 
 
 # ---------------------------------------------------------------------------
-# escape arc
+# escape ray
 
 
 def _ray_objectives(
@@ -327,7 +288,7 @@ def build_escape_arc(spec) -> PolygonalArc:
     """
     pts = np.asarray(getattr(spec, "points", spec), dtype=complex)
     if pts.size == 0:
-        return PolygonalArc((0j,), -1.0 + 0j)
+        return PolygonalArc(-1.0 + 0j)
     if np.min(np.abs(pts)) < 1e-13:
         raise SpectrumContainsZero("spectrum touches the origin; no escape ray exists")
     angles = np.angle(pts)
@@ -363,7 +324,7 @@ def build_escape_arc(spec) -> PolygonalArc:
 
     if best_obj[1] <= 0.0:
         raise DegenerateGeometry("no ray with positive clearance found")
-    return PolygonalArc((0j,), cmath.exp(1j * best_phi))
+    return PolygonalArc(cmath.exp(1j * best_phi))
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +348,6 @@ def build_gamma_pair(P: PolygonalArc, eps: float, rho: float) -> JordanPolygon:
         raise DegenerateGeometry(
             f"tube half-width {eps} is not smaller than the spectral bound {rho}"
         )
-    if not P.is_ray or P.vertices[0] != 0:
-        raise UnsupportedStrategy("tube construction is implemented for rays from 0 only")
     R = max(rho + 2.0 * eps, 1.0 / eps)
     e = eps
     frame = (

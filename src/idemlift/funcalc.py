@@ -63,7 +63,8 @@ class ContourData:
     ``eps`` is the clearance margin the polygon was built with: the
     spectrum the contour is used against must stay at distance >= eps/2
     from the trace.  ``branch`` describes how square roots on the trace
-    are to be evaluated: not at all, or relative to the cut ray ``cut``.
+    are to be evaluated: not at all, or relative to the cut ray ``cut``
+    on ``sheet`` (-1 negates the principal sheet).
     Quadrature starts at ``QUAD_START_NODES`` per edge.
     """
 
@@ -81,11 +82,8 @@ class ContourData:
             raise ParameterError(f"unknown branch descriptor {self.branch!r}")
         if self.sheet not in (1, -1):
             raise ParameterError("sheet must be +1 or -1")
-        if self.branch == "cut":
-            if self.cut is None:
-                raise ParameterError("cut branch needs the cut arc")
-            if not self.cut.is_ray:
-                raise ParameterError("branch cuts along bent arcs are not supported")
+        if self.branch == "cut" and self.cut is None:
+            raise ParameterError("cut branch needs the cut ray")
 
     def describe(self) -> dict:
         out: dict = {
@@ -311,20 +309,17 @@ def sqrt_cut(
     """Square root of ``x`` with the branch cut placed along ``cut``.
 
     The branch of sqrt is exp(log/2) with the argument tracked
-    continuously along the loop relative to the cut ray; ``sheet`` = -1
-    negates the principal sheet globally.  Where ``cd`` records the cut
-    its loop was built around, ``cut`` must be that cut.
+    continuously along the loop relative to the cut ray; sheet -1
+    negates the principal sheet globally.  Cut and sheet come from
+    ``cd``; the arguments are checked against it (``cut`` is the cut
+    where ``cd`` records none, ``sheet`` may be omitted).
     """
-    if not cut.is_ray:
-        raise ParameterError("branch cuts along bent arcs are not supported")
     if cd.cut is not None and cd.cut != cut:
         raise ParameterError(
             f"cut {cut.describe()} differs from the contour's cut {cd.cut.describe()}"
         )
-    if sheet is None:
-        sheet = cd.sheet
-    if sheet not in (1, -1):
-        raise ParameterError("sheet must be +1 or -1")
+    if sheet not in (None, cd.sheet):
+        raise ParameterError(f"sheet {sheet} differs from the contour's sheet {cd.sheet}")
     rep = x.spectrum()
     clearance = min((cut.distance_to_point(z) for z in rep.points), default=math.inf)
     if clearance <= cd.eps:
@@ -336,7 +331,7 @@ def sqrt_cut(
 
     def branch_sqrt(zs: np.ndarray) -> np.ndarray:
         theta = _tracked_angles(zs, alpha)
-        return sheet * np.sqrt(np.abs(zs)) * np.exp(0.5j * theta)
+        return cd.sheet * np.sqrt(np.abs(zs)) * np.exp(0.5j * theta)
 
     return _integrate(branch_sqrt, x, _polygon_rule(cd.polygon), QUAD_START_NODES, audit_sink)
 

@@ -18,16 +18,11 @@ EnclosureFailed at a lambda where its step's frozen enclosures fail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from .algebra import BanachAlgebra, Element, SpectrumReport
-from .contours import (
-    PolygonalArc,
-    build_escape_arc,
-    build_gamma_pair,
-    square_polygon,
-)
+from .contours import build_escape_arc, build_gamma_pair, square_polygon
 from .errors import (
     AmbiguousSign,
     EnclosureFailed,
@@ -37,6 +32,9 @@ from .errors import (
     NotStarCompatible,
     ParameterError,
     SectionInvalid,
+    SpectrumMeetsCut,
+    SpectrumNotEnclosed,
+    SpectrumOnContour,
 )
 from .families import ElementFamily, HomFamily, Section, constant_family, symmetrize
 from .funcalc import (
@@ -101,13 +99,12 @@ class LiftPoint:
 @dataclass(frozen=True)
 class LiftTrace:
     """The grid points of one lift plus what it froze at lambda = 0: the
-    contours and branch sheet of the local paths, the smallness bound
-    ``eps0`` of an orthogonal step."""
+    contours of the local paths (the local lift's carries its cut and
+    branch sheet), the smallness bound ``eps0`` of an orthogonal step."""
 
     points: tuple[LiftPoint, ...]
     audits: tuple[QuadratureAudit, ...]
     contours: tuple[ContourData, ...] = ()
-    sheet: int = 0
     eps0: float | None = None
     label: str = ""
 
@@ -226,10 +223,11 @@ def lift_local(
 
     Freezes, at lambda = 0: the cut ray P avoiding sigma(1 - 4 r0(0)),
     the margin eps = dist(P, spectrum)/3, the integration loop around P,
-    and the branch sheet (the one whose correction lands in the kernel).
-    Each grid point recomputes x = -1/2 + (1/2) sqrt(1 - 4 r0(lambda)),
-    z = (2a - 1)x and p = a + z, flagging validity by the frozen
-    enclosures.
+    and the branch sheet (the one whose correction lands in the kernel),
+    all held by the one ContourData of the trace.  Each grid point
+    recomputes x = -1/2 + (1/2) sqrt(1 - 4 r0(lambda)), z = (2a - 1)x and
+    p = a + z; a point is invalid where sqrt_cut finds the spectrum
+    within eps of the cut, within eps/2 of the loop, or outside it.
     """
     grid_pts = _grid_tuple(grid)
     a0 = sec(0.0)
@@ -254,10 +252,10 @@ def lift_local(
 
     one = pi.source.one()
     audits: list[QuadratureAudit] = []
-    s0 = sqrt_cut(y0, P, cd, sheet=1, audit_sink=audits)
+    s0 = sqrt_cut(y0, P, cd, audit_sink=audits)
     x_plus = -0.5 * one + 0.5 * s0
     x_minus = -0.5 * one - 0.5 * s0
-    sheet = choose_sign((x_plus, x_minus), pi)
+    cd = replace(cd, sheet=choose_sign((x_plus, x_minus), pi))
 
     points: list[LiftPoint] = []
     for lam in grid_pts:
@@ -267,13 +265,11 @@ def lift_local(
         except NotInvertible:
             points.append(LiftPoint(lam, False, {"invertibility": math.inf}))
             continue
-        rep = y.spectrum()
-        clear_of_cut = P.distance_to_points(rep.points) > eps
-        enclosed = polygon.encloses(rep.points, margin=0.5 * eps)
-        if not (clear_of_cut and enclosed):
+        try:
+            x = -0.5 * one + 0.5 * sqrt_cut(y, P, cd, audit_sink=audits)
+        except (SpectrumMeetsCut, SpectrumOnContour, SpectrumNotEnclosed):
             points.append(LiftPoint(lam, False, {"enclosure": math.inf}))
             continue
-        x = -0.5 * one + 0.5 * sqrt_cut(y, P, cd, sheet=sheet, audit_sink=audits)
         z = (2.0 * a - one) * x
         p = a + z
         gaps = {
@@ -286,7 +282,7 @@ def lift_local(
         points.append(
             _valid_point(lam, gaps, {"a": a, "r": r, "r0": r0, "x": x, "z": z, "p": p})
         )
-    return LiftTrace(tuple(points), tuple(audits), (cd,), sheet, label="local")
+    return LiftTrace(tuple(points), tuple(audits), (cd,), label="local")
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +325,10 @@ def lift_local_sa(
         raise EnclosureFailed("loop around 1 lost its mirror symmetry")
 
     def covered(rep: SpectrumReport) -> bool:
-        for z in rep.points:
-            in0 = gamma0.winding_number(z) == 1 and gamma0.distance_to_point(z) >= 1 / 6
-            in1 = gamma1.winding_number(z) == 1 and gamma1.distance_to_point(z) >= 1 / 6
-            if not (in0 or in1):
-                return False
-        return True
+        return all(
+            gamma0.encloses([z], margin=1 / 6) or gamma1.encloses([z], margin=1 / 6)
+            for z in rep.points
+        )
 
     if not covered(a0_elt.spectrum()):
         raise EnclosureFailed(

@@ -923,7 +923,7 @@ def _local_runs(scn: Scenario, grid, tol, name: str, path: int) -> list[dict]:
         ]
     trace = lift_local(scn.pi, scn.local_target, scn.local_section, grid)
     oracle = scn.oracle_local(trace) if scn.oracle_local is not None else ()
-    return [_lift_record(name, path, trace, grid, tol, oracle, notes=f"sheet {trace.sheet}")]
+    return [_lift_record(name, path, trace, grid, tol, oracle, notes=f"sheet {trace.contours[0].sheet}")]
 
 
 def _sa_runs(scn: Scenario, grid, tol, name: str, path: int) -> list[dict]:

@@ -1,6 +1,7 @@
 """Contour-integral functional calculus against eigendecomposition oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,7 +148,7 @@ _ENCLOSING_ENTRY_POINTS = {
         lambda z: z, a, cd
     ),
     "riesz_projection": riesz_projection,
-    "sqrt_cut": lambda a, cd: sqrt_cut(a, PolygonalArc((0j,), -1 + 0j), cd),
+    "sqrt_cut": lambda a, cd: sqrt_cut(a, PolygonalArc(-1 + 0j), cd),
 }
 
 
@@ -180,7 +181,7 @@ def test_sqrt_cut_scalar_residue_is_plus_minus_one() -> None:
     x = M1.wrap(np.array([[1.0 + 0j]]))
     P, cd = _gamma_for(x)
     plus = sqrt_cut(x, P, cd, sheet=+1).payload[0, 0]
-    minus = sqrt_cut(x, P, cd, sheet=-1).payload[0, 0]
+    minus = sqrt_cut(x, P, replace(cd, sheet=-1)).payload[0, 0]
     assert abs(plus - 1.0) <= 1e-10
     assert abs(minus + 1.0) <= 1e-10
 
@@ -205,7 +206,17 @@ def test_sqrt_cut_sheets_negate_exactly() -> None:
     alg = MatrixAlgebra(3)
     x = alg.wrap(random_sectorial_matrix(rng, 3))
     P, cd = _gamma_for(x)
-    assert dist(sqrt_cut(x, P, cd, 1), -1 * sqrt_cut(x, P, cd, -1)) <= 1e-12
+    assert dist(sqrt_cut(x, P, cd, 1), -1 * sqrt_cut(x, P, replace(cd, sheet=-1))) <= 1e-12
+
+
+def test_sqrt_cut_takes_its_sheet_from_the_contour() -> None:
+    x = M2.wrap(np.diag([4.0, 9.0]).astype(complex))
+    P, cd = _gamma_for(x)
+    flipped = replace(cd, sheet=-1)
+    assert dist(sqrt_cut(x, P, flipped, sheet=-1), -1 * sqrt_cut(x, P, cd)) == 0.0
+    for contour, other in ((cd, -1), (flipped, 1), (cd, 2)):
+        with pytest.raises(ParameterError, match="differs from the contour's sheet"):
+            sqrt_cut(x, P, contour, sheet=other)
 
 
 def test_sqrt_cut_contour_independence() -> None:
@@ -222,18 +233,16 @@ def test_sqrt_cut_contour_independence() -> None:
 def test_sqrt_cut_rejects_a_cut_other_than_the_contours() -> None:
     x = M2.wrap(np.diag([4.0, 9.0]).astype(complex))
     P, cd = _gamma_for(x)
-    same = PolygonalArc(P.vertices, 2.0 * P.ray_direction)  # normalised on build
+    same = PolygonalArc(2.0 * P.ray_direction)  # normalised on build
     assert dist(sqrt_cut(x, same, cd), sqrt_cut(x, P, cd)) == 0.0
-    turned = PolygonalArc(P.vertices, 1j * P.ray_direction)
-    moved = PolygonalArc((P.vertices[0] + 0.1,), P.ray_direction)
-    for other in (turned, moved):
-        with pytest.raises(ParameterError, match="differs from the contour's cut"):
-            sqrt_cut(x, other, cd)
+    turned = PolygonalArc(1j * P.ray_direction)
+    with pytest.raises(ParameterError, match="differs from the contour's cut"):
+        sqrt_cut(x, turned, cd)
 
 
 def test_sqrt_cut_rejects_spectrum_near_cut() -> None:
     x = M2.wrap(np.diag([-1.0, 4.0]).astype(complex))
-    P = PolygonalArc((0j,), -1 + 0j)
+    P = PolygonalArc(-1 + 0j)
     poly = build_gamma_pair(P, 0.2, 4.0)
     cd = ContourData(poly, eps=0.2, branch="cut", cut=P)
     with pytest.raises(SpectrumMeetsCut):
@@ -242,7 +251,7 @@ def test_sqrt_cut_rejects_spectrum_near_cut() -> None:
 
 def test_sqrt_cut_detects_loop_crossing_the_cut() -> None:
     x = M1.wrap(np.array([[-1.0 + 0j]]))
-    P = PolygonalArc((0j,), 1 + 0j)  # cut along the positive axis
+    P = PolygonalArc(1 + 0j)  # cut along the positive axis
     crossing = ContourData(
         circle_polygon(-1 + 0j, 1.2), eps=0.2, branch="cut", cut=P
     )

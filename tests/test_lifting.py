@@ -1,6 +1,7 @@
 """Lifting algorithms on finite-dimensional testbeds with dense oracles."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ def test_lift_local_sheet_flip_is_consistent():
     sec = messy_section(pi, q, seed=11)
     t1 = lift_local(pi, q, sec, [0.0, 0.2])
     t2 = lift_local(pi, q, sec, [0.0, 0.2])
-    assert t1.sheet == t2.sheet
+    assert t1.contours[0].sheet == t2.contours[0].sheet
     gap = max(
         (a.elements["p"] - b.elements["p"]).norm()
         for a, b in zip(t1.points, t2.points)
@@ -208,6 +209,51 @@ def test_lift_trace_accessors():
         trace.point(0.9)
     assert len(trace.valid_points()) == 2
     assert trace.contours[0].branch == "cut"
+
+
+# pi reads the M2 factor of M2 x M1; the M1 entry c(lam) of the section
+# lies in the kernel, and y = 1 - 4 r0 has the eigenvalue 1/(1 - 4(c - c^2))
+M1, M2 = MatrixAlgebra(1), MatrixAlgebra(2)
+M2M1 = ProductAlgebra((M2, M1))
+E2 = M2.wrap(np.diag([1.0, 0.0]).astype(complex))
+C0 = 0.1 + 0.3j  # puts the escape ray at angle -2.498
+C_HALF = (1 - np.exp(1.249j)) / 2  # y on that ray at lam = 0.5
+
+
+def scalar_kernel_data(c):
+    pi = HomFamily(M2M1, M2, lambda lam, x: M2M1.component(x, 0), label="first-factor")
+    q = ElementFamily(M2, lambda lam: E2)
+    sec = Section(pi, q, lambda lam: M2M1.from_components(E2, M1.wrap([[c(lam)]])))
+    return pi, q, sec
+
+
+def test_lift_local_freezes_the_chosen_sheet_into_its_contour():
+    pi, q, sec = scalar_kernel_data(lambda lam: C0)
+    trace = lift_local(pi, q, sec, [0.0, 0.2, -0.2])
+    assert trace.contours[0].sheet == -1
+    assert trace.contours[0].cut.angle < 0
+    assert all(pt.valid for pt in trace.points)
+    assert trace.worst("idempotency") <= 1e-12
+    assert trace.worst("lift") <= 1e-12
+
+
+def test_lift_local_validity_is_the_frozen_enclosure_predicate():
+    pi, q, sec = scalar_kernel_data(lambda lam: C0 + (C_HALF - C0) * lam / 0.5)
+    grid = np.linspace(-0.5, 0.5, 11)
+    trace = lift_local(pi, q, sec, grid)
+    cd = trace.contours[0]
+    expected = []
+    for lam in grid:
+        pts = lifting._local_data(sec(lam))[2].spectrum().points
+        expected.append(
+            cd.cut.distance_to_points(pts) > cd.eps
+            and cd.polygon.encloses(pts, margin=0.5 * cd.eps)
+        )
+    assert [pt.valid for pt in trace.points] == expected
+    assert expected.count(True) == 6  # the ends leave the frozen enclosures
+    for pt in trace.points:
+        if not pt.valid:
+            assert pt.defects == {"enclosure": math.inf}
 
 
 # ---------------------------------------------------------------------------
