@@ -1516,8 +1516,12 @@ def commutator_defect(x: Element, y: Element) -> float:
     return (x * y - y * x).norm()
 
 
-def alg_exp(x: Element, tol: float = 1e-13) -> Element:
-    """Exponential by scaling and squaring of a norm-controlled Taylor sum."""
+def alg_exp(x: Element) -> Element:
+    """Exponential by scaling and squaring of a norm-controlled Taylor sum.
+
+    The sum stops at the first term of norm at most 1e-13 * 1e-3 (a
+    product that rounds to 1.0000000000000001e-16), or after 65 terms.
+    """
     alg = x.algebra
     nx = x.norm()
     squarings = 0
@@ -1531,7 +1535,7 @@ def alg_exp(x: Element, tol: float = 1e-13) -> Element:
     while True:
         term = term * y / k
         acc = acc + term
-        if term.norm() <= tol * 1e-3 or k > 64:
+        if term.norm() <= 1e-13 * 1e-3 or k > 64:
             break
         k += 1
     for _ in range(squarings):

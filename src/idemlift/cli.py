@@ -8,6 +8,7 @@ scenario, malformed grid or config file).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -57,6 +58,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         count = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad grid component in {text!r}: {exc}") from None
+    if not (math.isfinite(center) and math.isfinite(halfwidth)):
+        raise ConfigError(f"grid center and halfwidth must be finite, got {text!r}")
     if count < 1:
         raise ConfigError("grid count must be at least 1")
     if halfwidth < 0:
@@ -125,6 +128,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _fmt(value: float | None, spec: str) -> str:
+    """``value`` formatted by ``spec``; reports store non-finite values as null."""
+    return "null" if value is None else format(value, spec)
+
+
 def _summarise(report: dict, out_path: str, csv_path: str | None) -> str:
     lines = []
     verdict = "PASS" if report["passed"] else "FAIL"
@@ -136,23 +144,24 @@ def _summarise(report: dict, out_path: str, csv_path: str | None) -> str:
     lines.append(f"  hypotheses: {hyp_ok}/{hyp_total} hold")
     for h in report["hypotheses"]:
         mark = "ok" if h["passed"] else ("violated (optional)" if not h["required"] else "FAIL")
-        lines.append(f"    {h['name']:<28} {h['value']:.3e} <= {h['bound']:.1e}  {mark}")
+        lines.append(
+            f"    {h['name']:<28} {_fmt(h['value'], '.3e')} <= {_fmt(h['bound'], '.1e')}  {mark}"
+        )
     for r in report["runs"]:
         path = f"path {r['theorem_path']}" if r["theorem_path"] else "      "
         if r.get("error"):
             lines.append(f"  run {r['name']:<24} {path}  ERROR  {r['error']}")
             continue
-        worst = max(
-            (c["value"] for c in r["checks"] if isinstance(c["value"], float)),
-            default=0.0,
-        )
+        # a null value is non-finite, so it is the worst
+        values = [c["value"] for c in r["checks"]]
+        worst = None if None in values else max(values, default=0.0)
         mark = "PASS" if r["passed"] else "FAIL"
-        lines.append(f"  run {r['name']:<24} {path}  {mark}   worst check {worst:.3e}")
+        lines.append(f"  run {r['name']:<24} {path}  {mark}   worst check {_fmt(worst, '.3e')}")
         if not r["passed"]:
             for c in r["checks"]:
                 if not c["passed"]:
                     lines.append(
-                        f"      failed {c['name']}: {c['value']:.3e} > {c['bound']:.1e}"
+                        f"      failed {c['name']}: {_fmt(c['value'], '.3e')} > {_fmt(c['bound'], '.1e')}"
                     )
     for p in report["probes"]:
         mark = "PASS" if p["passed"] else ("ERROR " + p["error"] if p.get("error") else "FAIL")

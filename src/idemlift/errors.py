@@ -61,16 +61,8 @@ class OutOfRadius(IdemliftError):
     code = "out-of-radius"
 
 
-class UnsupportedStrategy(IdemliftError):
-    code = "unsupported-strategy"
-
-
 class NotStarCompatible(IdemliftError):
     code = "not-star-compatible"
-
-
-class InvalidGenerator(IdemliftError):
-    code = "invalid-generator"
 
 
 class NotIdempotentInput(IdemliftError):

@@ -21,7 +21,6 @@ from .errors import (
     NotStarCompatible,
     OutOfRadius,
     ParameterError,
-    UnsupportedStrategy,
 )
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "kernel_residual",
 ]
 
-_TAGS = ("", "constant", "polynomial", "exponential-conjugation", "evaluation-hom")
-
 
 def _check_radius(lam: complex, radius: float, what: str) -> None:
     if abs(lam) >= radius:
@@ -51,11 +48,8 @@ class ElementFamily:
     algebra: BanachAlgebra
     evaluator: Callable[[complex], Element]
     radius: float = math.inf
-    tag: str = ""
 
     def __post_init__(self) -> None:
-        if self.tag not in _TAGS:
-            raise ParameterError(f"unknown family tag {self.tag!r}")
         if not self.radius > 0:
             raise ParameterError("validity radius must be positive")
 
@@ -70,8 +64,8 @@ class ElementFamily:
 class HomFamily:
     """Analytic family of algebra homomorphisms pi(lambda): A -> B.
 
-    ``embed`` (optional) is a pointwise right inverse used by the
-    section strategies: pi(lambda)(embed(lambda, y)) = y for y in B.
+    ``embed`` (optional) is a pointwise right inverse, which
+    ``make_section`` uses: pi(lambda)(embed(lambda, y)) = y for y in B.
     ``star_on_real`` declares pi(lambda) a *-homomorphism for real
     lambda, which the self-adjoint lifting paths require.
 
@@ -87,12 +81,9 @@ class HomFamily:
     embed: Callable[[complex, Element], Element] | None = None
     radius: float = math.inf
     star_on_real: bool = False
-    tag: str = ""
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.tag not in _TAGS:
-            raise ParameterError(f"unknown family tag {self.tag!r}")
         if not self.radius > 0:
             raise ParameterError("validity radius must be positive")
 
@@ -126,7 +117,7 @@ class Section:
 
 
 def constant_family(x: Element, radius: float = math.inf) -> ElementFamily:
-    return ElementFamily(x.algebra, lambda lam: x, radius=radius, tag="constant")
+    return ElementFamily(x.algebra, lambda lam: x, radius=radius)
 
 
 def hom_apply(pi: HomFamily, x: ElementFamily, lam: complex) -> Element:
@@ -135,24 +126,19 @@ def hom_apply(pi: HomFamily, x: ElementFamily, lam: complex) -> Element:
     return pi.apply(lam, x(lam))
 
 
-def make_section(pi: HomFamily, target: ElementFamily, strategy: str) -> Section:
-    """Build a section by re-embedding the target value at each lambda.
+def make_section(pi: HomFamily, target: ElementFamily) -> Section:
+    """Build a section by re-embedding the target value at each lambda
+    through ``pi.embed``.
 
-    ``constant-embed`` reads the target value back as a constant
-    function (evaluation homomorphisms on series algebras), while
-    ``component-embed`` injects it into the complement of the kernel
-    (split algebras: dual numbers, block triangles, unitizations,
-    products thereof).  Either way sigma(section(0)) = sigma(target(0)),
-    so the spectral requirements on sections hold automatically.
+    An evaluation homomorphism on a series algebra embeds the value as a
+    constant series; a split algebra (dual numbers, block triangles,
+    unitizations, products thereof) injects it into the complement of
+    the kernel.  Either way sigma(section(0)) = sigma(target(0)), so the
+    spectral requirements on sections hold automatically.  Raises
+    ParameterError when ``pi`` has no embedding.
     """
-    if strategy not in ("constant-embed", "component-embed"):
-        raise UnsupportedStrategy(f"unknown section strategy {strategy!r}")
     if pi.embed is None:
-        raise UnsupportedStrategy(f"{pi.label or 'this'} family has no embedding")
-    if strategy == "constant-embed" and pi.tag != "evaluation-hom":
-        raise UnsupportedStrategy("constant-embed needs an evaluation homomorphism")
-    if strategy == "component-embed" and pi.tag == "evaluation-hom":
-        raise UnsupportedStrategy("component-embed needs a split algebra")
+        raise ParameterError(f"{pi.label or 'this'} family has no embedding")
     emb = pi.embed
 
     def run(lam: complex) -> Element:
@@ -163,7 +149,7 @@ def make_section(pi: HomFamily, target: ElementFamily, strategy: str) -> Section
         target=target,
         evaluator=run,
         radius=min(pi.radius, target.radius),
-        label=f"{strategy} section",
+        label="embedded section",
     )
 
 
@@ -202,7 +188,7 @@ def exp_conjugation_family(e: Element, x: Element) -> ElementFamily:
             return e
         return alg_exp(-lam * x) * e * alg_exp(lam * x)
 
-    return ElementFamily(e.algebra, run, tag="exponential-conjugation")
+    return ElementFamily(e.algebra, run)
 
 
 def kernel_residual(pi: HomFamily, x: Element, lam: complex) -> float:

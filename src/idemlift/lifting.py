@@ -502,7 +502,6 @@ def lift_family(
     secs: Sequence[Section],
     grid: Sequence[complex],
     sa: bool = False,
-    cap: int = 64,
 ) -> tuple[list[ElementFamily], list[LiftTrace]]:
     """Lift finitely many pairwise orthogonal idempotent families to
     pairwise orthogonal idempotent lifts, one induction step per family.
@@ -517,8 +516,6 @@ def lift_family(
     """
     if len(qs) != len(secs):
         raise ParameterError("need exactly one section per target family")
-    if len(qs) > cap:
-        raise ParameterError(f"family list exceeds the configured cap {cap}")
     alg = pi.source
     balg = pi.target
 

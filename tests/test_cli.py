@@ -1,13 +1,16 @@
 """Command-line interface: exit codes, files written, config handling."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
-from idemlift.cli import main
-from idemlift.report import REPORT_VERSION, report_passed
+import pytest
+
+from idemlift.cli import _summarise, main
+from idemlift.report import REPORT_VERSION, build_report, check_record, report_passed, run_record
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -112,6 +115,46 @@ def test_unknown_config_key_exits_two(tmp_path, capsys):
 def test_malformed_grid_exits_two(tmp_path, capsys):
     assert main(["run", "example1", "--grid", "0;0.5;3"]) == 2
     assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["nan,0,3", "0,inf,3", "inf,0,1"])
+def test_non_finite_grid_exits_two(tmp_path, capsys, grid):
+    out = tmp_path / "r.json"
+    assert main(["run", "block-testbed", "--grid", grid, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_grid_in_config_file_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("grid = nan,0,3\n")
+    out = tmp_path / "r.json"
+    assert main(["run", "dual-testbed", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_summary_prints_non_finite_values_as_null():
+    # check_record stores nan and inf as null, as in a lift with no valid point
+    hyp = check_record("input-idempotency", math.inf, 1e-9)
+    run = run_record("local", 1, "lift", checks=[check_record("idempotency", math.nan, 1e-9)])
+    report = build_report(
+        "dual-testbed",
+        expected="lift-succeeds",
+        theorem_paths=(1,),
+        grid=(0.0,),
+        tolerances={},
+        hypotheses=[hyp],
+        runs=[run],
+        probes=[],
+        seed=0,
+        timings={},
+    )
+    assert hyp["value"] is None and not run["passed"]
+    text = _summarise(report, "r.json", None)
+    assert "input-idempotency            null <= 1.0e-09  FAIL" in text
+    assert "failed idempotency: null > 1.0e-09" in text
+    assert "worst check null" in text
 
 
 def test_missing_config_file_exits_two(tmp_path):

@@ -16,7 +16,6 @@ from idemlift.errors import (
     NotStarCompatible,
     OutOfRadius,
     ParameterError,
-    UnsupportedStrategy,
 )
 from idemlift.families import (
     ElementFamily,
@@ -55,7 +54,6 @@ def wiener_evaluation(deg: int = 6) -> tuple[WienerAlgebra, HomFamily]:
         embed=lambda lam, b: W.from_coeffs([b]),
         radius=1.0,
         star_on_real=True,
-        tag="evaluation-hom",
         label="evaluate-series",
     )
     return W, pi
@@ -112,7 +110,7 @@ def test_section_lifts_target_on_grid():
 def test_make_section_constant_embed():
     W, pi = wiener_evaluation()
     target = ElementFamily(M1, lambda lam: M1.wrap([[np.sin(lam) + 2.0]]))
-    sec = make_section(pi, target, "constant-embed")
+    sec = make_section(pi, target)
     for lam in (-0.5, 0.0, 0.8):
         assert sec.defect(lam) <= 1e-12
         got = W.coefficient(sec(lam), 0)
@@ -124,26 +122,18 @@ def test_make_section_component_embed():
     rng = np.random.default_rng(3)
     base = M3.random_element(rng)
     target = ElementFamily(M3, lambda lam: np.exp(lam) * base)
-    sec = make_section(pi, target, "component-embed")
+    sec = make_section(pi, target)
     for lam in (-0.4, 0.0, 0.25):
         assert sec.defect(lam) <= 1e-12
         assert DUAL.eps_part(sec(lam)).norm() == 0.0
 
 
 def test_make_section_strategy_mismatches():
-    W, ev = wiener_evaluation()
-    proj = dual_projection()
-    target_w = ElementFamily(M1, lambda lam: M1.one())
+    # a family without an embedding has nothing to re-embed through
     target_d = ElementFamily(M3, lambda lam: M3.one())
-    with pytest.raises(UnsupportedStrategy):
-        make_section(ev, target_w, "component-embed")
-    with pytest.raises(UnsupportedStrategy):
-        make_section(proj, target_d, "constant-embed")
-    with pytest.raises(UnsupportedStrategy):
-        make_section(proj, target_d, "taylor")
     bare = HomFamily(DUAL, M3, lambda lam, x: DUAL.base_part(x))
-    with pytest.raises(UnsupportedStrategy):
-        make_section(bare, target_d, "component-embed")
+    with pytest.raises(ParameterError, match="no embedding"):
+        make_section(bare, target_d)
 
 
 def test_symmetrize_produces_self_adjoint_section():
@@ -242,13 +232,10 @@ def test_constant_family():
     rng = np.random.default_rng(7)
     x = M3.random_element(rng)
     fam = constant_family(x, radius=2.0)
-    assert fam.tag == "constant"
     assert (fam(1.5) - x).norm() == 0.0
 
 
 def test_family_validation():
-    with pytest.raises(ParameterError):
-        ElementFamily(M3, lambda lam: M3.one(), tag="mystery")
     with pytest.raises(ParameterError):
         ElementFamily(M3, lambda lam: M3.one(), radius=0.0)
     with pytest.raises(ParameterError):

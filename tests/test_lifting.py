@@ -423,8 +423,6 @@ def test_lift_family_respects_cap_and_shape():
     sec = messy_section(pi, q, seed=47)
     with pytest.raises(ParameterError):
         lift_family(pi, [q], [sec, sec], GRID)
-    with pytest.raises(ParameterError):
-        lift_family(pi, [q, q], [sec, sec], GRID, cap=1)
 
 
 def diagonal_targets(count: int) -> list[ElementFamily]:
