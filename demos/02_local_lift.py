@@ -48,7 +48,7 @@ print("worst commutation defect:      ", trace.worst("commutation"))
 # p is a genuine element family: evaluate it anywhere on the grid
 p = trace.points[10].p
 print()
-print("p(0) is a", p.algebra.describe()["kind"], "element of norm", round(p.norm(), 4))
+print("p(0) is a", p.algebra.kind, "element of norm", round(p.norm(), 4))
 
 # --- self-adjoint variant -------------------------------------------------
 # The target family here is self-adjoint for real lambda.  lift_local_sa

@@ -23,7 +23,7 @@ is ever certified.
 
 import numpy as np
 
-from idemlift import ConvolutionAlgebra, UnitizationAlgebra, WienerAlgebra, inverse
+from idemlift import ConvolutionAlgebra, UnitizationAlgebra, WienerAlgebra
 from idemlift.errors import NotInvertible
 
 rng = np.random.default_rng(42)
@@ -69,14 +69,14 @@ print("spectrum of x + 2:", a.spectrum().points)
 # invertible iff the scalar part is nonzero; the Neumann series for the
 # radical part terminates at the nilpotency index when tails are absent,
 # and otherwise its remainder is pushed into the tail channel
-b = inverse(a)
+b = a.inverse()
 gap = b * a - up.one()
 print("raw ||a^-1 a - 1|| =", gap.norm(), " (includes propagated tails)")
 print("tail allowance    =", up.tail_bound(gap))
 print("certified residual =", max(0.0, gap.norm() - up.tail_bound(gap)))
 
 try:
-    inverse(up.from_parts(x, 0.0))
+    up.from_parts(x, 0.0).inverse()
 except NotInvertible as exc:
     print("x + 0 is not invertible:", exc)
 
@@ -84,6 +84,6 @@ except NotInvertible as exc:
 # remainder cannot be certified and the inverse refuses rather than lie
 loud = up.from_parts(wie.from_coeffs([conv.random_element(rng, 40.0) for _ in range(5)]), 1.0)
 try:
-    inverse(loud)
+    loud.inverse()
 except NotInvertible as exc:
     print("loud radical part:", exc)

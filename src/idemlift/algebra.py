@@ -3,8 +3,8 @@
 Seven algebra kinds are implemented:
 
 ``matrix``
-    Square complex matrices under the operator 2-norm (optionally a weighted
-    similarity norm), with conjugate transposition as involution.
+    Square complex matrices under the operator 2-norm, with conjugate
+    transposition as involution.
 ``dual``
     Pairs ``b0 + b1*eps`` over a base algebra, where ``eps`` squares to zero.
 ``block-triangular``
@@ -27,7 +27,9 @@ Seven algebra kinds are implemented:
     Finite direct products with the max norm and componentwise operations.
 
 Elements are immutable values tied to their owning algebra; all operations
-are pure functions.
+are pure functions.  An element's operators and its methods (``norm``,
+``inverse``, ``adjoint``, ``spectrum``) are the one function API: the only
+module-level function is ``alg_exp``.
 """
 
 from __future__ import annotations
@@ -117,24 +119,9 @@ class SpectrumReport:
             return 0.0
         return max(abs(p) for p in self.points)
 
-    def array(self) -> np.ndarray:
-        return np.asarray(self.points, dtype=complex)
-
 
 def _as_point_tuple(values: Iterable[complex]) -> tuple[complex, ...]:
     return tuple(sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag)))
-
-
-def hausdorff_distance(a: Iterable[complex], b: Iterable[complex]) -> float:
-    """Hausdorff distance between two finite point sets in the plane."""
-    pa = np.asarray(list(a), dtype=complex)
-    pb = np.asarray(list(b), dtype=complex)
-    if pa.size == 0 and pb.size == 0:
-        return 0.0
-    if pa.size == 0 or pb.size == 0:
-        return np.inf
-    gaps = np.abs(pa[:, None] - pb[None, :])
-    return float(max(gaps.min(axis=1).max(), gaps.min(axis=0).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +244,10 @@ class BanachAlgebra:
 
     @property
     def is_radical(self) -> bool:
-        """True when every element is quasinilpotent (spectrum {0})."""
-        return False
+        """True when every element is quasinilpotent (spectrum {0}).  Every
+        radical kind here is nilpotent, so this is read off
+        ``nilpotency_index``."""
+        return self.nilpotency_index is not None
 
     @property
     def nilpotency_index(self) -> int | None:
@@ -403,44 +392,40 @@ class BanachAlgebra:
         self._own(x)
         return 0.0
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.describe()!r}>"
-
 
 # ---------------------------------------------------------------------------
 # matrix algebra
 
 
-def _eig_points(mat: np.ndarray) -> tuple[complex, ...]:
-    return _as_point_tuple(np.linalg.eigvals(mat))
+def _spectral_norm(mat: np.ndarray) -> float:
+    """``||mat||_2``; LAPACK's failure to converge (on non-finite entries)
+    is raised as :class:`ParameterError`."""
+    try:
+        return float(np.linalg.norm(mat, 2))
+    except np.linalg.LinAlgError as exc:
+        raise ParameterError(f"spectral norm failed: {exc}") from exc
 
 
-@dataclass(frozen=True, repr=False)
+def _eigvals(mat: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``mat``; LAPACK's refusal of non-finite entries is
+    raised as :class:`ParameterError`."""
+    try:
+        return np.linalg.eigvals(mat)
+    except np.linalg.LinAlgError as exc:
+        raise ParameterError(f"eigenvalues failed: {exc}") from exc
+
+
+@dataclass(frozen=True)
 class MatrixAlgebra(BanachAlgebra):
-    """Full matrix algebra M_n with the operator 2-norm.
-
-    ``weight`` (optional positive diagonal) replaces the norm by
-    ``||W x W^-1||_2``, which stays submultiplicative and unital but makes
-    the conjugate-transpose involution non-isometric: the optimal constant
-    is ``(max w / min w)**2`` and is attained on a matrix unit.
-    """
+    """Full matrix algebra M_n with the operator 2-norm."""
 
     n: int
-    weight: tuple[float, ...] | None = None
 
     kind = "matrix"
 
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError("matrix size must be >= 1")
-        if self.weight is not None:
-            object.__setattr__(self, "weight", tuple(float(w) for w in self.weight))
-            w = np.asarray(self.weight, dtype=float)
-            if w.shape != (self.n,) or np.any(w <= 0):
-                raise ParameterError("weight must be a positive vector of length n")
 
     @property
     def has_involution(self) -> bool:
@@ -448,13 +433,7 @@ class MatrixAlgebra(BanachAlgebra):
 
     @property
     def involution_bound(self) -> float:
-        if self.weight is None:
-            return 1.0
-        w = np.asarray(self.weight)
-        return float((w.max() / w.min()) ** 2)
-
-    def _w(self) -> np.ndarray | None:
-        return None if self.weight is None else np.asarray(self.weight, dtype=float)
+        return 1.0
 
     def _zero(self):
         return np.zeros((self.n, self.n), dtype=complex)
@@ -475,10 +454,7 @@ class MatrixAlgebra(BanachAlgebra):
         return p @ q
 
     def _norm(self, p) -> float:
-        w = self._w()
-        if w is not None:
-            p = (w[:, None] * p) / w[None, :]
-        return float(np.linalg.norm(p, 2))
+        return _spectral_norm(p)
 
     def _inverse(self, p):
         return _checked_inv(p, "matrix is numerically singular")
@@ -487,7 +463,7 @@ class MatrixAlgebra(BanachAlgebra):
         return p.conj().T
 
     def _spectrum(self, p) -> SpectrumReport:
-        return SpectrumReport(_eig_points(p), exact=True)
+        return SpectrumReport(_as_point_tuple(_eigvals(p)), exact=True)
 
     def _random(self, rng, scale):
         m = rng.standard_normal((self.n, self.n)) + 1j * rng.standard_normal((self.n, self.n))
@@ -538,18 +514,12 @@ class MatrixAlgebra(BanachAlgebra):
     def matrix_representation(self, x: Element) -> np.ndarray:
         return np.array(self._own(x), dtype=complex)
 
-    def describe(self) -> dict:
-        d = {"kind": self.kind, "n": self.n}
-        if self.weight is not None:
-            d["weight"] = list(self.weight)
-        return d
-
 
 # ---------------------------------------------------------------------------
 # dual numbers over a base algebra
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class DualAlgebra(BanachAlgebra):
     """Elements ``b0 + b1*eps`` with ``eps**2 = 0`` over a base algebra.
 
@@ -648,15 +618,12 @@ class DualAlgebra(BanachAlgebra):
     def from_parts(self, b0: Element, b1: Element) -> Element:
         return self.wrap((self.base._own(b0), self.base._own(b1)))
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "base": self.base.describe()}
-
 
 # ---------------------------------------------------------------------------
 # block upper triangular algebra
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class BlockTriangularAlgebra(BanachAlgebra):
     """2x2 block upper triangular complex matrices, sizes ``(k, m)``.
 
@@ -704,7 +671,7 @@ class BlockTriangularAlgebra(BanachAlgebra):
         return out
 
     def _norm(self, p) -> float:
-        return float(np.linalg.norm(p, 2))
+        return _spectral_norm(p)
 
     def _inverse(self, p):
         k = self.k
@@ -719,7 +686,7 @@ class BlockTriangularAlgebra(BanachAlgebra):
 
     def _spectrum(self, p) -> SpectrumReport:
         k = self.k
-        pts = list(np.linalg.eigvals(p[:k, :k])) + list(np.linalg.eigvals(p[k:, k:]))
+        pts = list(_eigvals(p[:k, :k])) + list(_eigvals(p[k:, k:]))
         return SpectrumReport(_as_point_tuple(pts), exact=True)
 
     def _random(self, rng, scale):
@@ -730,11 +697,6 @@ class BlockTriangularAlgebra(BanachAlgebra):
 
     def wrap(self, payload) -> Element:
         return Element(self, self._check(np.asarray(payload, dtype=complex)))
-
-    def blocks(self, e: Element) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        p = self._own(e)
-        k = self.k
-        return p[:k, :k].copy(), p[:k, k:].copy(), p[k:, k:].copy()
 
     def resolvent_batch(self, x: Element, zs: Sequence[complex]) -> list[Element]:
         p = self._own(x)
@@ -759,15 +721,12 @@ class BlockTriangularAlgebra(BanachAlgebra):
     def matrix_representation(self, x: Element) -> np.ndarray:
         return np.array(self._own(x), dtype=complex)
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "k": self.k, "m": self.m}
-
 
 # ---------------------------------------------------------------------------
 # discretised Volterra convolution algebra
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class ConvolutionAlgebra(BanachAlgebra):
     """Volterra convolution ``(f*g)(t) = int_0^t f(s) g(t-s) ds`` on a grid.
 
@@ -792,10 +751,6 @@ class ConvolutionAlgebra(BanachAlgebra):
     @property
     def is_unital(self) -> bool:
         return False
-
-    @property
-    def is_radical(self) -> bool:
-        return True
 
     @property
     def nilpotency_index(self) -> int | None:
@@ -874,9 +829,6 @@ class ConvolutionAlgebra(BanachAlgebra):
             mat += np.diag(np.full(n - d, p[d - 1] / n), -d)
         return mat
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "N": self.n_grid}
-
 
 # ---------------------------------------------------------------------------
 # truncated power series with summable coefficient norms
@@ -894,7 +846,7 @@ class _WienerPayload:
     tail: float
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class WienerAlgebra(BanachAlgebra):
     """Degree-``D`` truncations of power series over a base algebra.
 
@@ -922,10 +874,6 @@ class WienerAlgebra(BanachAlgebra):
     @property
     def is_unital(self) -> bool:
         return self.base.is_unital
-
-    @property
-    def is_radical(self) -> bool:
-        return self.base.is_radical
 
     @property
     def nilpotency_index(self) -> int | None:
@@ -1131,15 +1079,12 @@ class WienerAlgebra(BanachAlgebra):
                 out[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb] = reps[i - j]
         return out
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "base": self.base.describe(), "degree": self.degree}
-
 
 # ---------------------------------------------------------------------------
 # unitization of a radical algebra
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class UnitizationAlgebra(BanachAlgebra):
     """Unit adjoined to a radical base algebra: pairs ``f + c*1``.
 
@@ -1200,8 +1145,6 @@ class UnitizationAlgebra(BanachAlgebra):
         b = self.base
         u = b._scale(1.0 / c, f)
         cap = self.base.nilpotency_index
-        if cap is None:
-            cap = 64  # geometric fallback for non-nilpotent radical bases
         # v = sum_{k>=1} (-u)^k, exact once powers of u vanish
         term = b._neg(u)
         v = term
@@ -1247,8 +1190,6 @@ class UnitizationAlgebra(BanachAlgebra):
         if np.any(np.abs(ds) < 1e-300):
             raise NotInvertible("resolvent point hits the one-point spectrum")
         cap = self.base.nilpotency_index
-        if cap is None:
-            cap = 64
         powers = []
         term = f
         exact = False
@@ -1312,15 +1253,12 @@ class UnitizationAlgebra(BanachAlgebra):
         rep = self.base.matrix_representation(self.base.wrap(p[0]))
         return rep + p[1] * np.eye(rep.shape[0])
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "base": self.base.describe()}
-
 
 # ---------------------------------------------------------------------------
 # finite products
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class ProductAlgebra(BanachAlgebra):
     """Finite direct product with componentwise operations and max norm."""
 
@@ -1425,95 +1363,9 @@ class ProductAlgebra(BanachAlgebra):
             at += r.shape[0]
         return out
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "factors": [f.describe() for f in self.factors]}
-
 
 # ---------------------------------------------------------------------------
-# descriptor-driven construction and functional conveniences
-
-
-_KINDS = {
-    "matrix",
-    "dual",
-    "block-triangular",
-    "convolution-discrete",
-    "wiener-truncated",
-    "unitization",
-    "product",
-}
-
-
-def build_algebra(descriptor: dict) -> BanachAlgebra:
-    """Construct an algebra from a plain descriptor dictionary.
-
-    Examples: ``{"kind": "matrix", "n": 4}``,
-    ``{"kind": "dual", "base": {"kind": "matrix", "n": 2}}``,
-    ``{"kind": "product", "factors": [...]}``.
-    """
-    if not isinstance(descriptor, dict) or "kind" not in descriptor:
-        raise ParameterError("descriptor must be a dict with a 'kind' entry")
-    kind = descriptor["kind"]
-    if kind not in _KINDS:
-        raise ParameterError(f"unknown algebra kind {kind!r}")
-    try:
-        if kind == "matrix":
-            weight = descriptor.get("weight")
-            return MatrixAlgebra(
-                int(descriptor["n"]),
-                None if weight is None else tuple(float(w) for w in weight),
-            )
-        if kind == "dual":
-            return DualAlgebra(build_algebra(descriptor["base"]))
-        if kind == "block-triangular":
-            return BlockTriangularAlgebra(int(descriptor["k"]), int(descriptor["m"]))
-        if kind == "convolution-discrete":
-            return ConvolutionAlgebra(int(descriptor["N"]))
-        if kind == "wiener-truncated":
-            return WienerAlgebra(
-                build_algebra(descriptor["base"]), int(descriptor["degree"])
-            )
-        if kind == "unitization":
-            return UnitizationAlgebra(build_algebra(descriptor["base"]))
-        factors = tuple(build_algebra(d) for d in descriptor["factors"])
-        return ProductAlgebra(factors)
-    except KeyError as exc:
-        raise ParameterError(f"descriptor for {kind!r} is missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"bad descriptor for {kind!r}: {exc}") from exc
-
-
-def mul(x: Element, y: Element) -> Element:
-    return x * y
-
-
-def inverse(x: Element) -> Element:
-    return x.algebra.inverse(x)
-
-
-def adjoint(x: Element) -> Element:
-    return x.algebra.adjoint(x)
-
-
-def norm(x: Element) -> float:
-    return x.algebra.norm(x)
-
-
-def spectrum(x: Element) -> SpectrumReport:
-    return x.algebra.spectrum(x)
-
-
-def dist(x: Element, y: Element) -> float:
-    """Norm distance between two elements of the same algebra."""
-    return (x - y).norm()
-
-
-def idempotency_defect(x: Element) -> float:
-    return (x * x - x).norm()
-
-
-def commutator_defect(x: Element, y: Element) -> float:
-    return (x * y - y * x).norm()
+# the exponential
 
 
 def alg_exp(x: Element) -> Element:

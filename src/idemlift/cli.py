@@ -66,7 +66,11 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise ConfigError("grid halfwidth must be nonnegative")
     if count == 1:
         return (center,)
-    return tuple(np.linspace(center - halfwidth, center + halfwidth, count))
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(center - halfwidth, center + halfwidth, count)
+    if not np.isfinite(grid).all():
+        raise ConfigError(f"grid points must be finite, but {text!r} overflows")
+    return tuple(grid)
 
 
 def _read_config_file(path: str) -> dict[str, str]:

@@ -23,7 +23,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -826,14 +826,14 @@ def _worst_stored_norm(elements: Iterable[Element]) -> float:
 
 def _hypothesis_checks(
     scn: Scenario, grid: Sequence[complex], tol: dict[str, float], seed: int
-) -> list[dict]:
-    checks: list[dict] = []
+) -> Iterator[dict]:
+    """The hypothesis records of ``scn``, in checklist order."""
     pi = scn.pi
     rng = np.random.default_rng(seed + 101)
 
     if pi.embed is not None:
         backs = (pi.apply(0.0, pi.embed(0.0, b)) - b for b in scn.target.probe_basis())
-        checks.append(check_record("surjectivity-at-base", _worst_stored_norm(backs), 1e-9))
+        yield check_record("surjectivity-at-base", _worst_stored_norm(backs), 1e-9)
 
         lam_set = [0.0] if not scn.kernel_required else sorted(
             {0.0, float(np.real(grid[0])), float(np.real(grid[-1]))}
@@ -844,14 +844,12 @@ def _hypothesis_checks(
                 x = scn.source.random_element(rng)
                 k = x - pi.embed(lam, pi.apply(lam, x))
                 worst_rad = max(worst_rad, max(abs(z) for z in k.spectrum().points))
-        checks.append(
-            check_record(
-                "kernel-spectral-condition",
-                worst_rad,
-                1e-9,
-                required=scn.kernel_required,
-                note="spectral radius of sampled kernel elements",
-            )
+        yield check_record(
+            "kernel-spectral-condition",
+            worst_rad,
+            1e-9,
+            required=scn.kernel_required,
+            note="spectral radius of sampled kernel elements",
         )
 
     inputs = list(scn.trivial_targets)
@@ -861,12 +859,12 @@ def _hypothesis_checks(
     if inputs:
         squares = (q(0.0) * q(0.0) - q(0.0) for q in inputs)
         worst = _worst_stored_norm(squares)
-        checks.append(check_record("input-idempotency", worst, tol["tol_idem"]))
+        yield check_record("input-idempotency", worst, tol["tol_idem"])
 
     if len(scn.family_targets) > 1:
         pairs = itertools.permutations(scn.family_targets, 2)
         worst = _worst_stored_norm(qi(0.0) * qj(0.0) for qi, qj in pairs)
-        checks.append(check_record("input-orthogonality", worst, tol["tol_orth"]))
+        yield check_record("input-orthogonality", worst, tol["tol_orth"])
 
     if any(p in (2, 4, 6) for p in scn.theorem_paths):
         worst = 0.0
@@ -875,8 +873,7 @@ def _hypothesis_checks(
             for lam in reals:
                 d = q(lam) - q(lam).adjoint()
                 worst = max(worst, d.norm())
-        checks.append(check_record("input-self-adjointness", worst, 1e-12))
-    return checks
+        yield check_record("input-self-adjointness", worst, 1e-12)
 
 
 def _trivial_runs(scn: Scenario, grid, tol) -> list[dict]:
@@ -975,7 +972,13 @@ def run_verification(
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    hypotheses = _hypothesis_checks(scn, grid, tol, seed)
+    hypotheses: list[dict] = []
+    try:  # the records before a check that raises, then one that names the error
+        for rec in _hypothesis_checks(scn, grid, tol, seed):
+            hypotheses.append(rec)
+    except IdemliftError as exc:
+        note = f"{type(exc).__name__}: {exc}"
+        hypotheses.append(check_record("hypothesis-error", math.nan, 0.0, passed=False, note=note))
     timings["hypotheses"] = time.perf_counter() - t0
 
     runs: list[dict] = []

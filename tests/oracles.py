@@ -13,6 +13,18 @@ import math
 import numpy as np
 
 
+def hausdorff_distance(a, b) -> float:
+    """Hausdorff distance between two finite point sets in the plane."""
+    pa = np.asarray(list(a), dtype=complex)
+    pb = np.asarray(list(b), dtype=complex)
+    if pa.size == 0 and pb.size == 0:
+        return 0.0
+    if pa.size == 0 or pb.size == 0:
+        return np.inf
+    gaps = np.abs(pa[:, None] - pb[None, :])
+    return float(max(gaps.min(axis=1).max(), gaps.min(axis=0).max()))
+
+
 def eigenprojection_near(mat: np.ndarray, center: complex, radius: float) -> np.ndarray:
     """Spectral projector of a diagonalisable matrix onto the eigenvalues
     lying within the given disc."""

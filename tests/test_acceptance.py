@@ -16,7 +16,7 @@ from oracles import (
     random_split_spectrum_matrix,
 )
 
-from idemlift.algebra import MatrixAlgebra, dist
+from idemlift.algebra import MatrixAlgebra
 from idemlift.contours import build_escape_arc, build_gamma_pair, circle_polygon, square_polygon
 from idemlift.funcalc import ContourData, riesz_projection, sqrt_cut, sqrt_near_one
 from idemlift.lifting import lift_family, lift_local, lift_local_sa
@@ -55,7 +55,7 @@ def test_criterion_1_riesz_projection_suite():
         mat = random_split_spectrum_matrix(rng, 6)
         a = alg.wrap(mat)
         p = riesz_projection(a, cd)
-        worst_idem = max(worst_idem, dist(p * p, p))
+        worst_idem = max(worst_idem, (p * p - p).norm())
         want = contour_projection(mat, 1.0, 0.45)
         worst_oracle = max(worst_oracle, float(np.max(np.abs(p.payload - want))))
     assert worst_idem <= 1e-9
@@ -87,13 +87,13 @@ def test_criterion_2_branch_square_roots():
         x = m4.wrap(random_sectorial_matrix(rng, 4))
         P, cd = _gamma_for(x)
         s = sqrt_cut(x, P, cd, sheet=+1)
-        worst_cut = max(worst_cut, dist(s * s, x))
+        worst_cut = max(worst_cut, (s * s - x).norm())
     worst_shift = 0.0
     for _ in range(100):
         y = m4.wrap(_disc_matrix(rng, 4, 0.3))
         w = sqrt_near_one(y)
         s = 2.0 * w + m4.one()
-        worst_shift = max(worst_shift, dist(s * s, m4.one() - y))
+        worst_shift = max(worst_shift, (s * s - (m4.one() - y)).norm())
     assert worst_cut <= 1e-9
     assert worst_shift <= 1e-9
     _stamp(2, f"cut residual {worst_cut:.1e}, shifted residual {worst_shift:.1e}", time.perf_counter() - t0, 30.0)
@@ -250,15 +250,15 @@ def test_criterion_9_metamorphic_invariance():
         s1 = sqrt_cut(x, P, cd1, sheet=+1)
         s2 = sqrt_cut(x, P, cd2, sheet=+1)
         neg = sqrt_cut(x, P, replace(cd1, sheet=-1))
-        worst_contour = max(worst_contour, dist(s1, s2))
-        worst_sheet = max(worst_sheet, dist(s1, -1.0 * neg))
+        worst_contour = max(worst_contour, (s1 - s2).norm())
+        worst_sheet = max(worst_sheet, (s1 + neg).norm())
     m6 = MatrixAlgebra(6)
     for _ in range(10):
         mat = random_split_spectrum_matrix(rng, 6)
         a = m6.wrap(mat)
         p1 = riesz_projection(a, ContourData(circle_polygon(1 + 0j, 0.45), eps=0.1))
         p2 = riesz_projection(a, ContourData(square_polygon(1 + 0j, 0.48), eps=0.1))
-        worst_riesz = max(worst_riesz, dist(p1, p2))
+        worst_riesz = max(worst_riesz, (p1 - p2).norm())
     assert worst_sheet <= 1e-10
     assert worst_contour <= 1e-10
     assert worst_riesz <= 1e-10

@@ -117,7 +117,8 @@ def test_malformed_grid_exits_two(tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grid", ["nan,0,3", "0,inf,3", "inf,0,1"])
+# the last grid has a finite centre and half-width, but its end overflows to inf
+@pytest.mark.parametrize("grid", ["nan,0,3", "0,inf,3", "inf,0,1", "1e308,1e308,3"])
 def test_non_finite_grid_exits_two(tmp_path, capsys, grid):
     out = tmp_path / "r.json"
     assert main(["run", "block-testbed", "--grid", grid, "--out", str(out)]) == 2
@@ -132,6 +133,30 @@ def test_non_finite_grid_in_config_file_exits_two(tmp_path, capsys):
     assert main(["run", "dual-testbed", "--config", str(cfg), "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_raising_hypothesis_check_becomes_a_failed_record(tmp_path, capsys):
+    # conj_in overflows at lambda = 1e200, so pi leaves the block algebra
+    out = tmp_path / "r.json"
+    assert main(["run", "block-testbed", "--grid", "1e200,0,1", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    *held, err = report["hypotheses"]
+    assert [h["name"] for h in held] == ["surjectivity-at-base"] and held[0]["passed"]
+    assert err["name"] == "hypothesis-error" and err["value"] is None
+    assert not err["passed"] and err["required"]
+    assert err["note"] == "ParameterError: lower-left block must be exactly zero"
+    assert "hypothesis-error" in report["failures"]
+    assert "hypothesis-error             null <= 0.0e+00  FAIL" in capsys.readouterr().out
+
+
+def test_linalg_failures_become_typed_errors(tmp_path):
+    # non-finite matrices reach the spectral norm and the eigenvalues
+    out = tmp_path / "r.json"
+    assert main(["run", "dual-testbed", "--grid", "1e200,0,1", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["hypotheses"][-1]["note"].startswith("ParameterError: spectral norm failed")
+    errors = [r["error"] for r in report["runs"] if r.get("error")]
+    assert errors and all(e.startswith("ParameterError: eigenvalues failed") for e in errors)
 
 
 def test_summary_prints_non_finite_values_as_null():

@@ -21,7 +21,6 @@ from idemlift.algebra import (
     MatrixAlgebra,
     UnitizationAlgebra,
     WienerAlgebra,
-    dist,
 )
 from idemlift.contours import (
     PolygonalArc,
@@ -64,9 +63,9 @@ def test_cauchy_formula_basics() -> None:
     cd = ContourData(circle_polygon(0j, 0.5), eps=0.5)
     audits = []
     same = contour_apply(lambda z: z, a, cd, audit_sink=audits)
-    assert dist(same, a) <= 1e-12
+    assert (same - a).norm() <= 1e-12
     unit = contour_apply(lambda z: np.ones_like(z), a, cd)
-    assert dist(unit, M2.one()) <= 1e-12
+    assert (unit - M2.one()).norm() <= 1e-12
     squared = contour_apply(lambda z: z**2, a, cd)
     np.testing.assert_allclose(
         squared.payload, np.diag([0.01, 0.04]), atol=1e-12
@@ -83,7 +82,7 @@ def test_contour_apply_multiplicative_on_polynomials() -> None:
         g = contour_apply(lambda z: 1 + 2 * z, a, cd)
         h = contour_apply(lambda z: z - 0.5 * z**2, a, cd)
         gh = contour_apply(lambda z: (1 + 2 * z) * (z - 0.5 * z**2), a, cd)
-        assert dist(gh, g * h) <= 1e-8
+        assert (gh - g * h).norm() <= 1e-8
 
 
 def test_contour_independence() -> None:
@@ -92,7 +91,7 @@ def test_contour_independence() -> None:
     sq = ContourData(square_polygon(0j, 0.6), eps=0.5)
     f1 = contour_apply(lambda z: np.exp(z), a, circ)
     f2 = contour_apply(lambda z: np.exp(z), a, sq)
-    assert dist(f1, f2) <= 1e-9
+    assert (f1 - f2).norm() <= 1e-9
 
 
 def test_contour_apply_rejects_outside_spectrum() -> None:
@@ -111,8 +110,8 @@ def test_riesz_on_random_split_spectra() -> None:
         mat = random_split_spectrum_matrix(rng, 6)
         a = alg.wrap(mat)
         p = riesz_projection(a, cd)
-        assert dist(p * p, p) <= 1e-9
-        assert dist(p * a, a * p) <= 1e-9
+        assert (p * p - p).norm() <= 1e-9
+        assert (p * a - a * p).norm() <= 1e-9
         assert np.max(np.abs(p.payload - eigenprojection_near(mat, 1.0, 1 / 3))) <= 1e-7
 
 
@@ -120,7 +119,7 @@ def test_riesz_on_idempotent_returns_it() -> None:
     q = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)  # idempotent
     a = M2.wrap(q)
     cd = ContourData(circle_polygon(1 + 0j, 1 / 3), eps=1 / 3)
-    assert dist(riesz_projection(a, cd), a) <= 1e-10
+    assert (riesz_projection(a, cd) - a).norm() <= 1e-10
 
 
 def test_riesz_complement_rule() -> None:
@@ -132,7 +131,7 @@ def test_riesz_complement_rule() -> None:
         a = alg.wrap(random_split_spectrum_matrix(rng, 5, radius=0.2))
         p0 = riesz_projection(a, cd0)
         p1 = riesz_projection(a, cd1)
-        assert dist(p0 + p1, alg.one()) <= 1e-9
+        assert (p0 + p1 - alg.one()).norm() <= 1e-9
 
 
 def test_riesz_rejects_spectrum_on_contour() -> None:
@@ -194,8 +193,8 @@ def test_sqrt_cut_squares_back_and_matches_oracle() -> None:
         x = alg.wrap(mat)
         P, cd = _gamma_for(x)
         s = sqrt_cut(x, P, cd, sheet=+1)
-        assert dist(s * s, x) <= 1e-9
-        assert dist(s * x, x * s) <= 1e-9
+        assert (s * s - x).norm() <= 1e-9
+        assert (s * x - x * s).norm() <= 1e-9
         if abs(P.ray_direction - (-1)) < 1e-9:
             # cut along the negative axis selects the principal branch
             assert np.max(np.abs(s.payload - principal_sqrt(mat))) <= 1e-7
@@ -206,14 +205,14 @@ def test_sqrt_cut_sheets_negate_exactly() -> None:
     alg = MatrixAlgebra(3)
     x = alg.wrap(random_sectorial_matrix(rng, 3))
     P, cd = _gamma_for(x)
-    assert dist(sqrt_cut(x, P, cd, 1), -1 * sqrt_cut(x, P, replace(cd, sheet=-1))) <= 1e-12
+    assert (sqrt_cut(x, P, cd, 1) + sqrt_cut(x, P, replace(cd, sheet=-1))).norm() <= 1e-12
 
 
 def test_sqrt_cut_takes_its_sheet_from_the_contour() -> None:
     x = M2.wrap(np.diag([4.0, 9.0]).astype(complex))
     P, cd = _gamma_for(x)
     flipped = replace(cd, sheet=-1)
-    assert dist(sqrt_cut(x, P, flipped, sheet=-1), -1 * sqrt_cut(x, P, cd)) == 0.0
+    assert (sqrt_cut(x, P, flipped, sheet=-1) + sqrt_cut(x, P, cd)).norm() == 0.0
     for contour, other in ((cd, -1), (flipped, 1), (cd, 2)):
         with pytest.raises(ParameterError, match="differs from the contour's sheet"):
             sqrt_cut(x, P, contour, sheet=other)
@@ -227,14 +226,14 @@ def test_sqrt_cut_contour_independence() -> None:
     _, cd_tight = _gamma_for(x, eps_scale=0.5)
     s1 = sqrt_cut(x, P, cd_wide)
     s2 = sqrt_cut(x, P, cd_tight)
-    assert dist(s1, s2) <= 1e-10
+    assert (s1 - s2).norm() <= 1e-10
 
 
 def test_sqrt_cut_rejects_a_cut_other_than_the_contours() -> None:
     x = M2.wrap(np.diag([4.0, 9.0]).astype(complex))
     P, cd = _gamma_for(x)
     same = PolygonalArc(2.0 * P.ray_direction)  # normalised on build
-    assert dist(sqrt_cut(x, same, cd), sqrt_cut(x, P, cd)) == 0.0
+    assert (sqrt_cut(x, same, cd) - sqrt_cut(x, P, cd)).norm() == 0.0
     turned = PolygonalArc(1j * P.ray_direction)
     with pytest.raises(ParameterError, match="differs from the contour's cut"):
         sqrt_cut(x, turned, cd)
