@@ -16,10 +16,13 @@ Seven algebra kinds are implemented:
     The multiplication operator of every element is a strictly lower
     triangular ``N x N`` Toeplitz matrix, so ``x**N == 0`` holds exactly.
 ``wiener-truncated``
-    Power series with coefficients in a base algebra and absolutely summable
-    coefficient norms, truncated at a fixed degree.  Each element carries a
-    nonnegative ``tail`` scalar bounding the norm distance between the stored
-    truncation and the element it stands for.
+    Power series with coefficients in a matrix or convolution base algebra
+    and absolutely summable coefficient norms, truncated at a fixed degree
+    ``D``.  The coefficients are stored as one ``(D+1, *base shape)`` array,
+    and each element carries a nonnegative ``tail`` scalar bounding the norm
+    distance between the stored truncation and the element it stands for.
+    A product is one batched truncated Cauchy product; the coefficient mass
+    it drops (degrees ``D+1 .. 2D``) goes into the tail, rounded up.
 ``unitization``
     A unit adjoined to a radical algebra; the norm is the l1 sum and every
     spectrum is the singleton of the adjoined scalar.
@@ -29,11 +32,15 @@ Seven algebra kinds are implemented:
 Elements are immutable values tied to their owning algebra; all operations
 are pure functions.  An element's operators and its methods (``norm``,
 ``inverse``, ``adjoint``, ``spectrum``) are the one function API: the only
-module-level function is ``alg_exp``.
+module-level function is ``alg_exp``.  The array-payload kinds (matrix,
+block-triangular, convolution) take norms of whole payload stacks with one
+kernel, ``_norms``; the matrix and convolution products broadcast over
+leading axes, which is what the series kind's batched product builds on.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
@@ -284,6 +291,10 @@ class BanachAlgebra:
         raise NotImplementedError
 
     def _norm(self, p) -> float:
+        return float(self._norms(p))
+
+    def _norms(self, stack) -> np.ndarray:
+        """The norm of each payload of an array stack (array payloads only)."""
         raise NotImplementedError
 
     def _inverse(self, p):
@@ -397,11 +408,19 @@ class BanachAlgebra:
 # matrix algebra
 
 
-def _spectral_norm(mat: np.ndarray) -> float:
-    """``||mat||_2``; LAPACK's failure to converge (on non-finite entries)
-    is raised as :class:`ParameterError`."""
+def _spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """``||A||_2`` of a matrix, or of each matrix of a stack: the largest
+    singular value, which LAPACK returns first.
+
+    Non-finite entries are refused with :class:`ParameterError` before
+    LAPACK sees them: on infinite entries it would return NaN (and print
+    a DLASCL message), on NaN entries fail to converge.  A failure to
+    converge on finite entries is raised as :class:`ParameterError` too.
+    """
+    if not np.isfinite(stack).all():
+        raise ParameterError("spectral norm failed: non-finite entries")
     try:
-        return float(np.linalg.norm(mat, 2))
+        return np.linalg.svd(stack, compute_uv=False)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise ParameterError(f"spectral norm failed: {exc}") from exc
 
@@ -453,14 +472,14 @@ class MatrixAlgebra(BanachAlgebra):
     def _mul(self, p, q):
         return p @ q
 
-    def _norm(self, p) -> float:
-        return _spectral_norm(p)
+    def _norms(self, stack) -> np.ndarray:
+        return _spectral_norms(stack)
 
     def _inverse(self, p):
         return _checked_inv(p, "matrix is numerically singular")
 
     def _adjoint(self, p):
-        return p.conj().T
+        return p.conj().swapaxes(-1, -2)
 
     def _spectrum(self, p) -> SpectrumReport:
         return SpectrumReport(_as_point_tuple(_eigvals(p)), exact=True)
@@ -670,8 +689,8 @@ class BlockTriangularAlgebra(BanachAlgebra):
         out[self.k :, : self.k] = 0.0
         return out
 
-    def _norm(self, p) -> float:
-        return _spectral_norm(p)
+    def _norms(self, stack) -> np.ndarray:
+        return _spectral_norms(stack)
 
     def _inverse(self, p):
         k = self.k
@@ -724,6 +743,17 @@ class BlockTriangularAlgebra(BanachAlgebra):
 
 # ---------------------------------------------------------------------------
 # discretised Volterra convolution algebra
+
+
+@functools.lru_cache(maxsize=None)
+def _toeplitz_index(m: int) -> np.ndarray:
+    """``idx[l, j] = max(l - j, 0)``, read-only: for ``f`` of length
+    ``m + 1``, ``f[idx]`` is the lower triangular Toeplitz matrix with
+    ``f[0]`` on and ``f[l - j]`` below its diagonal."""
+    rows = np.arange(m)
+    idx = np.maximum(rows[:, None] - rows[None, :], 0)
+    idx.flags.writeable = False
+    return idx
 
 
 @dataclass(frozen=True)
@@ -781,14 +811,14 @@ class ConvolutionAlgebra(BanachAlgebra):
         return c * p
 
     def _mul(self, p, q):
-        h = 1.0 / self.n_grid
-        full = np.convolve(p, q)
-        out = np.zeros(self.n_grid - 1, dtype=complex)
-        out[1:] = h * full[: self.n_grid - 2]
-        return out
+        """``T_p q`` with ``T_p`` the strictly lower triangular Toeplitz
+        operator of ``p``, over any leading axes of ``p`` and ``q``."""
+        padded = np.concatenate((np.zeros(p.shape[:-1] + (1,), dtype=complex), p), axis=-1)
+        toeplitz = padded[..., _toeplitz_index(self.n_grid - 1)]
+        return (1.0 / self.n_grid) * (toeplitz @ q[..., None])[..., 0]
 
-    def _norm(self, p) -> float:
-        return float(np.sum(np.abs(p)) / self.n_grid)
+    def _norms(self, stack) -> np.ndarray:
+        return np.sum(np.abs(stack), axis=-1) / self.n_grid
 
     def _inverse(self, p):
         raise NotInvertible("convolution algebra has no unit")
@@ -842,24 +872,28 @@ _SPECTRUM_ANGLES = 32
 
 @dataclass(frozen=True)
 class _WienerPayload:
-    coeffs: tuple  # base payloads, length degree + 1
+    coeffs: np.ndarray  # shape (degree + 1, *base payload shape)
     tail: float
 
 
 @dataclass(frozen=True)
 class WienerAlgebra(BanachAlgebra):
-    """Degree-``D`` truncations of power series over a base algebra.
+    """Degree-``D`` truncations of power series over a matrix or
+    convolution base algebra.
 
-    The norm is the l1 sum of base coefficient norms plus the carried
-    ``tail``.  The tail of an element is an over-estimate of the norm
+    The coefficients are stored as one ``(D+1, *base shape)`` complex array,
+    so every operation is a batched base operation; any other base kind is
+    refused.  The norm is the l1 sum of base coefficient norms plus the
+    carried ``tail``.  The tail of an element is an over-estimate of the norm
     distance between the stored truncation and the series it stands for;
     products propagate it as
 
         tail(xy) = spill + ||x||_stored * tail(y) + tail(x) * ||y||_stored
                    + tail(x) * tail(y)
 
-    where ``spill`` is the exactly computed coefficient mass of degrees
-    ``D+1 .. 2D`` dropped by the truncation.
+    where ``spill`` is the coefficient mass of degrees ``D+1 .. 2D`` that
+    the truncation drops: the summed norms of the discarded block of the
+    same Cauchy product, rounded up past the rounding error of that sum.
     """
 
     base: BanachAlgebra
@@ -868,6 +902,8 @@ class WienerAlgebra(BanachAlgebra):
     kind = "wiener-truncated"
 
     def __post_init__(self):
+        if not isinstance(self.base, (MatrixAlgebra, ConvolutionAlgebra)):
+            raise ParameterError("series coefficients need a matrix or convolution base")
         if self.degree < 0:
             raise ParameterError("truncation degree must be >= 0")
 
@@ -889,104 +925,92 @@ class WienerAlgebra(BanachAlgebra):
         return self.base.involution_bound
 
     def _zero(self):
-        z = self.base._zero()
-        return _WienerPayload(tuple(z for _ in range(self.degree + 1)), 0.0)
+        shape = (self.degree + 1,) + self.base._zero().shape
+        return _WienerPayload(np.zeros(shape, dtype=complex), 0.0)
 
     def _one(self):
-        coeffs = [self.base._one()] + [self.base._zero()] * self.degree
-        return _WienerPayload(tuple(coeffs), 0.0)
+        coeffs = self._zero().coeffs
+        coeffs[0] = self.base._one()
+        return _WienerPayload(coeffs, 0.0)
 
     def _add(self, p, q):
-        coeffs = tuple(
-            self.base._add(a, b) for a, b in zip(p.coeffs, q.coeffs)
-        )
-        return _WienerPayload(coeffs, p.tail + q.tail)
+        return _WienerPayload(p.coeffs + q.coeffs, p.tail + q.tail)
 
     def _neg(self, p):
-        return _WienerPayload(tuple(self.base._neg(a) for a in p.coeffs), p.tail)
+        return _WienerPayload(-p.coeffs, p.tail)
 
     def _scale(self, c, p):
-        return _WienerPayload(
-            tuple(self.base._scale(c, a) for a in p.coeffs), abs(c) * p.tail
-        )
+        return _WienerPayload(c * p.coeffs, abs(c) * p.tail)
 
     def _stored_norm(self, p) -> float:
-        return float(sum(self.base._norm(a) for a in p.coeffs))
+        # summed in coefficient order, so the sum does not depend on numpy's
+        # pairwise summation, which regroups from eight terms on
+        return sum(self.base._norms(p.coeffs).tolist())
+
+    def _cauchy(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+        """Truncated Cauchy product of two coefficient arrays: its degrees
+        ``0 .. D``, and the spill, the summed norms of its degrees
+        ``D+1 .. 2D``.
+
+        Every product ``a[i] b[j]`` comes from one batched base product,
+        and degree ``k`` sums its ``a[i] b[k-i]`` in increasing ``i``.
+        """
+        d = self.degree
+        prods = self.base._mul(a[:, None], b[None, :])
+        full = np.zeros((2 * d + 1,) + a.shape[1:], dtype=complex)
+        for i in range(d + 1):
+            full[i : i + d + 1] += prods[i]
+        # round up past the rounding error of this sum of d nonnegative
+        # norms, as resolvent_integral rounds its tail
+        spill = float(np.sum(self.base._norms(full[d + 1 :]))) * (1.0 + (d + 4) * 2.0**-50)
+        # a copy, so that the product does not keep the dropped half alive
+        return full[: d + 1].copy(), spill
 
     def _mul(self, p, q):
-        b = self.base
-        d = self.degree
-        kept = []
-        spill = 0.0
-        for k in range(2 * d + 1):
-            lo = max(0, k - d)
-            hi = min(k, d)
-            acc = b._zero()
-            for i in range(lo, hi + 1):
-                acc = b._add(acc, b._mul(p.coeffs[i], q.coeffs[k - i]))
-            if k <= d:
-                kept.append(acc)
-            else:
-                spill += b._norm(acc)
+        kept, spill = self._cauchy(p.coeffs, q.coeffs)
         sx, sy = self._stored_norm(p), self._stored_norm(q)
         tail = spill + sx * q.tail + p.tail * sy + p.tail * q.tail
-        return _WienerPayload(tuple(kept), tail)
+        return _WienerPayload(kept, tail)
 
     def _norm(self, p) -> float:
         return self._stored_norm(p) + p.tail
 
     def _inverse(self, p):
         b = self.base
-        d = self.degree
+        f = p.coeffs
         try:
-            i0 = b._inverse(p.coeffs[0])
+            i0 = b._inverse(f[0])
         except NotInvertible as exc:
             raise NotInvertible("constant coefficient is not invertible") from exc
-        inv = [i0]
-        for k in range(1, d + 1):
-            acc = b._zero()
-            for i in range(1, k + 1):
-                acc = b._add(acc, b._mul(p.coeffs[i], inv[k - i]))
-            inv.append(b._neg(b._mul(i0, acc)))
-        g = _WienerPayload(tuple(inv), 0.0)
+        inv = np.zeros_like(f)
+        inv[0] = i0
+        for k in range(1, self.degree + 1):
+            inv[k] = -b._mul(i0, np.sum(b._mul(f[1 : k + 1], inv[k - 1 :: -1]), axis=0))
         # residual of the true product f*g against 1: truncation spill plus
         # the hidden mass of f acting on g
-        spill = 0.0
-        for k in range(d + 1, 2 * d + 1):
-            lo, hi = k - d, d
-            acc = b._zero()
-            for i in range(lo, hi + 1):
-                acc = b._add(acc, b._mul(p.coeffs[i], inv[k - i]))
-            spill += b._norm(acc)
-        g_norm = self._stored_norm(g)
+        _, spill = self._cauchy(f, inv)
+        g_norm = self._stored_norm(_WienerPayload(inv, 0.0))
         e_norm = spill + p.tail * g_norm
         if e_norm >= 1.0:
             raise NotInvertible(
                 f"cannot certify the inverse: residual bound {e_norm:.3e} >= 1"
             )
         tail = g_norm * e_norm / (1.0 - e_norm)
-        return _WienerPayload(tuple(inv), tail)
+        return _WienerPayload(inv, tail)
 
     def _adjoint(self, p):
         c = self.base.involution_bound
         if c is None:
             raise NoInvolution("base algebra has no involution")
-        return _WienerPayload(
-            tuple(self.base._adjoint(a) for a in p.coeffs), c * p.tail
-        )
+        return _WienerPayload(self.base._adjoint(p.coeffs), c * p.tail)
 
     def _spectrum(self, p) -> SpectrumReport:
+        radii = np.arange(1, _SPECTRUM_CIRCLES + 1) / _SPECTRUM_CIRCLES
+        ang = 2.0 * np.pi * np.arange(_SPECTRUM_ANGLES) / _SPECTRUM_ANGLES
+        zs = [0j, *(radii[:, None] * np.exp(1j * ang)).ravel().tolist()]
         pts: list[complex] = []
-        for j in range(_SPECTRUM_CIRCLES + 1):
-            r = j / _SPECTRUM_CIRCLES
-            if j == 0:
-                zs = [0j]
-            else:
-                ang = 2.0 * np.pi * np.arange(_SPECTRUM_ANGLES) / _SPECTRUM_ANGLES
-                zs = list(r * np.exp(1j * ang))
-            for z in zs:
-                val = self._eval_payload(p, z)
-                pts.extend(self.base._spectrum(val).points)
+        for val in self._eval_payload(p, zs):
+            pts.extend(self.base._spectrum(val).points)
         # collapse duplicates to keep reports small
         uniq: list[complex] = []
         for w in _as_point_tuple(pts):
@@ -994,20 +1018,27 @@ class WienerAlgebra(BanachAlgebra):
                 uniq.append(w)
         return SpectrumReport(tuple(uniq), exact=False)
 
-    def _eval_payload(self, p, z: complex):
-        b = self.base
-        acc = b._zero()
-        zk = 1.0 + 0j
-        for a in p.coeffs:
-            acc = b._add(acc, b._scale(zk, a))
-            zk *= z
+    def _eval_payload(self, p, zs: Sequence[complex]) -> np.ndarray:
+        """The stored series at each point of ``zs``, in one pass over the
+        coefficients: a stack of base payloads, one per point.
+
+        Each point sums ``z^k a_k`` in increasing ``k``, with ``z^k`` formed
+        one multiplication at a time in Python's complex arithmetic: numpy's
+        vectorised complex multiply rounds some products differently, which
+        would move evaluated values, and the reports built on them, by an ulp.
+        """
+        coeffs = p.coeffs
+        shape = (len(zs),) + (1,) * (coeffs.ndim - 1)
+        acc = np.zeros((len(zs),) + coeffs.shape[1:], dtype=complex)
+        zk = [1.0 + 0j] * len(zs)
+        for a in coeffs:
+            acc = acc + np.reshape(zk, shape) * a
+            zk = [w * z for w, z in zip(zk, zs)]
         return acc
 
     def _random(self, rng, scale):
-        coeffs = tuple(
-            self.base._random(rng, scale / (k + 1.0)) for k in range(self.degree + 1)
-        )
-        return _WienerPayload(coeffs, 0.0)
+        coeffs = [self.base._random(rng, scale / (k + 1.0)) for k in range(self.degree + 1)]
+        return _WienerPayload(np.array(coeffs, dtype=complex), 0.0)
 
     # -- series-specific helpers ----------------------------------------
 
@@ -1015,11 +1046,12 @@ class WienerAlgebra(BanachAlgebra):
         pads = [self.base._own(c) for c in coeffs]
         if len(pads) > self.degree + 1:
             raise ParameterError("too many coefficients")
-        while len(pads) < self.degree + 1:
-            pads.append(self.base._zero())
         if tail < 0:
             raise ParameterError("tail bound must be nonnegative")
-        return self.wrap(_WienerPayload(tuple(pads), float(tail)))
+        arr = self._zero().coeffs
+        for k, c in enumerate(pads):
+            arr[k] = c
+        return self.wrap(_WienerPayload(arr, float(tail)))
 
     def from_scalar_coeffs(self, coeffs: Sequence[complex], tail: float = 0.0) -> Element:
         if not isinstance(self.base, MatrixAlgebra) or self.base.n != 1:
@@ -1034,14 +1066,11 @@ class WienerAlgebra(BanachAlgebra):
         """The series ``z`` (unital base required)."""
         if self.degree < 1:
             raise ParameterError("degree must be >= 1 for a generator")
-        coeffs = [self.base._zero(), self.base._one()] + [self.base._zero()] * (
-            self.degree - 1
-        )
-        return self.wrap(_WienerPayload(tuple(coeffs), 0.0))
+        return self.from_coeffs([self.base.zero(), self.base.one()])
 
     def evaluate(self, x: Element, z: complex) -> Element:
         """Evaluate the stored series at the point ``z``."""
-        return self.base.wrap(self._eval_payload(self._own(x), complex(z)))
+        return self.base.wrap(self._eval_payload(self._own(x), [complex(z)])[0])
 
     def tail_bound(self, x: Element) -> float:
         return self._own(x).tail
@@ -1060,9 +1089,9 @@ class WienerAlgebra(BanachAlgebra):
         base_basis = self.base.probe_basis()
         for k in range(self.degree + 1):
             for b in base_basis:
-                coeffs = [self.base._zero()] * (self.degree + 1)
+                coeffs = self._zero().coeffs
                 coeffs[k] = self.base._own(b)
-                out.append(self.wrap(_WienerPayload(tuple(coeffs), 0.0)))
+                out.append(self.wrap(_WienerPayload(coeffs, 0.0)))
         return out
 
     def matrix_representation(self, x: Element) -> np.ndarray:

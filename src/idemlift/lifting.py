@@ -79,7 +79,9 @@ class LiftPoint:
 
     ``allowances`` carries, per defect, the tail slack of the defect
     element (nonzero only over truncated-series algebras): the certified
-    statement is defect - allowance <= tolerance.
+    statement is defect - allowance <= tolerance.  A non-finite defect or
+    allowance certifies nothing, so its certified value is NaN, which
+    fails every check.
     """
 
     lam: complex
@@ -93,7 +95,18 @@ class LiftPoint:
         return self.elements.get("p")
 
     def certified(self, key: str) -> float:
-        return max(0.0, self.defects[key] - self.allowances.get(key, 0.0))
+        defect, allowance = self.defects[key], self.allowances.get(key, 0.0)
+        if not (math.isfinite(defect) and math.isfinite(allowance)):
+            return math.nan
+        return max(0.0, defect - allowance)
+
+
+def _worst(vals: list[float]) -> float:
+    """The largest of ``vals``; NaN when there is none or any is NaN, in
+    any order (``max`` alone keeps a NaN only where it comes first)."""
+    if not vals or any(math.isnan(v) for v in vals):
+        return math.nan
+    return max(vals)
 
 
 @dataclass(frozen=True)
@@ -115,12 +128,10 @@ class LiftTrace:
         raise KeyError(f"no record at lambda = {lam}")
 
     def worst(self, key: str) -> float:
-        vals = [pt.defects[key] for pt in self.points if pt.valid and key in pt.defects]
-        return max(vals) if vals else math.nan
+        return _worst([pt.defects[key] for pt in self.points if pt.valid and key in pt.defects])
 
     def worst_certified(self, key: str) -> float:
-        vals = [pt.certified(key) for pt in self.points if pt.valid and key in pt.defects]
-        return max(vals) if vals else math.nan
+        return _worst([pt.certified(key) for pt in self.points if pt.valid and key in pt.defects])
 
     def valid_points(self) -> tuple[LiftPoint, ...]:
         return tuple(pt for pt in self.points if pt.valid)

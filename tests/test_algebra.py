@@ -245,41 +245,83 @@ def test_wiener_nilpotency_over_radical_base() -> None:
     assert p.norm() == alg.tail_bound(p)
 
 
+def _coefficient_draws(base, rng, count: int) -> list:
+    """``count`` random series coefficients in ``base``: standard complex
+    normals over matrix(1), random elements over a convolution base."""
+    if base == il.MatrixAlgebra(1):
+        draws = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        return [base.wrap([[c]]) for c in draws]
+    return [base.random_element(rng) for _ in range(count)]
+
+
 def test_wiener_tail_product_rule_without_spill() -> None:
     """tail(xy) <= ||x|| tail(y) + tail(x) ||y|| + tail(x) tail(y) when the
     stored product does not overflow the truncation degree."""
-    base = il.MatrixAlgebra(1)
-    alg = il.WienerAlgebra(base, 8)
     rng = np.random.default_rng(53)
-    for _ in range(50):
-        cx = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        cy = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        tx, ty = rng.uniform(0, 0.5, size=2)
-        x = alg.from_scalar_coeffs(cx, tail=tx)
-        y = alg.from_scalar_coeffs(cy, tail=ty)
-        bound = x.norm() * ty + tx * y.norm() + tx * ty
-        assert alg.tail_bound(x * y) <= bound + 1e-13
+    # (series algebra, leading coefficients drawn): degree 2 * (count - 1) <= D
+    cases = (
+        (il.WienerAlgebra(il.MatrixAlgebra(1), 8), 4),
+        (il.WienerAlgebra(il.ConvolutionAlgebra(10), 3), 2),
+    )
+    for alg, count in cases:
+        for _ in range(50):
+            cx = _coefficient_draws(alg.base, rng, count)
+            cy = _coefficient_draws(alg.base, rng, count)
+            tx, ty = rng.uniform(0, 0.5, size=2)
+            x = alg.from_coeffs(cx, tail=tx)
+            y = alg.from_coeffs(cy, tail=ty)
+            bound = x.norm() * ty + tx * y.norm() + tx * ty
+            assert alg.tail_bound(x * y) <= bound + 1e-13, alg
 
 
 def test_wiener_tail_over_estimates_discarded_mass() -> None:
     """The tail of a truncated product dominates what a wider truncation keeps."""
-    base = il.MatrixAlgebra(1)
-    narrow = il.WienerAlgebra(base, 4)
-    wide = il.WienerAlgebra(base, 8)
     rng = np.random.default_rng(59)
-    for _ in range(25):
-        cx = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        cy = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        xn = narrow.from_scalar_coeffs(cx)
-        yn = narrow.from_scalar_coeffs(cy)
-        xw = wide.from_scalar_coeffs(cx)
-        yw = wide.from_scalar_coeffs(cy)
-        pn = xn * yn
-        pw = xw * yw
-        dropped = sum(
-            wide.coefficient(pw, k).norm() for k in range(5, 9)
-        )
-        assert narrow.tail_bound(pn) >= dropped - 1e-13
+    for base, d in ((il.MatrixAlgebra(1), 4), (il.ConvolutionAlgebra(10), 3)):
+        narrow = il.WienerAlgebra(base, d)
+        wide = il.WienerAlgebra(base, 2 * d)
+        for _ in range(25):
+            cx = _coefficient_draws(base, rng, d + 1)
+            cy = _coefficient_draws(base, rng, d + 1)
+            pn = narrow.from_coeffs(cx) * narrow.from_coeffs(cy)
+            pw = wide.from_coeffs(cx) * wide.from_coeffs(cy)
+            dropped = sum(
+                wide.coefficient(pw, k).norm() for k in range(d + 1, 2 * d + 1)
+            )
+            assert dropped > 0.0
+            assert narrow.tail_bound(pn) >= dropped - 1e-13, base
+
+
+def test_wiener_product_matches_block_toeplitz_reference() -> None:
+    """The stored coefficients of x*y are the leading block column of the
+    product of the block Toeplitz representations, a reference that shares
+    no code with the batched Cauchy product."""
+    rng = np.random.default_rng(61)
+    for base in (il.MatrixAlgebra(2), il.ConvolutionAlgebra(10)):
+        alg = il.WienerAlgebra(base, 4)
+        nb = base.matrix_representation(base.zero()).shape[0]
+        for _ in range(10):
+            x = alg.random_element(rng)
+            y = alg.random_element(rng)
+            ref = alg.matrix_representation(x) @ alg.matrix_representation(y)
+            xy = x * y
+            for k in range(alg.degree + 1):
+                got = base.matrix_representation(alg.coefficient(xy, k))
+                want = ref[k * nb : (k + 1) * nb, :nb]
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_wiener_refuses_bases_without_array_payloads() -> None:
+    conv = il.ConvolutionAlgebra(5)
+    for base in (
+        il.UnitizationAlgebra(conv),
+        il.DualAlgebra(il.MatrixAlgebra(2)),
+        il.BlockTriangularAlgebra(1, 1),
+        il.ProductAlgebra((il.MatrixAlgebra(1),)),
+        il.WienerAlgebra(conv, 2),
+    ):
+        with pytest.raises(ParameterError, match="matrix or convolution base"):
+            il.WienerAlgebra(base, 3)
 
 
 def test_wiener_inverse_certified() -> None:
@@ -506,6 +548,19 @@ def test_linalg_failures_raise_parameter_error() -> None:
             x.norm()
         with pytest.raises(ParameterError, match="eigenvalues"):
             x.spectrum()
+
+
+def test_spectral_norm_refuses_infinite_entries(capfd) -> None:
+    """Infinite entries raise ParameterError before LAPACK sees them (it
+    would return NaN and print a DLASCL message)."""
+    x = il.MatrixAlgebra(4).wrap(np.full((4, 4), np.inf, dtype=complex))
+    with pytest.raises(ParameterError, match="spectral norm failed: non-finite"):
+        x.norm()
+    series = il.WienerAlgebra(il.MatrixAlgebra(1), 3)
+    f = series.from_scalar_coeffs([1.0, complex(0.0, -np.inf), 0.5])
+    with pytest.raises(ParameterError, match="spectral norm failed: non-finite"):
+        f.norm()
+    assert capfd.readouterr().err == ""
 
 
 def test_is_radical_reads_nilpotency_index() -> None:

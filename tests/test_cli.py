@@ -159,6 +159,19 @@ def test_linalg_failures_become_typed_errors(tmp_path):
     assert errors and all(e.startswith("ParameterError: eigenvalues failed") for e in errors)
 
 
+def test_nan_evidence_fails_its_run(tmp_path):
+    # the section noise overflows at lambda = 1e200: every defect of the
+    # family step is NaN, which no check may certify as 0
+    out = tmp_path / "r.json"
+    assert main(["run", "example2", "--grid", "1e200,0,1", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    step = next(r for r in report["runs"] if r["name"] == "family-step-0")
+    assert step["rows"][0]["valid"] and step["rows"][0]["defects"]["idempotency"] is None
+    assert not step["passed"]
+    assert {c["name"]: c["value"] for c in step["checks"]}["idempotency"] is None
+    assert "family-step-0" in report["failures"]
+
+
 def test_summary_prints_non_finite_values_as_null():
     # check_record stores nan and inf as null, as in a lift with no valid point
     hyp = check_record("input-idempotency", math.inf, 1e-9)

@@ -211,6 +211,25 @@ def test_lift_trace_accessors():
     assert trace.contours[0].branch == "cut"
 
 
+def test_non_finite_evidence_certifies_nothing():
+    """A NaN or infinite defect or allowance gives a NaN certified value,
+    and one NaN makes the worst value NaN wherever it sits; clamping with
+    max(0.0, .) would turn a NaN defect into a certified 0."""
+    nan, inf = math.nan, math.inf
+    for defect, allowance in ((nan, 0.0), (0.5, nan), (inf, 1.0), (0.5, inf), (inf, inf)):
+        pt = lifting.LiftPoint(0.0, True, {"idempotency": defect}, allowances={"idempotency": allowance})
+        assert math.isnan(pt.certified("idempotency")), (defect, allowance)
+    assert lifting.LiftPoint(0.0, True, {"lift": 0.3}, allowances={"lift": 0.5}).certified("lift") == 0.0
+
+    def trace(*defects):
+        return LiftTrace(tuple(lifting.LiftPoint(0.1 * k, True, {"lift": d}) for k, d in enumerate(defects)), ())
+
+    for order in ((nan, 0.0, 1e-3), (0.0, nan, 1e-3), (0.0, 1e-3, nan)):
+        assert math.isnan(trace(*order).worst("lift")), order
+        assert math.isnan(trace(*order).worst_certified("lift")), order
+    assert trace(0.0, 1e-3, 2e-4).worst("lift") == 1e-3
+
+
 # pi reads the M2 factor of M2 x M1; the M1 entry c(lam) of the section
 # lies in the kernel, and y = 1 - 4 r0 has the eigenvalue 1/(1 - 4(c - c^2))
 M1, M2 = MatrixAlgebra(1), MatrixAlgebra(2)
