@@ -6,13 +6,20 @@ inherited structurally (compositions of analytic maps with contour data
 frozen at the base point).  Sections are right inverses of a
 homomorphism family along a target family, supplied per construction
 rather than by abstract existence arguments.
+
+Inside ``memoised_evaluations`` (which ``run_verification`` opens for
+the length of one run) each family and section is evaluated at most
+once per lambda: elements are immutable, so a repeated call returns the
+stored value.  Outside it nothing is stored.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .algebra import BanachAlgebra, Element, alg_exp
 from .errors import (
@@ -33,12 +40,44 @@ __all__ = [
     "symmetrize",
     "exp_conjugation_family",
     "kernel_residual",
+    "memoised_evaluations",
 ]
+
+# (id of a family or section, lambda) -> (that family or section, its
+# value); holding the owner keeps its id from being reused while stored
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("idemlift_memo", default=None)
+
+
+@contextlib.contextmanager
+def memoised_evaluations() -> Iterator[None]:
+    """Evaluate each ElementFamily and Section at most once per lambda
+    inside the block; every stored value goes when the block ends."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
 
 
 def _check_radius(lam: complex, radius: float, what: str) -> None:
     if abs(lam) >= radius:
         raise OutOfRadius(f"|lambda| = {abs(lam):.6g} is outside the {what} radius {radius:.6g}")
+
+
+def _evaluate(owner: "ElementFamily | Section", lam: complex, algebra: BanachAlgebra) -> Element:
+    """``owner.evaluator`` at lam, checked to lie in ``algebra``; looked
+    up first inside ``memoised_evaluations``."""
+    lam = complex(lam)
+    memo = _MEMO.get()
+    if memo is not None:
+        hit = memo.get((id(owner), lam))
+        if hit is not None:
+            return hit[1]
+    out = owner.evaluator(lam)
+    algebra._own(out)
+    if memo is not None:
+        memo[id(owner), lam] = (owner, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -55,9 +94,7 @@ class ElementFamily:
 
     def __call__(self, lam: complex) -> Element:
         _check_radius(lam, self.radius, "family")
-        out = self.evaluator(complex(lam))
-        self.algebra._own(out)
-        return out
+        return _evaluate(self, lam, self.algebra)
 
 
 @dataclass(frozen=True)
@@ -107,9 +144,7 @@ class Section:
 
     def __call__(self, lam: complex) -> Element:
         _check_radius(lam, self.radius, "section")
-        out = self.evaluator(complex(lam))
-        self.pi.source._own(out)
-        return out
+        return _evaluate(self, lam, self.pi.source)
 
     def defect(self, lam: complex) -> float:
         """Lifting defect ||pi(lam) section(lam) - target(lam)||."""

@@ -11,8 +11,11 @@ idempotent is built orthogonal to the sum of its predecessors, one
 per-lambda kernel serving both the step and the lifted family.
 
 Every path returns a LiftTrace whose points carry the lifted idempotent
-under "p" (``trace.point(lam).p``).  A family from lift_family raises
-EnclosureFailed at a lambda where its step's frozen enclosures fail.
+under "p" (``trace.point(lam).p``).  A NotInvertible or
+QuadratureNotConverged raised at one lambda other than the base point
+makes that point invalid, its defect named by the error's code.  A
+family from lift_family raises EnclosureFailed at a lambda where its
+step's point is invalid.
 """
 
 from __future__ import annotations
@@ -27,10 +30,12 @@ from .errors import (
     AmbiguousSign,
     EnclosureFailed,
     HalfInSpectrum,
+    IdemliftError,
     NoInvolution,
     NotInvertible,
     NotStarCompatible,
     ParameterError,
+    QuadratureNotConverged,
     SectionInvalid,
     SpectrumMeetsCut,
     SpectrumNotEnclosed,
@@ -67,6 +72,10 @@ TOL_LIFT = 1e-8
 TOL_ORTH = 1e-8
 
 _EXACT = 1e-12  # slack for spectra that our algebra kinds report exactly
+
+# the typed errors of a per-lambda kernel that make its point invalid
+# instead of ending the lift
+_POINT_ERRORS = (NotInvertible, QuadratureNotConverged)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +162,15 @@ def _valid_point(
     norms = norms or {}
     defects = {k: norms[k] if k in norms else d.norm() for k, d in gaps.items()}
     return LiftPoint(lam, True, defects, elements, allow)
+
+
+def _point_error(lam: complex, exc: IdemliftError) -> str:
+    """The defect name of the invalid point at lam where a per-lambda
+    kernel raised ``exc``: the error's code.  At the base point, where
+    nothing could be frozen, the error ends the lift instead."""
+    if lam == 0:
+        raise exc
+    return exc.code
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +291,12 @@ def lift_local(
         a = sec(lam)
         try:
             r, r0, y = _local_data(a)
-        except NotInvertible:
-            points.append(LiftPoint(lam, False, {"invertibility": math.inf}))
-            continue
-        try:
             x = -0.5 * one + 0.5 * sqrt_cut(y, P, cd, audit_sink=audits)
         except (SpectrumMeetsCut, SpectrumOnContour, SpectrumNotEnclosed):
             points.append(LiftPoint(lam, False, {"enclosure": math.inf}))
+            continue
+        except _POINT_ERRORS as exc:
+            points.append(LiftPoint(lam, False, {_point_error(lam, exc): math.inf}))
             continue
         z = (2.0 * a - one) * x
         p = a + z
@@ -353,9 +370,13 @@ def lift_local_sa(
         if not covered(a.spectrum()):
             points.append(LiftPoint(lam, False, {"enclosure": math.inf}))
             continue
-        p = riesz_projection(a, cd1, audit_sink=audits)
-        aux0 = spectral_component_apply(lambda z: 1.0 / (1.0 - z), a, cd0, audit_sink=audits)
-        aux1 = spectral_component_apply(lambda z: 1.0 / z, a, cd1, audit_sink=audits)
+        try:
+            p = riesz_projection(a, cd1, audit_sink=audits)
+            aux0 = spectral_component_apply(lambda z: 1.0 / (1.0 - z), a, cd0, audit_sink=audits)
+            aux1 = spectral_component_apply(lambda z: 1.0 / z, a, cd1, audit_sink=audits)
+        except _POINT_ERRORS as exc:
+            points.append(LiftPoint(lam, False, {_point_error(lam, exc): math.inf}))
+            continue
         gaps = {
             "idempotency": p * p - p,
             "lift": pi.apply(lam, p) - q(lam),
@@ -405,18 +426,25 @@ def _ortho_point(
     eps0: float,
     lam: complex,
     audit_sink: list[QuadratureAudit] | None = None,
-) -> dict[str, Element] | None:
+) -> dict[str, Element] | str:
     """The per-lambda body of the orthogonal step: the elements of the
-    idempotent f = a + (1-e) w (2a-1) (stored under "p") at lam, or None
-    where the frozen enclosures fail there.  A predecessor failing at lam
-    raises its EnclosureFailed."""
-    e = e_fam(lam)
-    c, a, z = _cut_down(e, sec_v(lam))
-    found = _ortho_enclosures(a, z, eps0)
-    if found is None:
-        return None
-    m, m2inv = found
-    w = sqrt_near_one(4.0 * (z * m2inv), audit_sink=audit_sink)
+    idempotent f = a + (1-e) w (2a-1) (stored under "p") at lam, or the
+    defect name of why lam is invalid: "predecessor" where e cannot be
+    evaluated there, "enclosure" where the frozen enclosures fail, or the
+    code of a per-lambda kernel error (see ``_point_error``)."""
+    try:
+        e = e_fam(lam)
+    except EnclosureFailed:
+        return "predecessor"
+    try:
+        c, a, z = _cut_down(e, sec_v(lam))
+        found = _ortho_enclosures(a, z, eps0)
+        if found is None:
+            return "enclosure"
+        m, m2inv = found
+        w = sqrt_near_one(4.0 * (z * m2inv), audit_sink=audit_sink)
+    except _POINT_ERRORS as exc:
+        return _point_error(lam, exc)
     x = c * w
     r = x * m
     return {"a": a, "z": z, "w": w, "x": x, "r": r, "p": a + r, "e": e, "m": m, "m2inv": m2inv}
@@ -472,13 +500,9 @@ def lift_ortho_step(
     audits: list[QuadratureAudit] = []
     points: list[LiftPoint] = []
     for lam in grid_pts:
-        try:
-            els = _ortho_point(e_fam, sec_v, eps0, lam, audits)
-        except EnclosureFailed:
-            points.append(LiftPoint(lam, False, {"predecessor": math.inf}))
-            continue
-        if els is None:
-            points.append(LiftPoint(lam, False, {"enclosure": math.inf}))
+        els = _ortho_point(e_fam, sec_v, eps0, lam, audits)
+        if isinstance(els, str):
+            points.append(LiftPoint(lam, False, {els: math.inf}))
             continue
         e, z, w, r, m, f = (els[k] for k in ("e", "z", "w", "r", "m", "p"))
         group = {k: els[k] for k in ("a", "z", "w", "x", "r", "p")}
@@ -523,7 +547,8 @@ def lift_family(
     grids.  Returns the lifted families and the per-step traces.  A
     lifted family returns its step's idempotents on the grid and runs
     the step's kernel elsewhere; it raises EnclosureFailed wherever the
-    step's frozen enclosures (or a predecessor's) fail.
+    step's point is invalid: its frozen enclosures (or a predecessor's)
+    fail, or its kernel raised a per-lambda error.
     """
     if len(qs) != len(secs):
         raise ParameterError("need exactly one section per target family")
@@ -558,17 +583,19 @@ def lift_family(
             raise
         traces.append(trace)
 
-        # None marks a lambda where the step's enclosures fail
-        cache: dict[complex, Element | None] = {pt.lam: pt.p for pt in trace.points}
+        # a string names why the step's point at that lambda is invalid
+        cache: dict[complex, Element | str] = {
+            pt.lam: pt.p if pt.valid else ", ".join(pt.defects) for pt in trace.points
+        }
 
         def f_eval(lam: complex, _k=k, _e=e_fam, _sec=seck, _eps0=trace.eps0, _cache=cache) -> Element:
             lam = complex(lam)
             if lam not in _cache:
                 els = _ortho_point(_e, _sec, _eps0, lam)
-                _cache[lam] = None if els is None else els["p"]
+                _cache[lam] = els if isinstance(els, str) else els["p"]
             p = _cache[lam]
-            if p is None:
-                raise EnclosureFailed(f"family {_k}: frozen enclosures fail at lambda = {lam}")
+            if isinstance(p, str):
+                raise EnclosureFailed(f"family {_k}: no lift at lambda = {lam} ({p})")
             return p
 
         lifted.append(

@@ -39,7 +39,13 @@ from .algebra import (
     WienerAlgebra,
 )
 from .errors import IdemliftError, UnknownScenario
-from .families import ElementFamily, HomFamily, Section, exp_conjugation_family
+from .families import (
+    ElementFamily,
+    HomFamily,
+    Section,
+    exp_conjugation_family,
+    memoised_evaluations,
+)
 from .lifting import (
     TOL_COMM,
     TOL_IDEM,
@@ -68,6 +74,8 @@ __all__ = [
 ]
 
 ORACLE_TOL = 1e-7
+_SIGN_STEPS = 50  # Newton steps of the sign-function oracle before it gives up
+_SIGN_ETA = 1e-15  # the roundoff level its stop test aims at
 
 
 @dataclass(frozen=True)
@@ -96,29 +104,58 @@ def _default_grid() -> tuple[float, ...]:
     return tuple(np.linspace(-0.5, 0.5, 21))
 
 
-def _dense_projection(rep: np.ndarray, center: complex, radius: float, n: int = 1024) -> np.ndarray:
-    """Spectral projector of a dense matrix by a trapezoid resolvent
-    integral; independent of the polygon quadrature under test."""
-    dim = rep.shape[0]
-    ring = np.exp(2j * np.pi * np.arange(n) / n)
-    eye = np.eye(dim, dtype=complex)
-    acc = np.zeros((dim, dim), dtype=complex)
-    for w in ring:
-        acc += w * np.linalg.solve((center + radius * w) * eye - rep, eye)
-    return (radius / n) * acc
+def _dense_projection(rep: np.ndarray, center: complex, radius: float) -> np.ndarray:
+    """Spectral projector of a dense matrix onto its eigenvalues in the
+    disc |z - center| < radius, from the matrix sign function (Higham,
+    *Functions of Matrices*, SIAM 2008, ch. 5).
+
+    The Cayley step S = (A - c - r)^-1 (A - c + r) maps the disc to the
+    left half-plane; Newton's S <- (S + S^-1)/2 converges quadratically
+    to sign(S), and P = (I - sign S)/2.  No quadrature is involved, so
+    the oracle shares no method with the contour code it checks.  The
+    iteration stops once its last change squared is below roundoff
+    relative to S (Higham's test, ch. 5).  Raises LinAlgError where the
+    Cayley step or an iterate is singular, or where _SIGN_STEPS steps do
+    not converge (an eigenvalue on or next to the circle).
+    """
+    eye = np.eye(rep.shape[0])
+    shifted = rep - center * eye
+    s = np.linalg.solve(shifted - radius * eye, shifted + radius * eye)
+    for _ in range(_SIGN_STEPS):
+        s_inv = np.linalg.inv(s)
+        s_next = 0.5 * (s + s_inv)
+        change = np.linalg.norm(s_next - s, 1)
+        s = s_next
+        if change**2 <= _SIGN_ETA * np.linalg.norm(s, 1) / np.linalg.norm(s_inv, 1):
+            return 0.5 * (eye - s)
+    raise np.linalg.LinAlgError(f"sign iteration did not converge in {_SIGN_STEPS} steps")
+
+
+def _oracle_check(name: str, pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> dict:
+    """The worst distance between each lifted p and the dense spectral
+    projector of its section value a onto the spectrum near 1, over the
+    matrix ``pairs`` (a, p).  Where the sign iteration finds no
+    projector, a failed check whose note names why."""
+    worst = 0.0
+    try:
+        for a_mat, p_mat in pairs:
+            want = _dense_projection(a_mat, 1.0, 0.45)
+            worst = max(worst, float(np.linalg.norm(p_mat - want, 2)))
+    except np.linalg.LinAlgError as exc:
+        return check_record(name, math.nan, ORACLE_TOL, passed=False, note=f"oracle failed: {exc}")
+    return check_record(name, worst, ORACLE_TOL)
 
 
 def _dense_projection_oracle(trace: LiftTrace) -> list[dict]:
     """Local-lift oracle for algebras with a matrix representation: each
     valid p must be the dense spectral projector of its section value a
     onto the spectrum near 1."""
-    worst = 0.0
-    for pt in trace.valid_points():
-        a, p = pt.elements["a"], pt.p
-        want = _dense_projection(a.algebra.matrix_representation(a), 1.0, 0.45)
-        got = p.algebra.matrix_representation(p)
-        worst = max(worst, float(np.linalg.norm(got - want, 2)))
-    return [check_record("dense-projection-oracle", worst, ORACLE_TOL)]
+
+    def rep(x: Element) -> np.ndarray:
+        return x.algebra.matrix_representation(x)
+
+    pairs = ((rep(pt.elements["a"]), rep(pt.p)) for pt in trace.valid_points())
+    return [_oracle_check("dense-projection-oracle", pairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -594,13 +631,14 @@ def build_example3(seed: int = 0) -> Scenario:
     def oracle_family(fams, traces) -> list[dict]:
         # the matrix component of the second lift must match the dense
         # spectral projector of the matrix component of its section input
-        worst = 0.0
-        for pt in traces[1].valid_points():
-            a_mat = mats.matrix_representation(source.component(pt.elements["a"], 1))
-            p_mat = mats.matrix_representation(source.component(pt.p, 1))
-            want = _dense_projection(a_mat, 1.0, 0.45)
-            worst = max(worst, float(np.linalg.norm(p_mat - want, 2)))
-        return [check_record("matrix-component-oracle", worst, ORACLE_TOL)]
+        pairs = (
+            (
+                mats.matrix_representation(source.component(pt.elements["a"], 1)),
+                mats.matrix_representation(source.component(pt.p, 1)),
+            )
+            for pt in traces[1].valid_points()
+        )
+        return [_oracle_check("matrix-component-oracle", pairs)]
 
     def kernel_probe(rng_: np.random.Generator) -> list[dict]:
         worst = 0.0
@@ -964,56 +1002,60 @@ def run_verification(
     tolerances: dict[str, float] | None = None,
     seed: int = 0,
 ) -> dict:
-    """Execute every declared theorem path plus probes; return the report."""
+    """Execute every declared theorem path plus probes; return the report.
+
+    Each family and section is evaluated at most once per lambda within
+    the call, and nothing of that memo outlives it."""
     grid = tuple(scn.grid if grid is None else tuple(complex(g) for g in grid))
     tol = _default_tolerances()
     if tolerances:
         tol.update(tolerances)
 
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    hypotheses: list[dict] = []
-    try:  # the records before a check that raises, then one that names the error
-        for rec in _hypothesis_checks(scn, grid, tol, seed):
-            hypotheses.append(rec)
-    except IdemliftError as exc:
-        note = f"{type(exc).__name__}: {exc}"
-        hypotheses.append(check_record("hypothesis-error", math.nan, 0.0, passed=False, note=note))
-    timings["hypotheses"] = time.perf_counter() - t0
+    with memoised_evaluations():  # family values are computed once per run
+        timings: dict[str, float] = {}
+        t0 = time.perf_counter()
+        hypotheses: list[dict] = []
+        try:  # the records before a check that raises, then one that names the error
+            for rec in _hypothesis_checks(scn, grid, tol, seed):
+                hypotheses.append(rec)
+        except IdemliftError as exc:
+            note = f"{type(exc).__name__}: {exc}"
+            hypotheses.append(check_record("hypothesis-error", math.nan, 0.0, passed=False, note=note))
+        timings["hypotheses"] = time.perf_counter() - t0
 
-    runs: list[dict] = []
+        runs: list[dict] = []
 
-    def clocked(label: str, thunk: Callable[[], list[dict]]) -> None:
-        start = time.perf_counter()
-        recs = thunk()
-        timings[label] = time.perf_counter() - start
-        runs.extend(recs)
+        def clocked(label: str, thunk: Callable[[], list[dict]]) -> None:
+            start = time.perf_counter()
+            recs = thunk()
+            timings[label] = time.perf_counter() - start
+            runs.extend(recs)
 
-    if scn.trivial_targets:
-        clocked("trivial", lambda: _trivial_runs(scn, grid, tol))
-    for path in scn.theorem_paths:
-        if path == 1 and scn.local_target is not None:
-            name, lift = "local", _local_runs
-        elif path == 2 and scn.local_target is not None:
-            name, lift = "self-adjoint", _sa_runs
-        elif path in (3, 5) and scn.family_targets:
-            name, lift = "family", _family_runs
-        elif path in (4, 6) and scn.family_targets:
-            name, lift = "family-sa", _family_runs
-        else:
-            continue
-        clocked(
-            name, lambda: _guarded(name, path, "lift", lambda: lift(scn, grid, tol, name, path))
-        )
+        if scn.trivial_targets:
+            clocked("trivial", lambda: _trivial_runs(scn, grid, tol))
+        for path in scn.theorem_paths:
+            if path == 1 and scn.local_target is not None:
+                name, lift = "local", _local_runs
+            elif path == 2 and scn.local_target is not None:
+                name, lift = "self-adjoint", _sa_runs
+            elif path in (3, 5) and scn.family_targets:
+                name, lift = "family", _family_runs
+            elif path in (4, 6) and scn.family_targets:
+                name, lift = "family-sa", _family_runs
+            else:
+                continue
+            clocked(
+                name, lambda: _guarded(name, path, "lift", lambda: lift(scn, grid, tol, name, path))
+            )
 
-    probe_records: list[dict] = []
-    for idx, (name, fn) in enumerate(scn.probes):
-        start = time.perf_counter()
-        rng = np.random.default_rng(seed + 1000 + idx)
-        probe_records.extend(
-            _guarded(name, None, "probe", lambda: [run_record(name, None, "probe", checks=fn(rng))])
-        )
-        timings[f"probe:{name}"] = time.perf_counter() - start
+        probe_records: list[dict] = []
+        for idx, (name, fn) in enumerate(scn.probes):
+            start = time.perf_counter()
+            rng = np.random.default_rng(seed + 1000 + idx)
+            probe_records.extend(
+                _guarded(name, None, "probe", lambda: [run_record(name, None, "probe", checks=fn(rng))])
+            )
+            timings[f"probe:{name}"] = time.perf_counter() - start
 
     return build_report(
         scn.id,

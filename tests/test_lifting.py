@@ -18,7 +18,9 @@ from idemlift.errors import (
     AmbiguousSign,
     EnclosureFailed,
     HalfInSpectrum,
+    NotInvertible,
     ParameterError,
+    QuadratureNotConverged,
     SectionInvalid,
 )
 from idemlift.families import ElementFamily, HomFamily, Section, constant_family
@@ -540,6 +542,63 @@ def test_ortho_step_records_predecessor_failures_apart():
     _, traces = lift_family(pi, targets, secs, SPLIT_GRID)
     keys = [sorted(trace.points[-1].defects) for trace in traces]
     assert keys == [["enclosure"], ["predecessor"], ["predecessor"]]
+
+
+def _failing_after(monkeypatch, name: str, exc: Exception, spared: int = 0) -> None:
+    """Make lifting's ``name`` raise ``exc`` on every call after the
+    first ``spared`` ones."""
+    real, calls = getattr(lifting, name), []
+
+    def fake(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > spared:
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lifting, name, fake)
+
+
+@pytest.mark.parametrize(
+    "exc, key",
+    [
+        (NotInvertible("resolvent refused"), "not-invertible"),
+        (QuadratureNotConverged("no convergence"), "quadrature-not-converged"),
+    ],
+)
+@pytest.mark.parametrize("path", ["local", "self-adjoint", "orthogonal"])
+def test_a_kernel_error_away_from_the_base_point_invalidates_only_that_point(
+    monkeypatch, exc, key, path
+):
+    # the base point lambda = 0 still ends the lift: nothing can be frozen there
+    pi = dual_pi()
+    q = ElementFamily(M4, rotated_projection)
+    sec = messy_section(pi, q, seed=31)
+    if path == "local":  # its first sqrt_cut freezes the sheet at lambda = 0
+        _failing_after(monkeypatch, "sqrt_cut", exc, spared=1)
+        lift = lambda grid: lift_local(pi, q, sec, grid)
+    elif path == "self-adjoint":
+        _failing_after(monkeypatch, "riesz_projection", exc)
+        lift = lambda grid: lift_local_sa(pi, q, sec, grid)
+    else:
+        _failing_after(monkeypatch, "sqrt_near_one", exc)
+        lift = lambda grid: lift_family(pi, [q], [sec], grid)[1][0]
+    trace = lift((-0.3, 0.2))
+    assert [pt.valid for pt in trace.points] == [False, False]
+    assert all(pt.defects == {key: math.inf} for pt in trace.points)
+    with pytest.raises(type(exc)):
+        lift((-0.3, 0.0, 0.2))
+
+
+def test_a_lifted_family_raises_enclosure_failed_where_a_kernel_error_struck(monkeypatch):
+    pi = dual_pi()
+    q = ElementFamily(M4, rotated_projection)
+    sec = messy_section(pi, q, seed=31)
+    fams, traces = lift_family(pi, [q], [sec], (0.0, 0.2))
+    assert all(pt.valid for pt in traces[0].points)
+    _failing_after(monkeypatch, "sqrt_near_one", NotInvertible("resolvent refused"))
+    with pytest.raises(EnclosureFailed, match="not-invertible"):
+        fams[0](0.3)  # off the grid: the step's kernel runs and raises
+    assert fams[0](0.2) is traces[0].point(0.2).p
 
 
 def test_family_orthogonality_record_fails_on_invalid_rows():

@@ -1,14 +1,17 @@
 """Scenario builders, the verification driver, and report integrity."""
 
+import collections
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from idemlift import families, scenarios
 from idemlift.algebra import alg_exp
-from idemlift.errors import UnknownScenario
-from idemlift.families import Section
+from idemlift.errors import EnclosureFailed, UnknownScenario
+from idemlift.families import ElementFamily, Section
+from idemlift.lifting import lift_family
 from idemlift.report import report_passed
 from idemlift.scenarios import (
     build_block_testbed,
@@ -17,6 +20,7 @@ from idemlift.scenarios import (
     list_scenarios,
     run_verification,
 )
+from oracles import eigenprojection_near, random_split_spectrum_matrix
 
 SMALL_GRID = tuple(np.linspace(-0.4, 0.4, 3))
 
@@ -199,3 +203,102 @@ def test_trivial_lift_outside_the_family_radius_is_an_error_record():
     assert [r["name"] for r in trivial] == ["trivial-0", "trivial-1"]
     assert all(r["error"].startswith("OutOfRadius") for r in trivial)
     assert not rep["passed"]
+
+
+def test_one_bad_lambda_leaves_the_rest_of_the_family_run():
+    # at lambda = 1.5 the radical Neumann series of sqrt_near_one cannot
+    # be certified (NotInvertible); the run keeps every other point
+    grid = tuple(np.linspace(-2.0, 2.0, 9))
+    rep = run_verification(build_scenario("example2"), grid=grid, seed=0)
+    step = next(r for r in rep["runs"] if r["name"] == "family-step-0")
+    assert step["error"] is None and len(step["rows"]) == len(grid)
+    rows = {row["lambda"][0]: row for row in step["rows"]}
+    assert rows[1.5]["defects"] == {"not-invertible": None}
+    assert not rows[2.0]["valid"]
+    assert all(rows[lam]["valid"] for lam in (-2.0, -1.0, 0.0, 0.5, 1.0))
+    covers = next(c for c in step["checks"] if c["name"] == "validity-covers-grid")
+    assert not covers["passed"]
+    assert "family-step-0" in rep["failures"]
+
+    scn = build_scenario("example2")
+    fams, _ = lift_family(scn.pi, scn.family_targets, scn.family_sections, grid)
+    with pytest.raises(EnclosureFailed, match="not-invertible"):
+        fams[0](1.5)
+
+
+def test_sign_function_oracle_matches_eigenprojections():
+    # the error of any projector scales with its norm, the condition of
+    # the spectral split
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        for n in (2, 3, 5, 8):
+            mat = random_split_spectrum_matrix(rng, n)
+            want = eigenprojection_near(mat, 1.0, 0.5)
+            got = scenarios._dense_projection(mat, 1.0, 0.5)
+            assert np.linalg.norm(got - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
+
+
+def test_sign_function_oracle_refuses_what_it_cannot_split(monkeypatch):
+    with pytest.raises(np.linalg.LinAlgError):  # singular Cayley step
+        scenarios._dense_projection(np.diag([0.5, 2.0]), 0.0, 0.5)
+    with pytest.raises(np.linalg.LinAlgError):  # 0.5j on the circle
+        scenarios._dense_projection(np.diag([0.5j, 2.0]), 0.0, 0.5)
+    on_circle = np.diag([1.0 + 0.45j, 0.0])
+    rec = scenarios._oracle_check("dense-projection-oracle", [(on_circle, np.eye(2))])
+    assert not rec["passed"] and rec["required"] and rec["value"] is None
+    assert "did not converge" in rec["note"]
+
+    monkeypatch.setattr(scenarios, "_SIGN_STEPS", 1)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge in 1 steps"):
+        scenarios._dense_projection(np.diag([1.1, 0.1]), 1.0, 0.45)
+
+
+@pytest.mark.parametrize(
+    "sid, run, check",
+    [
+        ("block-testbed", "local", "dense-projection-oracle"),
+        ("example3", "family-orthogonality", "matrix-component-oracle"),
+    ],
+)
+def test_an_oracle_that_gives_up_fails_its_check_not_the_run(monkeypatch, sid, run, check):
+    monkeypatch.setattr(scenarios, "_SIGN_STEPS", 1)
+    rep = run_verification(build_scenario(sid), grid=SMALL_GRID, seed=0)
+    record = next(r for r in rep["runs"] if r["name"] == run)
+    assert record["error"] is None
+    rec = next(c for c in record["checks"] if c["name"] == check)
+    assert not rec["passed"] and rec["required"] and "did not converge" in rec["note"]
+    assert run in rep["failures"]
+
+
+def _counting(scn, calls):
+    """``scn`` with its local target and section counting their
+    evaluations in ``calls``, by (name, lambda)."""
+
+    def counted(name, evaluator):
+        def run(lam):
+            calls[name, lam] += 1
+            return evaluator(lam)
+
+        return run
+
+    q = scn.local_target
+    target = ElementFamily(q.algebra, counted("target", q.evaluator))
+    sec = Section(scn.pi, target, counted("section", scn.local_section.evaluator))
+    return dataclasses.replace(scn, local_target=target, local_section=sec)
+
+
+def test_each_value_is_computed_once_per_run_and_never_kept():
+    calls = collections.Counter()
+    scn = _counting(build_scenario("dual-testbed"), calls)
+    run_verification(scn, grid=SMALL_GRID, seed=0)
+    assert {name for name, _ in calls} == {"target", "section"}
+    assert set(calls.values()) == {1}
+    assert families._MEMO.get() is None
+
+    run_verification(scn, grid=SMALL_GRID, seed=0)  # a second run computes afresh
+    assert set(calls.values()) == {2}
+
+    before = calls["target", 0.4]
+    scn.local_target(0.4)
+    scn.local_target(0.4)  # outside a run nothing is stored
+    assert calls["target", 0.4] == before + 2
