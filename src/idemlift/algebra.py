@@ -25,7 +25,8 @@ Seven algebra kinds are implemented:
     it drops (degrees ``D+1 .. 2D``) goes into the tail, rounded up.
 ``unitization``
     A unit adjoined to a radical algebra; the norm is the l1 sum and every
-    spectrum is the singleton of the adjoined scalar.
+    spectrum is the singleton of the adjoined scalar.  Its inverses and its
+    contour sums are one Neumann series with one tail certificate.
 ``product``
     Finite direct products with the max norm and componentwise operations.
 
@@ -33,14 +34,17 @@ Elements are immutable values tied to their owning algebra; all operations
 are pure functions.  An element's operators and its methods (``norm``,
 ``inverse``, ``adjoint``, ``spectrum``) are the one function API: the only
 module-level function is ``alg_exp``.  The array-payload kinds (matrix,
-block-triangular, convolution) take norms of whole payload stacks with one
-kernel, ``_norms``; the matrix and convolution products broadcast over
-leading axes, which is what the series kind's batched product builds on.
+block-triangular, convolution) share one private base, ``_ArrayAlgebra``:
+numpy's linear arithmetic and a shape-checked ``wrap``.  They take norms of
+whole payload stacks with one kernel, ``_norms``; the matrix and convolution
+products broadcast over leading axes, which is what the series kind's
+batched product builds on.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
@@ -103,6 +107,12 @@ def _checked_inv(stack: np.ndarray, message: str) -> np.ndarray:
             f"{message}: condition bound {bound.max():.3e} exceeds {CONDITION_LIMIT:.1e}"
         )
     return inv.reshape(stack.shape)
+
+
+def _resolvents(p: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """``(z - p)^-1`` for each ``z`` of ``zs``: a stack of matrices."""
+    stack = zs[:, None, None] * np.eye(p.shape[-1]) - p[None, :, :]
+    return _checked_inv(stack, "resolvent point too close to the spectrum")
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +365,26 @@ class BanachAlgebra:
         return self.wrap(self._random(rng, float(scale)))
 
     def resolvent_batch(self, x: Element, zs: Sequence[complex]) -> list[Element]:
-        """Resolvents ``(z - x)^-1`` for each ``z``; subclasses may batch."""
-        one = self.one()
-        return [self.inverse(self.add(self.scale(z, one), self.neg(x))) for z in zs]
+        """Resolvents ``(z - x)^-1``, one element per ``z``: the hook of the
+        generic ``resolvent_integral``, for the kinds that do not override it."""
+        raise ParameterError(f"{self.kind} algebra has no resolvent batch")
 
     def resolvent_integral(
         self, x: Element, zs: Sequence[complex], weights: Sequence[complex]
     ) -> Element:
-        """``sum_k weights[k] * (zs[k] - x)^-1``; subclasses may contract
-        the weights before building any element."""
-        return self.weighted_sum(self.resolvent_batch(x, zs), weights)
+        """``sum_k weights[k] * (zs[k] - x)^-1``: the resolvent batch,
+        weighted and summed pairwise in node order.  Kinds that can contract
+        the weights before building any element override this."""
+        batch = self.resolvent_batch(x, zs)
+        terms = [self._scale(complex(w), self._own(r)) for r, w in zip(batch, weights)]
+        if not terms:
+            return self.zero()
+        while len(terms) > 1:
+            terms = [
+                self._add(terms[i], terms[i + 1]) if i + 1 < len(terms) else terms[i]
+                for i in range(0, len(terms), 2)
+            ]
+        return self.wrap(terms[0])
 
     def _untailed(self, p):
         """``p`` without its carried tail bound (``p`` where there is none)."""
@@ -376,19 +396,6 @@ class BanachAlgebra:
         if t <= 0.0:
             return x
         return None
-
-    def weighted_sum(self, elems: Sequence[Element], coeffs: Sequence[complex]) -> Element:
-        """``sum_k coeffs[k] * elems[k]`` by pairwise summation in input order."""
-        terms = [self._scale(complex(c), self._own(e)) for e, c in zip(elems, coeffs)]
-        if not terms:
-            return self.zero()
-        while len(terms) > 1:
-            nxt = [
-                self._add(terms[i], terms[i + 1]) if i + 1 < len(terms) else terms[i]
-                for i in range(0, len(terms), 2)
-            ]
-            terms = nxt
-        return self.wrap(terms[0])
 
     def probe_basis(self) -> list[Element]:
         """Finite spanning family used for operator-norm sweeps."""
@@ -434,8 +441,38 @@ def _eigvals(mat: np.ndarray) -> np.ndarray:
         raise ParameterError(f"eigenvalues failed: {exc}") from exc
 
 
+class _ArrayAlgebra(BanachAlgebra):
+    """The kinds whose payload is one complex array of a fixed ``shape``
+    (matrix, block-triangular, convolution): their linear arithmetic is
+    numpy's, and ``wrap`` refuses a payload of any other shape."""
+
+    def _zero(self):
+        return np.zeros(self.shape, dtype=complex)
+
+    def _add(self, p, q):
+        return p + q
+
+    def _neg(self, p):
+        return -p
+
+    def _scale(self, c, p):
+        return c * p
+
+    def wrap(self, payload) -> Element:
+        arr = np.asarray(payload, dtype=complex)
+        if arr.shape != self.shape:
+            raise ParameterError(
+                f"{self.kind} payload must have shape {self.shape}, got {arr.shape}"
+            )
+        return Element(self, arr)
+
+    def probe_basis(self) -> list[Element]:
+        units = np.eye(math.prod(self.shape), dtype=complex).reshape((-1, *self.shape))
+        return [self.wrap(u) for u in units]
+
+
 @dataclass(frozen=True)
-class MatrixAlgebra(BanachAlgebra):
+class MatrixAlgebra(_ArrayAlgebra):
     """Full matrix algebra M_n with the operator 2-norm."""
 
     n: int
@@ -447,6 +484,10 @@ class MatrixAlgebra(BanachAlgebra):
             raise ParameterError("matrix size must be >= 1")
 
     @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    @property
     def has_involution(self) -> bool:
         return True
 
@@ -454,20 +495,8 @@ class MatrixAlgebra(BanachAlgebra):
     def involution_bound(self) -> float:
         return 1.0
 
-    def _zero(self):
-        return np.zeros((self.n, self.n), dtype=complex)
-
     def _one(self):
         return np.eye(self.n, dtype=complex)
-
-    def _add(self, p, q):
-        return p + q
-
-    def _neg(self, p):
-        return -p
-
-    def _scale(self, c, p):
-        return c * p
 
     def _mul(self, p, q):
         return p @ q
@@ -488,47 +517,21 @@ class MatrixAlgebra(BanachAlgebra):
         m = rng.standard_normal((self.n, self.n)) + 1j * rng.standard_normal((self.n, self.n))
         return scale * m / np.sqrt(2.0 * self.n)
 
-    def wrap(self, payload) -> Element:
-        mat = np.asarray(payload, dtype=complex)
-        if mat.shape != (self.n, self.n):
-            raise ParameterError(
-                f"expected a {self.n}x{self.n} matrix, got shape {mat.shape}"
-            )
-        return Element(self, mat)
-
-    def _resolvents(self, p, zs: np.ndarray) -> np.ndarray:
-        stack = zs[:, None, None] * np.eye(self.n) - p[None, :, :]
-        return _checked_inv(stack, "resolvent point too close to the spectrum")
-
     def resolvent_batch(self, x: Element, zs: Sequence[complex]) -> list[Element]:
-        inv = self._resolvents(self._own(x), np.asarray(list(zs), dtype=complex))
+        inv = _resolvents(self._own(x), np.asarray(list(zs), dtype=complex))
         return [self.wrap(r) for r in inv]
 
     def resolvent_integral(self, x, zs, weights):
         """In blocks of RESOLVENT_BLOCK_BYTES, so memory does not grow with the
-        node count; summed on from the running total, in ``weighted_sum``'s order."""
+        node count; each block is summed by numpy onto the running total."""
         p = self._own(x)
         zs, ws = np.asarray(list(zs), dtype=complex), np.asarray(list(weights), dtype=complex)
         step = max(1, RESOLVENT_BLOCK_BYTES // (16 * self.n * self.n))
         total = np.zeros((0, self.n, self.n), dtype=complex)
         for lo in range(0, len(zs), step):
-            terms = ws[lo : lo + step, None, None] * self._resolvents(p, zs[lo : lo + step])
+            terms = ws[lo : lo + step, None, None] * _resolvents(p, zs[lo : lo + step])
             total = np.sum(np.concatenate((total, terms)), axis=0, keepdims=True)
         return self.wrap(total[0] if len(total) else self._zero())
-
-    def weighted_sum(self, elems, coeffs):
-        stack = np.stack([self._own(e) for e in elems])
-        cs = np.asarray(list(coeffs), dtype=complex)
-        return self.wrap(np.sum(cs[:, None, None] * stack, axis=0))
-
-    def probe_basis(self) -> list[Element]:
-        out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                m = np.zeros((self.n, self.n), dtype=complex)
-                m[i, j] = 1.0
-                out.append(self.wrap(m))
-        return out
 
     def matrix_representation(self, x: Element) -> np.ndarray:
         return np.array(self._own(x), dtype=complex)
@@ -643,7 +646,7 @@ class DualAlgebra(BanachAlgebra):
 
 
 @dataclass(frozen=True)
-class BlockTriangularAlgebra(BanachAlgebra):
+class BlockTriangularAlgebra(_ArrayAlgebra):
     """2x2 block upper triangular complex matrices, sizes ``(k, m)``.
 
     The strictly upper block is a square-zero two-sided ideal.  Conjugate
@@ -663,26 +666,12 @@ class BlockTriangularAlgebra(BanachAlgebra):
     def size(self) -> int:
         return self.k + self.m
 
-    def _check(self, p):
-        low = p[self.k :, : self.k]
-        if np.any(low != 0):
-            raise ParameterError("lower-left block must be exactly zero")
-        return p
-
-    def _zero(self):
-        return np.zeros((self.size, self.size), dtype=complex)
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.size, self.size)
 
     def _one(self):
         return np.eye(self.size, dtype=complex)
-
-    def _add(self, p, q):
-        return p + q
-
-    def _neg(self, p):
-        return -p
-
-    def _scale(self, c, p):
-        return c * p
 
     def _mul(self, p, q):
         out = p @ q
@@ -715,27 +704,19 @@ class BlockTriangularAlgebra(BanachAlgebra):
         return scale * p / np.sqrt(2.0 * n)
 
     def wrap(self, payload) -> Element:
-        return Element(self, self._check(np.asarray(payload, dtype=complex)))
+        elem = super().wrap(payload)
+        if np.any(elem.payload[self.k :, : self.k] != 0):
+            raise ParameterError("lower-left block must be exactly zero")
+        return elem
 
     def resolvent_batch(self, x: Element, zs: Sequence[complex]) -> list[Element]:
-        p = self._own(x)
-        zs = np.asarray(list(zs), dtype=complex)
-        stack = zs[:, None, None] * np.eye(self.size) - p[None, :, :]
-        inv = _checked_inv(stack, "resolvent point too close to the spectrum")
+        inv = _resolvents(self._own(x), np.asarray(list(zs), dtype=complex))
         inv[:, self.k :, : self.k] = 0.0
-        return [self.wrap(inv[j]) for j in range(len(zs))]
+        return [self.wrap(r) for r in inv]
 
     def probe_basis(self) -> list[Element]:
-        out = []
-        n = self.size
-        for i in range(n):
-            for j in range(n):
-                if i >= self.k and j < self.k:
-                    continue
-                m = np.zeros((n, n), dtype=complex)
-                m[i, j] = 1.0
-                out.append(self.wrap(m))
-        return out
+        units = np.eye(self.size**2, dtype=complex).reshape(-1, self.size, self.size)
+        return [self.wrap(u) for u in units if not u[self.k :, : self.k].any()]
 
     def matrix_representation(self, x: Element) -> np.ndarray:
         return np.array(self._own(x), dtype=complex)
@@ -757,7 +738,7 @@ def _toeplitz_index(m: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConvolutionAlgebra(BanachAlgebra):
+class ConvolutionAlgebra(_ArrayAlgebra):
     """Volterra convolution ``(f*g)(t) = int_0^t f(s) g(t-s) ds`` on a grid.
 
     Functions are stored by their samples at the left endpoints
@@ -798,17 +779,9 @@ class ConvolutionAlgebra(BanachAlgebra):
     def grid(self) -> np.ndarray:
         return np.arange(self.n_grid - 1) / self.n_grid
 
-    def _zero(self):
-        return np.zeros(self.n_grid - 1, dtype=complex)
-
-    def _add(self, p, q):
-        return p + q
-
-    def _neg(self, p):
-        return -p
-
-    def _scale(self, c, p):
-        return c * p
+    @property
+    def shape(self) -> tuple[int]:
+        return (self.n_grid - 1,)
 
     def _mul(self, p, q):
         """``T_p q`` with ``T_p`` the strictly lower triangular Toeplitz
@@ -835,20 +808,6 @@ class ConvolutionAlgebra(BanachAlgebra):
 
     def sample(self, func: Callable[[float], complex]) -> Element:
         return self.wrap(np.array([func(t) for t in self.grid], dtype=complex))
-
-    def wrap(self, payload) -> Element:
-        arr = np.asarray(payload, dtype=complex)
-        if arr.shape != (self.n_grid - 1,):
-            raise ParameterError(f"need {self.n_grid - 1} samples")
-        return Element(self, arr)
-
-    def probe_basis(self) -> list[Element]:
-        out = []
-        for l in range(self.n_grid - 1):
-            v = np.zeros(self.n_grid - 1, dtype=complex)
-            v[l] = 1.0
-            out.append(self.wrap(v))
-        return out
 
     def matrix_representation(self, x: Element) -> np.ndarray:
         """Strictly lower triangular Toeplitz multiplication operator."""
@@ -925,7 +884,7 @@ class WienerAlgebra(BanachAlgebra):
         return self.base.involution_bound
 
     def _zero(self):
-        shape = (self.degree + 1,) + self.base._zero().shape
+        shape = (self.degree + 1,) + self.base.shape
         return _WienerPayload(np.zeros(shape, dtype=complex), 0.0)
 
     def _one(self):
@@ -1168,49 +1127,41 @@ class UnitizationAlgebra(BanachAlgebra):
         return self.base._norm(p[0]) + abs(p[1])
 
     def _inverse(self, p):
-        f, c = p
-        if abs(c) < 1e-300:
+        if abs(p[1]) < 1e-300:
             raise NotInvertible("scalar part is zero")
-        b = self.base
-        u = b._scale(1.0 / c, f)
-        cap = self.base.nilpotency_index
-        # v = sum_{k>=1} (-u)^k, exact once powers of u vanish
-        term = b._neg(u)
-        v = term
-        exact = b._norm(term) == 0.0
-        for _ in range(cap - 1):
-            if exact:
-                break
-            term = b._neg(b._mul(u, term))
-            if b._norm(term) == 0.0:
-                exact = True
-                break
-            v = b._add(v, term)
-        if not exact:
-            # tails kept the powers from vanishing; certify the cut series
-            r = b._norm(u)
-            if r >= 1.0:
-                raise NotInvertible(
-                    "radical Neumann series cannot be certified at this norm"
-                )
-            bumped = b.add_tail(b.wrap(v), b._norm(term) * r / (1.0 - r))
-            if bumped is None:
-                raise NotInvertible(
-                    "no tail channel to carry the Neumann remainder"
-                )
-            v = b._own(bumped)
-        return (b._scale(1.0 / c, v), 1.0 / c)
+        # x^-1 = -(0 - x)^-1: the one-node resolvent integral at z = 0
+        return self._neg(self._own(self.resolvent_integral(self.wrap(p), [0j], [1.0])))
 
     def resolvent_integral(self, x, zs, weights):
-        """Contract the quadrature weights before building any element.
+        """The one radical Neumann series of this algebra; ``inverse`` is
+        its negated one-node call at z = 0.
 
         ``(z - x)^{-1} = sum_n f^n / (z - c)^{n+1}`` for ``x = f + c``, so
-        the integral is ``sum_n s_n f^n`` with the scalars
-        ``s_n = sum_k w_k (z_k - c)^{-(n+1)}``: the powers of ``f`` are
-        computed once and summed once.  The certified tail is the one the
-        per-node sum would carry, ``sum_n t_n tail(f^n) + sum_k |w_k| bump_k``
-        with ``t_n = sum_k |w_k| |z_k - c|^{-(n+1)}`` and ``bump_k`` the
-        cut-off Neumann remainder at node k, certified as in ``_inverse``.
+        the integral is ``sum_n s_n f^n`` with ``s_n = sum_k w_k
+        (z_k - c)^{-(n+1)}``: the powers of ``f`` are computed and summed
+        once.  The series is exact when a power ``f^{N+1}`` has norm 0;
+        otherwise it is cut after ``nilpotency_index`` powers, and every
+        node needs ``r_k = ||f|| / |z_k - c| < 1``.  Node k certifies the
+        terms ``|w_k| |z_k - c|^{-(n+1)} tail(f^n)``, n = 1..N, plus for a
+        cut series ``|w_k| ||f^{N+1}|| |z_k - c|^{-(N+2)} / (1 - r_k)``.
+
+        Rounding (Higham, *Accuracy and Stability of Numerical Algorithms*,
+        Lemma 3.1 and ch. 4; u = 2^-53, gamma_m = mu/(1 - mu); norms and
+        tails are taken as given): ``|z_k - c|`` is within 3 roundings (the
+        subtraction, ``hypot``'s ulp), its reciprocal's running powers
+        within gamma_{5n+4}, and a term, after ``|w_k|`` and two products,
+        within gamma_{5N+13}; the gap ``1 - r_k`` is formed from ``r_k``
+        rounded up by ``2^-50 > gamma_4``, and with it and the division a
+        remainder is within gamma_{5N+15}.  A node's ``math.fsum`` and its
+        round-up product round once each, so ``1 + (N + 4) 2^-50 =
+        1 + (8N + 32)u`` covers the 5N + 17 roundings of its certificate.
+        Summing K nodes recursively would add up to gamma_{K-1} (ch. 4);
+        their ``math.fsum`` rounds once and takes the same N-only round-up
+        (one node's certificate is the tail as it stands).  So a tail
+        certified in one call or in several agrees up to the additions
+        between calls, and the factor's slack keeps it above a node-by-node
+        floating sum of one-node certificates, whose rounding is of order
+        sqrt(K) u.
         """
         b = self.base
         f, c = self._own(x)
@@ -1228,23 +1179,25 @@ class UnitizationAlgebra(BanachAlgebra):
                 break
             powers.append(term)
             term = b._mul(term, f)
-        # row n holds (z_k - c)^-(n+1), the weight of f^n at node k
-        inv = np.cumprod(np.broadcast_to(1.0 / ds, (len(powers) + 1, len(ds))), axis=0)
-        tails = np.array([b.tail_bound(b.wrap(p)) for p in powers])
-        tail = float((np.abs(inv[1:]) @ np.abs(ws)) @ tails)
+        n = len(powers)
+        # row j holds (z_k - c)^-(j+1), the weight of f^j at node k
+        inv = np.cumprod(np.broadcast_to(1.0 / ds, (n + 1, len(ds))), axis=0)
+        # row j holds |w_k| |z_k - c|^-(j+1); row n + 1 is the remainder's
+        mags = np.abs(ws) * np.cumprod(np.broadcast_to(1.0 / np.abs(ds), (n + 2, len(ds))), axis=0)
+        terms = mags[1 : n + 1] * np.array([b.tail_bound(b.wrap(q)) for q in powers])[:, None]
         if not exact:
-            r = b._norm(f) / np.abs(ds)
+            r = b._norm(f) / np.abs(ds) * (1.0 + 2.0**-50)
             if np.any(r >= 1.0):
                 raise NotInvertible(
                     "radical Neumann series cannot be certified at this norm"
                 )
-            bump = b._norm(term) / (np.abs(ds) ** (len(powers) + 2) * (1.0 - r))
-            tail += float(np.abs(ws) @ bump)
-        # round up past the rounding error of these sums of nonnegative
-        # terms, so that the certificate does not rest on their order
-        tail *= 1.0 + (len(ds) + len(powers) + 4) * 2.0**-50
-        stored = [b.wrap(b._untailed(p)) for p in powers]
-        rad = b.add_tail(b.weighted_sum(stored, inv[1:] @ ws), tail)
+            terms = np.vstack((terms, mags[n + 1] * b._norm(term) / (1.0 - r)))
+        up = 1.0 + (n + 4) * 2.0**-50
+        nodes = [math.fsum(col) * up for col in terms.T.tolist()]
+        tail = nodes[0] if len(nodes) == 1 else math.fsum(nodes) * up
+        scaled = [b._scale(complex(s), b._untailed(q)) for s, q in zip(inv[1:] @ ws, powers)]
+        stored = functools.reduce(b._add, scaled) if scaled else b._zero()
+        rad = b.add_tail(b.wrap(stored), tail)
         if rad is None:
             raise NotInvertible("no tail channel to carry the Neumann remainder")
         return self.wrap((b._own(rad), complex(ws @ inv[0])))

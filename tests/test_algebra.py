@@ -204,6 +204,24 @@ def test_block_triangular_inverse_keeps_structure() -> None:
     assert (x * xi - alg.one()).norm() <= 1e-12
 
 
+def test_array_kinds_refuse_payloads_of_another_shape() -> None:
+    """One shape-checked wrap for the array kinds; block-triangular adds
+    only its lower-left check."""
+    cases = (
+        (il.MatrixAlgebra(2), np.eye(3)),
+        (il.BlockTriangularAlgebra(2, 2), np.eye(3)),
+        (il.BlockTriangularAlgebra(2, 2), np.eye(4).ravel()),
+        (il.ConvolutionAlgebra(8), np.zeros(8)),
+    )
+    for alg, payload in cases:
+        with pytest.raises(ParameterError, match=f"{alg.kind} payload must have shape"):
+            alg.wrap(payload)
+    low = np.eye(4, dtype=complex)
+    low[3, 0] = 1.0
+    with pytest.raises(ParameterError, match="lower-left block"):
+        il.BlockTriangularAlgebra(2, 2).wrap(low)
+
+
 def test_convolution_product_matches_integral_of_one() -> None:
     """f = g = 1 convolves to (f*g)(t) = t on the grid, exactly."""
     alg = il.ConvolutionAlgebra(4)
@@ -379,7 +397,7 @@ def test_resolvent_integral_matches_per_node_sum() -> None:
     mat = il.MatrixAlgebra(2).wrap(np.array([[0.25, 0.1], [0.0, 0.1 + 0.05j]]))
     for alg, el in ((up, x), (exact, y), (prod, prod.from_components(x, mat))):
         got = alg.resolvent_integral(el, zs, ws)
-        ref = alg.weighted_sum([alg.inverse(z * alg.one() - el) for z in zs], ws)
+        ref = sum((complex(w) * alg.inverse(z * alg.one() - el) for z, w in zip(zs, ws)), alg.zero())
         gap = got - ref
         assert gap.norm() - alg.tail_bound(gap) <= 1e-12, alg.kind
         # the same certified bound, rounded up, never below the reference
@@ -398,6 +416,39 @@ def test_resolvent_integral_refuses_uncertified_nodes() -> None:
         up.resolvent_integral(x, np.append(zs, near), np.append(ws, 1.0))
 
 
+def test_unitization_inverse_is_the_negated_resolvent_at_zero() -> None:
+    """One Neumann series: a tailed and an exact element, bit for bit."""
+    up, f, c, _, _ = _series_resolvent_case(83)
+    conv = il.ConvolutionAlgebra(10)
+    exact = il.UnitizationAlgebra(conv)
+    y = exact.from_parts(conv.random_element(np.random.default_rng(7), 0.3), c)
+    for alg, el in ((up, up.from_parts(f, c)), (exact, y)):
+        inv = alg.inverse(el)
+        ref = -(alg.resolvent_integral(el, [0], [1]))
+        rad, ref_rad = alg.radical_part(inv).payload, alg.radical_part(ref).payload
+        if alg is up:
+            rad, ref_rad = rad.coeffs, ref_rad.coeffs
+        assert rad.tobytes() == ref_rad.tobytes(), alg.base.kind
+        assert alg.scalar_part(inv) == alg.scalar_part(ref)
+        assert alg.tail_bound(inv) == alg.tail_bound(ref)
+    assert up.tail_bound(up.inverse(up.from_parts(f, c))) > 0.0
+    with pytest.raises(NotInvertible, match="scalar part is zero"):
+        up.inverse(up.from_parts(f, 0.0))
+
+
+def test_certified_tail_does_not_depend_on_batching() -> None:
+    """The same nodes certified in one call and in two calls."""
+    for seed in (71, 73, 89):
+        up, f, c, zs, ws = _series_resolvent_case(seed)
+        x = up.from_parts(f, c)
+        one = up.tail_bound(up.resolvent_integral(x, zs, ws))
+        for cut in (2, 9, 17):
+            two = up.resolvent_integral(x, zs[:cut], ws[:cut]) + up.resolvent_integral(
+                x, zs[cut:], ws[cut:]
+            )
+            assert abs(up.tail_bound(two) / one - 1.0) <= 1e-15, (seed, cut)
+
+
 def test_matrix_resolvent_integral_in_blocks_equals_default_path() -> None:
     alg = il.MatrixAlgebra(16)  # 16 nodes per block of RESOLVENT_BLOCK_BYTES
     rng = np.random.default_rng(79)
@@ -406,7 +457,8 @@ def test_matrix_resolvent_integral_in_blocks_equals_default_path() -> None:
         zs = 2.0 * np.exp(2j * np.pi * (np.arange(k) + 0.3) / k)
         ws = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         got = alg.resolvent_integral(x, zs, ws).payload
-        ref = alg.weighted_sum(alg.resolvent_batch(x, zs), ws).payload
+        batch = np.stack([r.payload for r in alg.resolvent_batch(x, zs)])
+        ref = np.sum(ws[:, None, None] * batch, axis=0)
         assert got.tobytes() == ref.tobytes(), k
     with pytest.raises(NotInvertible, match="too close to the spectrum"):
         alg.resolvent_integral(x, np.append(zs, x.spectrum().points[0]), np.append(ws, 1.0))

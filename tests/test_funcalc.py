@@ -390,7 +390,7 @@ def test_sqrt_near_one_nested_sum_keeps_the_certified_tail() -> None:
         zs = 0.5 * np.exp(2j * np.pi * np.arange(n) / n)
         ws = np.sqrt(1.0 - zs) * zs / n
         # one-shot sums over the same n nodes: node by node, and fused
-        per_node = up.weighted_sum([up.inverse(z * up.one() - x) for z in zs], ws)
+        per_node = sum((complex(w) * up.inverse(z * up.one() - x) for z, w in zip(zs, ws)), up.zero())
         fused = up.resolvent_integral(x, zs, ws)
         for ref in (per_node, fused):
             ref = 0.5 * ref - 0.5 * up.one()
@@ -400,3 +400,20 @@ def test_sqrt_near_one_nested_sum_keeps_the_certified_tail() -> None:
         # the certificate is never below the per-node one
         assert up.tail_bound(w) >= up.tail_bound(0.5 * per_node - 0.5 * up.one())
     assert n == 128  # the c = 0.25j input carried a sum through two doublings
+
+
+def test_kinds_without_a_resolvent_kernel_are_refused_by_name() -> None:
+    """Only the matrix, dual, block-triangular and unitization kinds, and
+    products of them, integrate resolvents; a series or convolution element
+    is refused with a ParameterError that names its kind."""
+    wien = WienerAlgebra(MatrixAlgebra(1), 2)
+    x = wien.from_scalar_coeffs([0.1, 0.05, 0.02])
+    cd = funcalc.ContourData(circle_polygon(0.1, 0.4), eps=0.1)
+    with pytest.raises(ParameterError, match="wiener-truncated algebra has no resolvent"):
+        funcalc.riesz_projection(x, cd)
+    with pytest.raises(ParameterError, match="wiener-truncated algebra has no resolvent"):
+        funcalc.sqrt_near_one(x)
+    conv = ConvolutionAlgebra(8)
+    y = conv.random_element(np.random.default_rng(47), 0.3)
+    with pytest.raises(ParameterError, match="convolution-discrete algebra has no resolvent"):
+        funcalc.riesz_projection(y, cd)
