@@ -12,8 +12,6 @@ This demo works in a plain matrix algebra where numpy can check every
 claim independently.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from idemlift import (
@@ -81,7 +79,7 @@ print("square root residual ||s^2 - a|| =", (s * s - a).norm())
 
 # There are exactly two sheets and they differ by a global sign; the
 # sheet is part of the contour data.
-s_neg = sqrt_cut(a, cut, replace(gamma, sheet=-1))
+s_neg = sqrt_cut(a, cut, gamma.replace(sheet=-1))
 print("sheet symmetry ||s + s_neg|| =", (s + s_neg).norm())
 
 # --- scalar sanity check -------------------------------------------------
@@ -93,7 +91,7 @@ eps1 = cut1.distance_to_points(rep1.points) / 3.0
 cd1 = ContourData(build_gamma_pair(cut1, eps1, rep1.radius), eps=eps1, branch="cut", cut=cut1)
 print("sqrt(1) on each sheet:",
       sqrt_cut(one, cut1, cd1).payload[0, 0],
-      sqrt_cut(one, cut1, replace(cd1, sheet=-1)).payload[0, 0])
+      sqrt_cut(one, cut1, cd1.replace(sheet=-1)).payload[0, 0])
 
 # --- applying other functions to a spectral component --------------------
 # spectral_component_apply computes g(a) restricted to the enclosed

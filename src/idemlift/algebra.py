@@ -46,7 +46,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -57,6 +56,7 @@ from .errors import (
     NotInvertible,
     ParameterError,
 )
+from .frozen import Frozen
 
 CONDITION_LIMIT = 1e12
 RESOLVENT_BLOCK_BYTES = 1 << 16  # one block of MatrixAlgebra.resolvent_integral
@@ -119,16 +119,18 @@ def _resolvents(p: np.ndarray, zs: np.ndarray) -> np.ndarray:
 # spectrum reports
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Frozen):
     """Finite spectrum description: the points and an exactness flag.
 
     ``exact`` is True when the points enumerate the spectrum up to floating
     point roundoff and False when they merely sample it (wiener kind).
     """
 
-    points: tuple[complex, ...]
-    exact: bool
+    __slots__ = ("points", "exact")
+
+    def __init__(self, points: tuple[complex, ...], exact: bool):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "exact", exact)
 
     @property
     def radius(self) -> float:
@@ -244,14 +246,16 @@ class Element:
 # algebra base class
 
 
-class BanachAlgebra:
+class BanachAlgebra(Frozen):
     """Common interface of the concrete algebra kinds.
 
     Subclasses implement the payload-level hooks (``_add``, ``_mul``, ...);
     the public methods wrap payloads in :class:`Element` and validate
-    ownership.
+    ownership.  Each kind is a :class:`~idemlift.frozen.Frozen` record of
+    its parameters: two algebras built alike compare and hash equal.
     """
 
+    __slots__ = ()
     kind: str = "abstract"
 
     # structural flags, overridden where appropriate
@@ -446,6 +450,8 @@ class _ArrayAlgebra(BanachAlgebra):
     (matrix, block-triangular, convolution): their linear arithmetic is
     numpy's, and ``wrap`` refuses a payload of any other shape."""
 
+    __slots__ = ()
+
     def _zero(self):
         return np.zeros(self.shape, dtype=complex)
 
@@ -471,13 +477,15 @@ class _ArrayAlgebra(BanachAlgebra):
         return [self.wrap(u) for u in units]
 
 
-@dataclass(frozen=True)
 class MatrixAlgebra(_ArrayAlgebra):
     """Full matrix algebra M_n with the operator 2-norm."""
 
-    n: int
-
+    __slots__ = ("n",)
     kind = "matrix"
+
+    def __init__(self, n: int):
+        object.__setattr__(self, "n", n)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.n < 1:
@@ -541,7 +549,6 @@ class MatrixAlgebra(_ArrayAlgebra):
 # dual numbers over a base algebra
 
 
-@dataclass(frozen=True)
 class DualAlgebra(BanachAlgebra):
     """Elements ``b0 + b1*eps`` with ``eps**2 = 0`` over a base algebra.
 
@@ -550,9 +557,12 @@ class DualAlgebra(BanachAlgebra):
     ``(b0 + b1 eps)^-1 = b0^-1 - b0^-1 b1 b0^-1 eps``.
     """
 
-    base: BanachAlgebra
-
+    __slots__ = ("base",)
     kind = "dual"
+
+    def __init__(self, base: BanachAlgebra):
+        object.__setattr__(self, "base", base)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.base.is_unital:
@@ -645,7 +655,6 @@ class DualAlgebra(BanachAlgebra):
 # block upper triangular algebra
 
 
-@dataclass(frozen=True)
 class BlockTriangularAlgebra(_ArrayAlgebra):
     """2x2 block upper triangular complex matrices, sizes ``(k, m)``.
 
@@ -653,10 +662,13 @@ class BlockTriangularAlgebra(_ArrayAlgebra):
     transposition leaves the subalgebra, so there is no involution.
     """
 
-    k: int
-    m: int
-
+    __slots__ = ("k", "m")
     kind = "block-triangular"
+
+    def __init__(self, k: int, m: int):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m", m)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.k < 1 or self.m < 1:
@@ -737,7 +749,6 @@ def _toeplitz_index(m: int) -> np.ndarray:
     return idx
 
 
-@dataclass(frozen=True)
 class ConvolutionAlgebra(_ArrayAlgebra):
     """Volterra convolution ``(f*g)(t) = int_0^t f(s) g(t-s) ds`` on a grid.
 
@@ -751,9 +762,12 @@ class ConvolutionAlgebra(_ArrayAlgebra):
     The algebra has no unit and every element is nilpotent, hence radical.
     """
 
-    n_grid: int
-
+    __slots__ = ("n_grid",)
     kind = "convolution-discrete"
+
+    def __init__(self, n_grid: int):
+        object.__setattr__(self, "n_grid", n_grid)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.n_grid < 2:
@@ -829,13 +843,14 @@ _SPECTRUM_CIRCLES = 8
 _SPECTRUM_ANGLES = 32
 
 
-@dataclass(frozen=True)
-class _WienerPayload:
-    coeffs: np.ndarray  # shape (degree + 1, *base payload shape)
-    tail: float
+class _WienerPayload(Frozen):
+    __slots__ = ("coeffs", "tail")
+
+    def __init__(self, coeffs: np.ndarray, tail: float):
+        object.__setattr__(self, "coeffs", coeffs)  # shape (degree + 1, *base payload shape)
+        object.__setattr__(self, "tail", tail)
 
 
-@dataclass(frozen=True)
 class WienerAlgebra(BanachAlgebra):
     """Degree-``D`` truncations of power series over a matrix or
     convolution base algebra.
@@ -855,10 +870,13 @@ class WienerAlgebra(BanachAlgebra):
     same Cauchy product, rounded up past the rounding error of that sum.
     """
 
-    base: BanachAlgebra
-    degree: int
-
+    __slots__ = ("base", "degree")
     kind = "wiener-truncated"
+
+    def __init__(self, base: BanachAlgebra, degree: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "degree", degree)
+        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.base, (MatrixAlgebra, ConvolutionAlgebra)):
@@ -1072,7 +1090,6 @@ class WienerAlgebra(BanachAlgebra):
 # unitization of a radical algebra
 
 
-@dataclass(frozen=True)
 class UnitizationAlgebra(BanachAlgebra):
     """Unit adjoined to a radical base algebra: pairs ``f + c*1``.
 
@@ -1081,9 +1098,12 @@ class UnitizationAlgebra(BanachAlgebra):
     ``c != 0``.
     """
 
-    base: BanachAlgebra
-
+    __slots__ = ("base",)
     kind = "unitization"
+
+    def __init__(self, base: BanachAlgebra):
+        object.__setattr__(self, "base", base)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.base.is_radical:
@@ -1240,16 +1260,17 @@ class UnitizationAlgebra(BanachAlgebra):
 # finite products
 
 
-@dataclass(frozen=True)
 class ProductAlgebra(BanachAlgebra):
     """Finite direct product with componentwise operations and max norm."""
 
-    factors: tuple[BanachAlgebra, ...]
-
+    __slots__ = ("factors",)
     kind = "product"
 
+    def __init__(self, factors: Iterable[BanachAlgebra]):
+        object.__setattr__(self, "factors", tuple(factors))
+        self.__post_init__()
+
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
         if len(self.factors) < 1:
             raise ParameterError("product needs at least one factor")
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every required check passed, 1 when a run or
 hypothesis failed its tolerance, 2 for configuration problems (unknown
-scenario, malformed grid or config file).
+scenario, malformed grid or config file, a tolerance that is not finite
+and nonnegative).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,17 +26,28 @@ ENV_OUT_DIR = "IDEMLIFT_OUT_DIR"
 _CONFIG_KEYS = ("grid", "tol-idem", "tol-lift", "out", "csv", "seed")
 
 
-@dataclass
 class RunConfig:
     """Resolved options for one verification run."""
 
-    scenario: str
-    grid: tuple[float, ...] | None = None
-    tol_idem: float | None = None
-    tol_lift: float | None = None
-    out: str | None = None
-    csv: str | None = None
-    seed: int = 0
+    __slots__ = ("scenario", "grid", "tol_idem", "tol_lift", "out", "csv", "seed")
+
+    def __init__(
+        self,
+        scenario: str,
+        grid: tuple[float, ...] | None = None,
+        tol_idem: float | None = None,
+        tol_lift: float | None = None,
+        out: str | None = None,
+        csv: str | None = None,
+        seed: int = 0,
+    ):
+        self.scenario = scenario
+        self.grid = grid
+        self.tol_idem = tol_idem
+        self.tol_lift = tol_lift
+        self.out = out
+        self.csv = csv
+        self.seed = seed
 
     def tolerance_overrides(self) -> dict[str, float]:
         out: dict[str, float] = {}
@@ -73,6 +84,15 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return tuple(grid)
 
 
+def _parse_tolerance(value: float, name: str) -> float:
+    """``value`` as a tolerance: finite and nonnegative.  An infinite or NaN
+    tolerance would switch its checks off, and a negative one fail every
+    check, so both are configuration errors."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{name} must be finite and nonnegative, got {value!r}")
+    return value
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -104,9 +124,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             if "grid" in raw:
                 cfg.grid = _parse_grid(raw["grid"])
             if "tol-idem" in raw:
-                cfg.tol_idem = float(raw["tol-idem"])
+                cfg.tol_idem = _parse_tolerance(float(raw["tol-idem"]), "tol-idem")
             if "tol-lift" in raw:
-                cfg.tol_lift = float(raw["tol-lift"])
+                cfg.tol_lift = _parse_tolerance(float(raw["tol-lift"]), "tol-lift")
             if "seed" in raw:
                 cfg.seed = int(raw["seed"])
         except ValueError as exc:
@@ -117,9 +137,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.grid is not None:
         cfg.grid = _parse_grid(args.grid)
     if args.tol_idem is not None:
-        cfg.tol_idem = args.tol_idem
+        cfg.tol_idem = _parse_tolerance(args.tol_idem, "--tol-idem")
     if args.tol_lift is not None:
-        cfg.tol_lift = args.tol_lift
+        cfg.tol_lift = _parse_tolerance(args.tol_lift, "--tol-lift")
     if args.out is not None:
         cfg.out = args.out
     if args.csv is not None:

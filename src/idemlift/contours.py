@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateGeometry, ParameterError, SpectrumContainsZero
+from .frozen import Frozen
 
 __all__ = [
     "PolygonalArc",
@@ -84,8 +84,7 @@ def _segments_cross(a: complex, b: complex, c: complex, d: complex) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class PolygonalArc:
+class PolygonalArc(Frozen):
     """Branch cut: the ray from the origin out to infinity in
     ``ray_direction``, normalised to unit length on construction.
 
@@ -93,7 +92,11 @@ class PolygonalArc:
     always leaves a ray free, so a ray is all the lifts need.
     """
 
-    ray_direction: complex
+    __slots__ = ("ray_direction",)
+
+    def __init__(self, ray_direction: complex):
+        object.__setattr__(self, "ray_direction", ray_direction)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         d = complex(self.ray_direction)
@@ -117,11 +120,14 @@ class PolygonalArc:
         return {"ray_direction": [self.ray_direction.real, self.ray_direction.imag]}
 
 
-@dataclass(frozen=True)
-class JordanPolygon:
+class JordanPolygon(Frozen):
     """Simple closed polygon, normalised to counterclockwise orientation."""
 
-    vertices: tuple[complex, ...]
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices: Iterable[complex]):
+        object.__setattr__(self, "vertices", vertices)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         verts = tuple(complex(v) for v in self.vertices)

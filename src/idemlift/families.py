@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .algebra import BanachAlgebra, Element, alg_exp
@@ -29,6 +28,7 @@ from .errors import (
     OutOfRadius,
     ParameterError,
 )
+from .frozen import Frozen
 
 __all__ = [
     "ElementFamily",
@@ -80,13 +80,21 @@ def _evaluate(owner: "ElementFamily | Section", lam: complex, algebra: BanachAlg
     return out
 
 
-@dataclass(frozen=True)
-class ElementFamily:
+class ElementFamily(Frozen):
     """Analytic map lambda -> element of a fixed algebra, around 0."""
 
-    algebra: BanachAlgebra
-    evaluator: Callable[[complex], Element]
-    radius: float = math.inf
+    __slots__ = ("algebra", "evaluator", "radius")
+
+    def __init__(
+        self,
+        algebra: BanachAlgebra,
+        evaluator: Callable[[complex], Element],
+        radius: float = math.inf,
+    ):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "evaluator", evaluator)
+        object.__setattr__(self, "radius", radius)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.radius > 0:
@@ -97,8 +105,7 @@ class ElementFamily:
         return _evaluate(self, lam, self.algebra)
 
 
-@dataclass(frozen=True)
-class HomFamily:
+class HomFamily(Frozen):
     """Analytic family of algebra homomorphisms pi(lambda): A -> B.
 
     ``embed`` (optional) is a pointwise right inverse, which
@@ -112,13 +119,26 @@ class HomFamily:
     for contractive maps.
     """
 
-    source: BanachAlgebra
-    target: BanachAlgebra
-    evaluator: Callable[[complex, Element], Element]
-    embed: Callable[[complex, Element], Element] | None = None
-    radius: float = math.inf
-    star_on_real: bool = False
-    label: str = ""
+    __slots__ = ("source", "target", "evaluator", "embed", "radius", "star_on_real", "label")
+
+    def __init__(
+        self,
+        source: BanachAlgebra,
+        target: BanachAlgebra,
+        evaluator: Callable[[complex, Element], Element],
+        embed: Callable[[complex, Element], Element] | None = None,
+        radius: float = math.inf,
+        star_on_real: bool = False,
+        label: str = "",
+    ):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "evaluator", evaluator)
+        object.__setattr__(self, "embed", embed)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "star_on_real", star_on_real)
+        object.__setattr__(self, "label", label)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.radius > 0:
@@ -132,15 +152,24 @@ class HomFamily:
         return out
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(Frozen):
     """Analytic right inverse: pi(lambda)(section(lambda)) = target(lambda)."""
 
-    pi: HomFamily
-    target: ElementFamily
-    evaluator: Callable[[complex], Element]
-    radius: float = math.inf
-    label: str = ""
+    __slots__ = ("pi", "target", "evaluator", "radius", "label")
+
+    def __init__(
+        self,
+        pi: HomFamily,
+        target: ElementFamily,
+        evaluator: Callable[[complex], Element],
+        radius: float = math.inf,
+        label: str = "",
+    ):
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "evaluator", evaluator)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "label", label)
 
     def __call__(self, lam: complex) -> Element:
         _check_radius(lam, self.radius, "section")

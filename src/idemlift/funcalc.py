@@ -19,7 +19,6 @@ weighted resolvent sum is formed by the algebra's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -36,6 +35,7 @@ from .errors import (
     SpectrumOnContour,
     SpectrumTooLarge,
 )
+from .frozen import Frozen
 
 __all__ = [
     "ContourData",
@@ -56,8 +56,7 @@ _NEAR_ONE_START_NODES = 32
 _BRANCHES = ("none", "cut")
 
 
-@dataclass(frozen=True)
-class ContourData:
+class ContourData(Frozen):
     """A polygon plus everything needed to integrate over it reproducibly.
 
     ``eps`` is the clearance margin the polygon was built with: the
@@ -68,12 +67,24 @@ class ContourData:
     Quadrature starts at ``QUAD_START_NODES`` per edge.
     """
 
-    polygon: JordanPolygon
-    eps: float
-    branch: str = "none"
-    cut: PolygonalArc | None = None
-    sheet: int = 1
-    label: str = ""
+    __slots__ = ("polygon", "eps", "branch", "cut", "sheet", "label")
+
+    def __init__(
+        self,
+        polygon: JordanPolygon,
+        eps: float,
+        branch: str = "none",
+        cut: PolygonalArc | None = None,
+        sheet: int = 1,
+        label: str = "",
+    ):
+        object.__setattr__(self, "polygon", polygon)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "cut", cut)
+        object.__setattr__(self, "sheet", sheet)
+        object.__setattr__(self, "label", label)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.eps <= 0:
@@ -99,8 +110,7 @@ class ContourData:
         return out
 
 
-@dataclass(frozen=True)
-class QuadratureAudit:
+class QuadratureAudit(Frozen):
     """Convergence record of one adaptive contour integration.
 
     ``nodes_per_edge`` is the final node count per polygon edge; on the
@@ -108,9 +118,12 @@ class QuadratureAudit:
     edge, i.e. every node evaluated.
     """
 
-    nodes_per_edge: int
-    delta: float
-    refinements: int
+    __slots__ = ("nodes_per_edge", "delta", "refinements")
+
+    def __init__(self, nodes_per_edge: int, delta: float, refinements: int):
+        object.__setattr__(self, "nodes_per_edge", nodes_per_edge)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "refinements", refinements)
 
     def describe(self) -> dict:
         return {

@@ -21,7 +21,6 @@ step's point is invalid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from .algebra import BanachAlgebra, Element, SpectrumReport
@@ -50,6 +49,7 @@ from .funcalc import (
     sqrt_cut,
     sqrt_near_one,
 )
+from .frozen import Frozen
 
 __all__ = [
     "TOL_IDEM",
@@ -82,8 +82,7 @@ _POINT_ERRORS = (NotInvertible, QuadratureNotConverged)
 # traces
 
 
-@dataclass(frozen=True)
-class LiftPoint:
+class LiftPoint(Frozen):
     """One grid point of a lift.
 
     ``allowances`` carries, per defect, the tail slack of the defect
@@ -93,11 +92,21 @@ class LiftPoint:
     fails every check.
     """
 
-    lam: complex
-    valid: bool
-    defects: dict[str, float] = field(default_factory=dict)
-    elements: dict[str, Element] = field(default_factory=dict)
-    allowances: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("lam", "valid", "defects", "elements", "allowances")
+
+    def __init__(
+        self,
+        lam: complex,
+        valid: bool,
+        defects: dict[str, float] | None = None,
+        elements: dict[str, Element] | None = None,
+        allowances: dict[str, float] | None = None,
+    ):
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "defects", {} if defects is None else defects)
+        object.__setattr__(self, "elements", {} if elements is None else elements)
+        object.__setattr__(self, "allowances", {} if allowances is None else allowances)
 
     @property
     def p(self) -> Element | None:
@@ -118,17 +127,26 @@ def _worst(vals: list[float]) -> float:
     return max(vals)
 
 
-@dataclass(frozen=True)
-class LiftTrace:
+class LiftTrace(Frozen):
     """The grid points of one lift plus what it froze at lambda = 0: the
     contours of the local paths (the local lift's carries its cut and
     branch sheet), the smallness bound ``eps0`` of an orthogonal step."""
 
-    points: tuple[LiftPoint, ...]
-    audits: tuple[QuadratureAudit, ...]
-    contours: tuple[ContourData, ...] = ()
-    eps0: float | None = None
-    label: str = ""
+    __slots__ = ("points", "audits", "contours", "eps0", "label")
+
+    def __init__(
+        self,
+        points: tuple[LiftPoint, ...],
+        audits: tuple[QuadratureAudit, ...],
+        contours: tuple[ContourData, ...] = (),
+        eps0: float | None = None,
+        label: str = "",
+    ):
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "audits", audits)
+        object.__setattr__(self, "contours", contours)
+        object.__setattr__(self, "eps0", eps0)
+        object.__setattr__(self, "label", label)
 
     def point(self, lam: complex) -> LiftPoint:
         for pt in self.points:
@@ -284,7 +302,7 @@ def lift_local(
     s0 = sqrt_cut(y0, P, cd, audit_sink=audits)
     x_plus = -0.5 * one + 0.5 * s0
     x_minus = -0.5 * one - 0.5 * s0
-    cd = replace(cd, sheet=choose_sign((x_plus, x_minus), pi))
+    cd = cd.replace(sheet=choose_sign((x_plus, x_minus), pi))
 
     points: list[LiftPoint] = []
     for lam in grid_pts:

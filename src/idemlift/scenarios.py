@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -46,6 +45,7 @@ from .families import (
     exp_conjugation_family,
     memoised_evaluations,
 )
+from .frozen import Frozen
 from .lifting import (
     TOL_COMM,
     TOL_IDEM,
@@ -78,26 +78,50 @@ _SIGN_STEPS = 50  # Newton steps of the sign-function oracle before it gives up
 _SIGN_ETA = 1e-15  # the roundoff level its stop test aims at
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Frozen):
     """A fully wired verification scenario."""
 
-    id: str
-    source: BanachAlgebra
-    target: BanachAlgebra
-    pi: HomFamily
-    grid: tuple[complex, ...]
-    theorem_paths: tuple[int, ...]
-    expected: str = "lift-succeeds"
-    local_target: ElementFamily | None = None
-    local_section: Section | None = None
-    trivial_targets: tuple[ElementFamily, ...] = ()
-    family_targets: tuple[ElementFamily, ...] = ()
-    family_sections: tuple[Section, ...] = ()
-    probes: tuple[tuple[str, Callable], ...] = ()
-    oracle_local: Callable | None = None
-    oracle_family: Callable | None = None
-    kernel_required: bool = True
+    __slots__ = (
+        "id", "source", "target", "pi", "grid", "theorem_paths", "expected", "local_target",
+        "local_section", "trivial_targets", "family_targets", "family_sections", "probes",
+        "oracle_local", "oracle_family", "kernel_required",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        source: BanachAlgebra,
+        target: BanachAlgebra,
+        pi: HomFamily,
+        grid: tuple[complex, ...],
+        theorem_paths: tuple[int, ...],
+        expected: str = "lift-succeeds",
+        local_target: ElementFamily | None = None,
+        local_section: Section | None = None,
+        trivial_targets: tuple[ElementFamily, ...] = (),
+        family_targets: tuple[ElementFamily, ...] = (),
+        family_sections: tuple[Section, ...] = (),
+        probes: tuple[tuple[str, Callable], ...] = (),
+        oracle_local: Callable | None = None,
+        oracle_family: Callable | None = None,
+        kernel_required: bool = True,
+    ):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "theorem_paths", theorem_paths)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "local_target", local_target)
+        object.__setattr__(self, "local_section", local_section)
+        object.__setattr__(self, "trivial_targets", trivial_targets)
+        object.__setattr__(self, "family_targets", family_targets)
+        object.__setattr__(self, "family_sections", family_sections)
+        object.__setattr__(self, "probes", probes)
+        object.__setattr__(self, "oracle_local", oracle_local)
+        object.__setattr__(self, "oracle_family", oracle_family)
+        object.__setattr__(self, "kernel_required", kernel_required)
 
 
 def _default_grid() -> tuple[float, ...]:

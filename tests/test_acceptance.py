@@ -5,7 +5,6 @@ enforces both the numerical thresholds and the runtime budget.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -70,7 +69,7 @@ def test_criterion_2_branch_square_roots():
     one = scalars.wrap([[1.0]])
     P, cd = _gamma_for(one)
     plus = sqrt_cut(one, P, cd, sheet=+1).payload[0, 0]
-    minus = sqrt_cut(one, P, replace(cd, sheet=-1)).payload[0, 0]
+    minus = sqrt_cut(one, P, cd.replace(sheet=-1)).payload[0, 0]
     assert abs(plus - 1.0) <= 1e-10
     assert abs(minus + 1.0) <= 1e-10
 
@@ -249,7 +248,7 @@ def test_criterion_9_metamorphic_invariance():
         _, cd2 = _gamma_for(x, eps_scale=0.6)
         s1 = sqrt_cut(x, P, cd1, sheet=+1)
         s2 = sqrt_cut(x, P, cd2, sheet=+1)
-        neg = sqrt_cut(x, P, replace(cd1, sheet=-1))
+        neg = sqrt_cut(x, P, cd1.replace(sheet=-1))
         worst_contour = max(worst_contour, (s1 - s2).norm())
         worst_sheet = max(worst_sheet, (s1 + neg).norm())
     m6 = MatrixAlgebra(6)

@@ -622,7 +622,52 @@ def test_is_radical_reads_nilpotency_index() -> None:
     assert il.WienerAlgebra(il.ConvolutionAlgebra(5), 2).is_radical
 
 
-def test_algebra_repr_is_the_dataclass_repr() -> None:
+def test_algebras_built_twice_compare_and_hash_equal() -> None:
+    again = _kinds()
+    for name, alg in _kinds().items():
+        assert alg is not again[name] and alg == again[name], name
+        assert hash(alg) == hash(again[name]), name
+    assert len({*_kinds().values(), *again.values()}) == len(again)
+
+
+def test_kinds_with_equal_fields_compare_unequal() -> None:
+    """Equality is per kind: algebras of two kinds never compare equal,
+    even where their fields have the same names or the same values."""
+    pairs = [
+        (il.MatrixAlgebra(4), il.ConvolutionAlgebra(4)),
+        (il.DualAlgebra(il.MatrixAlgebra(2)), il.UnitizationAlgebra(il.ConvolutionAlgebra(2))),
+    ]
+    for a, b in pairs:
+        assert a != b and b != a
+        assert a.__eq__(b) is NotImplemented
+    assert il.MatrixAlgebra(4) != il.MatrixAlgebra(5)
+    assert il.MatrixAlgebra(4) != 4
+
+
+def test_algebra_fields_refuse_assignment() -> None:
+    for name, alg in _kinds().items():
+        field = alg._fields[0]
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(alg, field, getattr(alg, field))
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(alg, field)
+        with pytest.raises(AttributeError):
+            alg.extra = 1
+    assert il.BlockTriangularAlgebra(2, 3).m == 3
+
+
+def test_algebra_replace_validates_again() -> None:
+    alg = il.WienerAlgebra(il.MatrixAlgebra(1), 4)
+    assert alg.replace(degree=2) == il.WienerAlgebra(il.MatrixAlgebra(1), 2)
+    assert alg.degree == 4
+    with pytest.raises(ParameterError, match="degree"):
+        alg.replace(degree=-1)
+    with pytest.raises(ParameterError, match="matrix or convolution base"):
+        alg.replace(base=il.DualAlgebra(il.MatrixAlgebra(1)))
+    assert il.ProductAlgebra([il.MatrixAlgebra(1)]).replace().factors == (il.MatrixAlgebra(1),)
+
+
+def test_algebra_repr_lists_the_fields() -> None:
     """Each kind prints its fields, and the printout rebuilds an equal algebra."""
     want = {
         "matrix": "MatrixAlgebra(n=3)",

@@ -135,6 +135,35 @@ def test_non_finite_grid_in_config_file_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+# an infinite or NaN tolerance switches its checks off, a negative one fails them all
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("flag", ["--tol-idem", "--tol-lift"])
+def test_bad_tolerance_flag_exits_two(tmp_path, capsys, flag, tol):
+    out = tmp_path / "r.json"
+    args = ["run", "block-testbed", "--grid", "0,0.5,3", flag, tol, "--out", str(out)]
+    assert main(args) == 2
+    assert f"{flag} must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("key", ["tol-idem", "tol-lift"])
+def test_bad_tolerance_in_config_file_exits_two(tmp_path, capsys, key, tol):
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text(f"{key} = {tol}\n")
+    out = tmp_path / "r.json"
+    assert main(["run", "block-testbed", "--grid", "0,0.5,3", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{key} must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_tolerance_is_allowed(tmp_path):
+    out = tmp_path / "r.json"
+    args = ["run", "block-testbed", "--grid", "0,0.5,3", "--tol-idem", "0", "--tol-lift", "0"]
+    assert main([*args, "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["tolerances"]["tol_idem"] == 0.0
+
+
 def test_raising_hypothesis_check_becomes_a_failed_record(tmp_path, capsys):
     # conj_in overflows at lambda = 1e200, so pi leaves the block algebra
     out = tmp_path / "r.json"

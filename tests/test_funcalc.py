@@ -1,7 +1,6 @@
 """Contour-integral functional calculus against eigendecomposition oracles."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,7 +179,7 @@ def test_sqrt_cut_scalar_residue_is_plus_minus_one() -> None:
     x = M1.wrap(np.array([[1.0 + 0j]]))
     P, cd = _gamma_for(x)
     plus = sqrt_cut(x, P, cd, sheet=+1).payload[0, 0]
-    minus = sqrt_cut(x, P, replace(cd, sheet=-1)).payload[0, 0]
+    minus = sqrt_cut(x, P, cd.replace(sheet=-1)).payload[0, 0]
     assert abs(plus - 1.0) <= 1e-10
     assert abs(minus + 1.0) <= 1e-10
 
@@ -205,13 +204,13 @@ def test_sqrt_cut_sheets_negate_exactly() -> None:
     alg = MatrixAlgebra(3)
     x = alg.wrap(random_sectorial_matrix(rng, 3))
     P, cd = _gamma_for(x)
-    assert (sqrt_cut(x, P, cd, 1) + sqrt_cut(x, P, replace(cd, sheet=-1))).norm() <= 1e-12
+    assert (sqrt_cut(x, P, cd, 1) + sqrt_cut(x, P, cd.replace(sheet=-1))).norm() <= 1e-12
 
 
 def test_sqrt_cut_takes_its_sheet_from_the_contour() -> None:
     x = M2.wrap(np.diag([4.0, 9.0]).astype(complex))
     P, cd = _gamma_for(x)
-    flipped = replace(cd, sheet=-1)
+    flipped = cd.replace(sheet=-1)
     assert (sqrt_cut(x, P, flipped, sheet=-1) + sqrt_cut(x, P, cd)).norm() == 0.0
     for contour, other in ((cd, -1), (flipped, 1), (cd, 2)):
         with pytest.raises(ParameterError, match="differs from the contour's sheet"):

@@ -1,7 +1,6 @@
 """Scenario builders, the verification driver, and report integrity."""
 
 import collections
-import dataclasses
 import json
 
 import numpy as np
@@ -148,7 +147,7 @@ def test_broken_section_fails_with_section_invalid():
         scn.local_target,
         lambda lam: scn.pi.embed(lam, scn.local_target(lam)) + 0.5 * scn.source.one(),
     )
-    scn = dataclasses.replace(scn, local_section=broken, theorem_paths=(1,))
+    scn = scn.replace(local_section=broken, theorem_paths=(1,))
     rep = run_verification(scn, grid=SMALL_GRID, seed=0)
     assert not rep["passed"]
     local = next(r for r in rep["runs"] if r["name"] == "local")
@@ -284,7 +283,7 @@ def _counting(scn, calls):
     q = scn.local_target
     target = ElementFamily(q.algebra, counted("target", q.evaluator))
     sec = Section(scn.pi, target, counted("section", scn.local_section.evaluator))
-    return dataclasses.replace(scn, local_target=target, local_section=sec)
+    return scn.replace(local_target=target, local_section=sec)
 
 
 def test_each_value_is_computed_once_per_run_and_never_kept():
