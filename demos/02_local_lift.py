@@ -5,7 +5,8 @@ the nilpotent part.  The target family q(lambda) is a rank-2 projection
 rotated by exp(lambda K).  A section is any lambda-wise preimage; ours is
 deliberately polluted with kernel noise, so it is NOT idempotent upstairs.
 
-lift_local repairs the section into an exactly idempotent family p(lambda)
+lift_local takes only the section, which carries pi and q with it, and
+repairs it into an exactly idempotent family p(lambda)
 that still maps onto q(lambda), commutes with the section, and depends on
 lambda as smoothly as the section does.  The repair solves
 x^2 + x + r0 = 0 by a branch-cut square root whose contour and sheet are
@@ -17,7 +18,8 @@ import numpy as np
 from idemlift import build_dual_testbed, lift_local, lift_local_sa
 
 scn = build_dual_testbed(seed=3)
-pi, q, sec = scn.pi, scn.local_target, scn.local_section
+sec = scn.local_section
+pi, q = sec.pi, sec.target     # a section knows what it lifts, and through what
 grid = np.linspace(-0.5, 0.5, 21)
 
 # the section really is dirty: idempotency fails upstairs before the lift
@@ -25,7 +27,7 @@ a0 = sec(0.35)
 print("section idempotency defect before lift:", (a0 * a0 - a0).norm())
 print("but it still hits the target:", (pi.apply(0.35, a0) - q(0.35)).norm())
 
-trace = lift_local(pi, q, sec, grid)
+trace = lift_local(sec, grid)
 
 # the trace records one point per grid value, plus the frozen contour data
 print()
@@ -56,7 +58,7 @@ print("p(0) is a", p.algebra.kind, "element of norm", round(p.norm(), 4))
 # the lift is self-adjoint too, and the difference a - p factors through
 # the kernel: a - p = (a^2 - a)(a1 - a0) with a0, a1 the frozen spectral
 # halves.  Both facts are recorded as extra defect channels.
-trace_sa = lift_local_sa(pi, q, sec, grid)
+trace_sa = lift_local_sa(sec, grid)
 print()
 print("self-adjoint lift:")
 print("  worst ||p - p*||:          ", trace_sa.worst("self-adjointness"))

@@ -8,8 +8,9 @@ repair of each family separately would not give you.
 lift_family runs an induction.  At step k it already has orthogonal lifts
 p_1 ... p_{k-1}; it corrects the k-th section against the partial sum
 e = p_1 + ... + p_{k-1} by solving a pair of quadratic equations in the
-commutant, again with frozen contour data.  The smallness bound eps0 that
-makes the step well-posed is frozen per step and recorded in the trace.
+commutant, again with frozen contour data.  Each step keeps e as a running
+sum, e_k = e_{k-1} + p_{k-1}.  The smallness bound eps0 that makes the
+step well-posed is 1/2, checked at lambda = 0 and recorded in the trace.
 """
 
 import numpy as np
@@ -19,8 +20,8 @@ from idemlift import build_dual_testbed, lift_family, lift_local
 scn = build_dual_testbed(seed=11)
 grid = np.linspace(-0.5, 0.5, 21)
 
-qs = scn.family_targets        # three rank-1 rotated projections in M4
-secs = scn.family_sections     # each polluted by its own kernel noise
+secs = scn.family_sections            # each polluted by its own kernel noise
+qs = [sec.target for sec in secs]     # three rank-1 rotated projections in M4
 
 # orthogonality downstairs, in both orders
 for i in range(3):
@@ -30,7 +31,7 @@ for i in range(3):
             assert prod < 1e-12, (i, j, prod)
 print("targets are pairwise orthogonal downstairs: yes")
 
-lifted, traces = lift_family(scn.pi, qs, secs, grid)
+lifted, traces = lift_family(secs, grid)
 
 for k, tr in enumerate(traces):
     print(f"step {k}: eps0 = {tr.eps0:.4f}, "
@@ -55,7 +56,7 @@ print("sum of the three lifts, idempotency defect:", (e * e - e).norm())
 # With sa=True the sections are symmetrized before each induction step;
 # every lift then satisfies p = p* for real lambda on top of everything
 # else.
-lifted_sa, _ = lift_family(scn.pi, qs, secs, grid, sa=True)
+lifted_sa, _ = lift_family(secs, grid, sa=True)
 print()
 print("self-adjoint run:")
 for k, fam in enumerate(lifted_sa):
@@ -71,8 +72,8 @@ for k, fam in enumerate(lifted_sa):
 from idemlift import build_block_testbed  # noqa: E402
 
 blk = build_block_testbed(seed=11)
-tr = (blk.pi.apply(0.4, blk.local_section(0.4)) - blk.local_target(0.4)).norm()
+tr = blk.local_section.defect(0.4)
 print()
 print("block testbed section error downstairs:", tr)
-trace = lift_local(blk.pi, blk.local_target, blk.local_section, grid)
+trace = lift_local(blk.local_section, grid)
 print("block testbed lift, worst idempotency:", trace.worst("idempotency"))

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every required check passed, 1 when a run or
 hypothesis failed its tolerance, 2 for configuration problems (unknown
-scenario, malformed grid or config file, a tolerance that is not finite
+scenario, malformed grid or config file, a grid of more than
+MAX_GRID_POINTS points, a negative seed, a tolerance that is not finite
 and nonnegative).
 """
 
@@ -22,6 +23,9 @@ from .scenarios import build_scenario, list_scenarios, run_verification
 __all__ = ["RunConfig", "main"]
 
 ENV_OUT_DIR = "IDEMLIFT_OUT_DIR"
+
+# the most grid points a run takes; checked before any point is built
+MAX_GRID_POINTS = 10_000
 
 _CONFIG_KEYS = ("grid", "tol-idem", "tol-lift", "out", "csv", "seed")
 
@@ -73,6 +77,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise ConfigError(f"grid center and halfwidth must be finite, got {text!r}")
     if count < 1:
         raise ConfigError("grid count must be at least 1")
+    if count > MAX_GRID_POINTS:
+        raise ConfigError(f"grid count must be at most {MAX_GRID_POINTS}, got {count}")
     if halfwidth < 0:
         raise ConfigError("grid halfwidth must be nonnegative")
     if count == 1:
@@ -90,6 +96,14 @@ def _parse_tolerance(value: float, name: str) -> float:
     check, so both are configuration errors."""
     if not (math.isfinite(value) and value >= 0):
         raise ConfigError(f"{name} must be finite and nonnegative, got {value!r}")
+    return value
+
+
+def _parse_seed(value: int, name: str) -> int:
+    """``value`` as a seed: a scenario draws its noise from
+    ``np.random.default_rng(seed)``, which refuses a negative one."""
+    if value < 0:
+        raise ConfigError(f"{name} must be nonnegative, got {value}")
     return value
 
 
@@ -128,7 +142,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             if "tol-lift" in raw:
                 cfg.tol_lift = _parse_tolerance(float(raw["tol-lift"]), "tol-lift")
             if "seed" in raw:
-                cfg.seed = int(raw["seed"])
+                cfg.seed = _parse_seed(int(raw["seed"]), "seed")
         except ValueError as exc:
             raise ConfigError(f"bad value in config file: {exc}") from None
         cfg.out = raw.get("out", cfg.out)
@@ -145,7 +159,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.csv is not None:
         cfg.csv = args.csv
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = _parse_seed(args.seed, "--seed")
     if cfg.out is None:
         out_dir = os.environ.get(ENV_OUT_DIR, ".")
         cfg.out = os.path.join(out_dir, f"{cfg.scenario}-report.json")

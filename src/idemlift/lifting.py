@@ -7,19 +7,20 @@ enclosures still hold.  The local path corrects a section a(lambda) by a
 square root with a branch cut along an escape ray; the self-adjoint path
 replaces it by a Riesz projection over a mirror-symmetric loop; the
 orthogonal-family path runs a Kaplansky-style induction where each new
-idempotent is built orthogonal to the sum of its predecessors, one
-per-lambda kernel serving both the step and the lifted family.
+idempotent is built orthogonal to the sum of its predecessors.
 
-Every path returns a LiftTrace whose points carry the lifted idempotent
-under "p" (``trace.point(lam).p``).  A NotInvertible or
-QuadratureNotConverged raised at one lambda other than the base point
-makes that point invalid, its defect named by the error's code.  A
-family from lift_family raises EnclosureFailed at a lambda where its
-step's point is invalid.
+A lift takes only its sections: pi is ``sec.pi`` and the target family
+is ``sec.target``.  Every path returns a LiftTrace whose points carry the
+lifted idempotent under "p" (``trace.point(lam).p``).  One routine,
+``_point``, makes every point from a path's per-lambda kernel and alone
+decides which failures make a point invalid; a family from lift_family
+runs its step's kernel through it off the grid, and raises
+EnclosureFailed where its step's point is invalid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Sequence
 
@@ -29,7 +30,6 @@ from .errors import (
     AmbiguousSign,
     EnclosureFailed,
     HalfInSpectrum,
-    IdemliftError,
     NoInvolution,
     NotInvertible,
     NotStarCompatible,
@@ -73,9 +73,27 @@ TOL_ORTH = 1e-8
 
 _EXACT = 1e-12  # slack for spectra that our algebra kinds report exactly
 
-# the typed errors of a per-lambda kernel that make its point invalid
-# instead of ending the lift
+# The smallness bound of the orthogonal step: sigma(z) must lie in its
+# disc.  A smaller bound only refuses more, and 1/2 refuses nothing that
+# the step's sigma(a) condition admits: by spectral mapping sigma(z) =
+# {w^2 - w : w in sigma(a)} then lies in the disc of radius 4/9.
+_EPS0 = 0.5
+
+# the errors of a per-lambda kernel that make its point invalid: the
+# frozen enclosures fail there, or (apart from the base point) a kernel
+# refuses an inverse or a quadrature
+_ENCLOSURE_ERRORS = (SpectrumMeetsCut, SpectrumOnContour, SpectrumNotEnclosed)
 _POINT_ERRORS = (NotInvertible, QuadratureNotConverged)
+
+
+class _Invalid(EnclosureFailed):
+    """A kernel's point is invalid for ``reason``: "enclosure" where the
+    frozen enclosures fail, "predecessor" where a lifted family it reads
+    has no value (a lifted family raises this there)."""
+
+    def __init__(self, reason: str, message: str = ""):
+        super().__init__(message or reason)
+        self.reason = reason
 
 
 # ---------------------------------------------------------------------------
@@ -164,31 +182,37 @@ class LiftTrace(Frozen):
         return tuple(pt for pt in self.points if pt.valid)
 
 
-def _valid_point(
-    lam: complex,
-    gaps: dict[str, Element],
-    elements: dict[str, Element],
-    norms: dict[str, float] | None = None,
-) -> LiftPoint:
-    """The valid point at lam: the norm of each defect element, allowed
-    its tail; pi only sees the stored part of p, so p's tail is extra
-    slack on the lift defect.  ``norms`` holds defect norms the caller
-    has already taken."""
+def _point(lam: complex, kernel: Callable, checks: Callable | None) -> LiftPoint:
+    """The point at lam of a path whose per-lambda ``kernel`` returns the
+    named elements, the lifted idempotent under "p".
+
+    The point is invalid where the kernel raises _Invalid (its reason),
+    an enclosure error ("enclosure"), or a NotInvertible or
+    QuadratureNotConverged (the error's code); at the base point, where
+    nothing could be frozen, those two end the lift instead.  A valid
+    point carries the elements and, unless ``checks`` is None, the
+    defects ``checks(lam, elements)`` names with any norms it has already
+    taken: the norm of each defect element, allowed its tail.  pi only
+    sees the stored part of p, so p's tail is extra slack on the lift
+    defect."""
+    try:
+        elements = kernel(lam)
+    except _Invalid as exc:
+        return LiftPoint(lam, False, {exc.reason: math.inf})
+    except _ENCLOSURE_ERRORS:
+        return LiftPoint(lam, False, {"enclosure": math.inf})
+    except _POINT_ERRORS as exc:
+        if lam == 0:
+            raise
+        return LiftPoint(lam, False, {exc.code: math.inf})
+    if checks is None:
+        return LiftPoint(lam, True, elements=elements)
+    gaps, norms = checks(lam, elements)
     allow = {k: d.algebra.tail_bound(d) for k, d in gaps.items()}
     p = elements["p"]
     allow["lift"] += p.algebra.tail_bound(p)
-    norms = norms or {}
     defects = {k: norms[k] if k in norms else d.norm() for k, d in gaps.items()}
     return LiftPoint(lam, True, defects, elements, allow)
-
-
-def _point_error(lam: complex, exc: IdemliftError) -> str:
-    """The defect name of the invalid point at lam where a per-lambda
-    kernel raised ``exc``: the error's code.  At the base point, where
-    nothing could be frozen, the error ends the lift instead."""
-    if lam == 0:
-        raise exc
-    return exc.code
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +284,9 @@ def _grid_tuple(grid: Sequence[complex]) -> tuple[complex, ...]:
     return pts
 
 
-def lift_local(
-    pi: HomFamily,
-    q: ElementFamily,
-    sec: Section,
-    grid: Sequence[complex],
-) -> LiftTrace:
-    """Idempotent lift along an escape-ray branch-cut square root.
+def lift_local(sec: Section, grid: Sequence[complex]) -> LiftTrace:
+    """Idempotent lift of ``sec.target`` through ``sec.pi`` along an
+    escape-ray branch-cut square root.
 
     Freezes, at lambda = 0: the cut ray P avoiding sigma(1 - 4 r0(0)),
     the margin eps = dist(P, spectrum)/3, the integration loop around P,
@@ -277,8 +297,9 @@ def lift_local(
     within eps of the cut, within eps/2 of the loop, or outside it.
     """
     grid_pts = _grid_tuple(grid)
+    pi, q = sec.pi, sec.target
     a0 = sec(0.0)
-    if (pi.apply(0.0, a0) - q(0.0)).norm() > TOL_LIFT:
+    if sec.defect(0.0) > TOL_LIFT:
         raise SectionInvalid("section does not lift the target at the base point")
     sp_a0 = a0.spectrum()
     if any(abs(z - 0.5) <= 1e-9 for z in sp_a0.points):
@@ -304,45 +325,35 @@ def lift_local(
     x_minus = -0.5 * one - 0.5 * s0
     cd = cd.replace(sheet=choose_sign((x_plus, x_minus), pi))
 
-    points: list[LiftPoint] = []
-    for lam in grid_pts:
+    def kernel(lam: complex) -> dict[str, Element]:
         a = sec(lam)
-        try:
-            r, r0, y = _local_data(a)
-            x = -0.5 * one + 0.5 * sqrt_cut(y, P, cd, audit_sink=audits)
-        except (SpectrumMeetsCut, SpectrumOnContour, SpectrumNotEnclosed):
-            points.append(LiftPoint(lam, False, {"enclosure": math.inf}))
-            continue
-        except _POINT_ERRORS as exc:
-            points.append(LiftPoint(lam, False, {_point_error(lam, exc): math.inf}))
-            continue
+        r, r0, y = _local_data(a)
+        x = -0.5 * one + 0.5 * sqrt_cut(y, P, cd, audit_sink=audits)
         z = (2.0 * a - one) * x
-        p = a + z
-        gaps = {
+        return {"a": a, "r": r, "r0": r0, "x": x, "z": z, "p": a + z}
+
+    def checks(lam: complex, els: dict[str, Element]):
+        a, r, r0, x, z, p = (els[k] for k in ("a", "r", "r0", "x", "z", "p"))
+        return {
             "idempotency": p * p - p,
             "lift": pi.apply(lam, p) - q(lam),
             "commutation": z * a - a * z,
             "eq2": z * z + (2.0 * a - one) * z - r,
             "eq5": x * x + x + r0,
-        }
-        points.append(
-            _valid_point(lam, gaps, {"a": a, "r": r, "r0": r0, "x": x, "z": z, "p": p})
-        )
-    return LiftTrace(tuple(points), tuple(audits), (cd,), label="local")
+        }, {}
+
+    points = tuple(_point(lam, kernel, checks) for lam in grid_pts)
+    return LiftTrace(points, tuple(audits), (cd,), label="local")
 
 
 # ---------------------------------------------------------------------------
 # self-adjoint path
 
 
-def lift_local_sa(
-    pi: HomFamily,
-    q: ElementFamily,
-    sec: Section,
-    grid: Sequence[complex],
-) -> LiftTrace:
-    """Self-adjoint lift on a real grid via the Riesz projection of the
-    symmetrized section over a mirror-symmetric loop around 1.
+def lift_local_sa(sec: Section, grid: Sequence[complex]) -> LiftTrace:
+    """Self-adjoint lift of ``sec.target`` through ``sec.pi`` on a real
+    grid via the Riesz projection of the symmetrized section over a
+    mirror-symmetric loop around 1.
 
     Also evaluates the two auxiliary resolvent integrals a0, a1 over the
     loops around 0 and around 1 and records the factorisation residual
@@ -352,6 +363,7 @@ def lift_local_sa(
     grid_pts = _grid_tuple(grid)
     if any(abs(l.imag) > 1e-12 for l in grid_pts):
         raise ParameterError("self-adjoint lifting runs on real grids")
+    pi, q = sec.pi, sec.target
     alg = pi.source
     if not alg.has_involution:
         raise NoInvolution(f"{alg.kind} has no involution")
@@ -359,8 +371,7 @@ def lift_local_sa(
         raise NotStarCompatible("homomorphism family is not a *-family on real lambda")
 
     sym = symmetrize(sec)
-    a0_elt = sym(0.0)
-    if (pi.apply(0.0, a0_elt) - q(0.0)).norm() > TOL_LIFT:
+    if sym.defect(0.0) > TOL_LIFT:
         raise SectionInvalid("symmetrized section does not lift the target at 0")
 
     gamma0 = square_polygon(0j, 1.0 / 3.0)
@@ -376,34 +387,34 @@ def lift_local_sa(
             for z in rep.points
         )
 
-    if not covered(a0_elt.spectrum()):
+    if not covered(sym(0.0).spectrum()):
         raise EnclosureFailed(
             "spectrum of the symmetrized section at 0 is not split by the two loops"
         )
 
     audits: list[QuadratureAudit] = []
-    points: list[LiftPoint] = []
-    for lam in grid_pts:
+
+    def kernel(lam: complex) -> dict[str, Element]:
         a = sym(lam)
         if not covered(a.spectrum()):
-            points.append(LiftPoint(lam, False, {"enclosure": math.inf}))
-            continue
-        try:
-            p = riesz_projection(a, cd1, audit_sink=audits)
-            aux0 = spectral_component_apply(lambda z: 1.0 / (1.0 - z), a, cd0, audit_sink=audits)
-            aux1 = spectral_component_apply(lambda z: 1.0 / z, a, cd1, audit_sink=audits)
-        except _POINT_ERRORS as exc:
-            points.append(LiftPoint(lam, False, {_point_error(lam, exc): math.inf}))
-            continue
-        gaps = {
+            raise _Invalid("enclosure")
+        p = riesz_projection(a, cd1, audit_sink=audits)
+        aux0 = spectral_component_apply(lambda z: 1.0 / (1.0 - z), a, cd0, audit_sink=audits)
+        aux1 = spectral_component_apply(lambda z: 1.0 / z, a, cd1, audit_sink=audits)
+        return {"a": a, "p": p, "a0": aux0, "a1": aux1}
+
+    def checks(lam: complex, els: dict[str, Element]):
+        a, p, aux0, aux1 = (els[k] for k in ("a", "p", "a0", "a1"))
+        return {
             "idempotency": p * p - p,
             "lift": pi.apply(lam, p) - q(lam),
             "commutation": p * a - a * p,
             "self-adjointness": p - p.adjoint(),
             "factorisation": (a - p) - (a * a - a) * (aux1 - aux0),
-        }
-        points.append(_valid_point(lam, gaps, {"a": a, "p": p, "a0": aux0, "a1": aux1}))
-    return LiftTrace(tuple(points), tuple(audits), (cd0, cd1), label="self-adjoint")
+        }, {}
+
+    points = tuple(_point(lam, kernel, checks) for lam in grid_pts)
+    return LiftTrace(points, tuple(audits), (cd0, cd1), label="self-adjoint")
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +422,14 @@ def lift_local_sa(
 
 
 def _ortho_enclosures(
-    a: Element, z: Element, eps0: float
-) -> tuple[Element, Element] | None:
-    """The frozen smallness conditions: sigma(z) in the eps0 disc,
-    sigma(a) within 1/3 of {0, 1}, and sigma(4z(2a-1)^-2) in the 1/3 disc.
-    Returns m = 2a-1 and m^-2 where they hold, None where they fail."""
+    a: Element, z: Element
+) -> tuple[Element, Element, Element] | None:
+    """The frozen smallness conditions: sigma(z) in the _EPS0 disc,
+    sigma(a) within 1/3 of {0, 1}, and sigma(y) in the 1/3 disc, with
+    y = 4z(2a-1)^-2.  Returns m = 2a-1, m^-2 and y where they hold, None
+    where they fail."""
     sp_z = z.spectrum()
-    if any(abs(w) >= eps0 for w in sp_z.points):
+    if any(abs(w) >= _EPS0 for w in sp_z.points):
         return None
     sp_a = a.spectrum()
     if any(min(abs(w), abs(1 - w)) >= 1.0 / 3.0 for w in sp_a.points):
@@ -427,8 +439,8 @@ def _ortho_enclosures(
         m2inv = (m * m).inverse()
     except NotInvertible:
         return None
-    sp_y = (4.0 * (z * m2inv)).spectrum()
-    return (m, m2inv) if all(abs(w) < 1.0 / 3.0 for w in sp_y.points) else None
+    y = 4.0 * (z * m2inv)
+    return (m, m2inv, y) if all(abs(w) < 1.0 / 3.0 for w in y.spectrum().points) else None
 
 
 def _cut_down(e: Element, b: Element) -> tuple[Element, Element, Element]:
@@ -441,54 +453,46 @@ def _cut_down(e: Element, b: Element) -> tuple[Element, Element, Element]:
 def _ortho_point(
     e_fam: ElementFamily,
     sec_v: Section,
-    eps0: float,
     lam: complex,
     audit_sink: list[QuadratureAudit] | None = None,
-) -> dict[str, Element] | str:
-    """The per-lambda body of the orthogonal step: the elements of the
-    idempotent f = a + (1-e) w (2a-1) (stored under "p") at lam, or the
-    defect name of why lam is invalid: "predecessor" where e cannot be
-    evaluated there, "enclosure" where the frozen enclosures fail, or the
-    code of a per-lambda kernel error (see ``_point_error``)."""
-    try:
-        e = e_fam(lam)
-    except EnclosureFailed:
-        return "predecessor"
-    try:
-        c, a, z = _cut_down(e, sec_v(lam))
-        found = _ortho_enclosures(a, z, eps0)
-        if found is None:
-            return "enclosure"
-        m, m2inv = found
-        w = sqrt_near_one(4.0 * (z * m2inv), audit_sink=audit_sink)
-    except _POINT_ERRORS as exc:
-        return _point_error(lam, exc)
+) -> dict[str, Element]:
+    """The kernel of the orthogonal step: the elements of the idempotent
+    f = a + (1-e) w (2a-1) (stored under "p") at lam.  Raises _Invalid
+    where the frozen enclosures fail; reading e raises it where a lifted
+    predecessor has no value."""
+    e = e_fam(lam)
+    c, a, z = _cut_down(e, sec_v(lam))
+    found = _ortho_enclosures(a, z)
+    if found is None:
+        raise _Invalid("enclosure")
+    m, m2inv, y = found
+    w = sqrt_near_one(y, audit_sink=audit_sink)
     x = c * w
     r = x * m
     return {"a": a, "z": z, "w": w, "x": x, "r": r, "p": a + r, "e": e, "m": m, "m2inv": m2inv}
 
 
 def lift_ortho_step(
-    pi: HomFamily,
     e_fam: ElementFamily,
     u_fam: ElementFamily,
-    v_fam: ElementFamily,
     sec_v: Section,
     grid: Sequence[complex],
 ) -> LiftTrace:
-    """One induction step: build an idempotent family f lifting v and
-    orthogonal to the already-lifted e (pi e = u, u v = v u = 0).
+    """One induction step: build an idempotent family f lifting
+    v = ``sec_v.target`` through pi = ``sec_v.pi`` and orthogonal to the
+    already-lifted e (pi e = u, u v = v u = 0).
 
     b is the supplied section of v; a = (1-e) b (1-e) is cut down to the
     complement of e, z = a^2 - a measures how far a is from idempotent,
     and the correction r = (1-e) w (2a-1) with w solving
     w^2 + w + z(2a-1)^{-2} = 0 restores idempotency without leaving the
-    complement.  eps0 is the largest dyadic 2^-k whose smallness
-    conditions hold at the base point.  A grid point is invalid where
-    those conditions fail or e cannot be evaluated (a predecessor's
-    enclosures failed there).
+    complement.  The smallness bound eps0 is 1/2 (see _EPS0); its
+    conditions must hold at the base point.  A grid point is invalid
+    where those conditions fail or e cannot be evaluated (a
+    predecessor's enclosures failed there).
     """
     grid_pts = _grid_tuple(grid)
+    pi, v_fam = sec_v.pi, sec_v.target
     e0, u0, v0 = e_fam(0.0), u_fam(0.0), v_fam(0.0)
     if (pi.apply(0.0, e0) - u0).norm() > TOL_LIFT:
         raise SectionInvalid("lifted predecessor does not map to its target")
@@ -500,28 +504,19 @@ def lift_ortho_step(
     ):
         if val > TOL_ORTH + pi.target.tail_bound(u0) + pi.target.tail_bound(v0):
             raise SectionInvalid(f"target families fail the {name} requirement: {val:.3g}")
-    if (sec_v.defect(0.0)) > TOL_LIFT:
+    if sec_v.defect(0.0) > TOL_LIFT:
         raise SectionInvalid("section does not lift v at the base point")
 
     _, a_base, z_base = _cut_down(e0, sec_v(0.0))
-    eps0 = 0.0
-    for k in range(1, 41):
-        cand = 2.0**-k
-        if _ortho_enclosures(a_base, z_base, cand) is not None:
-            eps0 = cand
-            break
-    if eps0 == 0.0:
+    if _ortho_enclosures(a_base, z_base) is None:
         raise EnclosureFailed(
-            "no dyadic smallness bound admits the base point enclosures"
+            f"the base point fails the smallness conditions at eps0 = {_EPS0}"
         )
 
     audits: list[QuadratureAudit] = []
-    points: list[LiftPoint] = []
-    for lam in grid_pts:
-        els = _ortho_point(e_fam, sec_v, eps0, lam, audits)
-        if isinstance(els, str):
-            points.append(LiftPoint(lam, False, {els: math.inf}))
-            continue
+
+    def checks(lam: complex, els: dict[str, Element]):
+        # the worst commutator's norm is taken while choosing it
         e, z, w, r, m, f = (els[k] for k in ("e", "z", "w", "r", "m", "p"))
         group = {k: els[k] for k in ("a", "z", "w", "x", "r", "p")}
         commutators = [
@@ -532,7 +527,7 @@ def lift_ortho_step(
         ]
         comm_norms = [d.norm() for d in commutators]
         worst = max(range(len(commutators)), key=comm_norms.__getitem__)
-        gaps = {
+        return {
             "idempotency": f * f - f,
             "ef": e * f,
             "fe": f * e,
@@ -540,83 +535,81 @@ def lift_ortho_step(
             "eq17": w * w + w + z * els["m2inv"],
             "quadratic": r * r + m * r + z,
             "commutation": commutators[worst],
-        }
-        points.append(_valid_point(lam, gaps, els, {"commutation": comm_norms[worst]}))
-    return LiftTrace(tuple(points), tuple(audits), eps0=eps0, label="orthogonal")
+        }, {"commutation": comm_norms[worst]}
+
+    kernel = functools.partial(_ortho_point, e_fam, sec_v, audit_sink=audits)
+    points = tuple(_point(lam, kernel, checks) for lam in grid_pts)
+    return LiftTrace(points, tuple(audits), eps0=_EPS0, label="orthogonal")
 
 
 # ---------------------------------------------------------------------------
 # family induction
 
 
+def _sum_family(x: ElementFamily, y: ElementFamily) -> ElementFamily:
+    """lambda -> x(lambda) + y(lambda), on the smaller of the two radii."""
+    return ElementFamily(x.algebra, lambda lam: x(lam) + y(lam), radius=min(x.radius, y.radius))
+
+
+def _lifted_family(k: int, e_fam: ElementFamily, sec: Section, trace: LiftTrace) -> ElementFamily:
+    """The lift of step k: its trace's idempotents on the grid, and the
+    step's kernel through ``_point`` elsewhere.  Raises EnclosureFailed
+    (an _Invalid that a later step reads as "predecessor") where the
+    point is invalid."""
+    kernel = functools.partial(_ortho_point, e_fam, sec)
+    cache = {pt.lam: pt for pt in trace.points}
+
+    def run(lam: complex) -> Element:
+        pt = cache.get(lam)
+        if pt is None:
+            pt = cache[lam] = _point(lam, kernel, None)
+        if not pt.valid:
+            reasons = ", ".join(pt.defects)
+            raise _Invalid("predecessor", f"family {k}: no lift at lambda = {lam} ({reasons})")
+        return pt.p
+
+    return ElementFamily(sec.pi.source, run, radius=min(sec.target.radius, sec.radius))
+
+
 def lift_family(
-    pi: HomFamily,
-    qs: Sequence[ElementFamily],
     secs: Sequence[Section],
     grid: Sequence[complex],
     sa: bool = False,
 ) -> tuple[list[ElementFamily], list[LiftTrace]]:
-    """Lift finitely many pairwise orthogonal idempotent families to
-    pairwise orthogonal idempotent lifts, one induction step per family.
+    """Lift finitely many pairwise orthogonal idempotent families, the
+    targets of ``secs``, to pairwise orthogonal idempotent lifts, one
+    induction step per family.  Every section must lift through the same
+    pi, else ParameterError.
 
-    Step k takes e = p_1 + ... + p_{k-1} (already lifted, memoized),
-    u = q_1 + ... + q_{k-1} and v = q_k.  With ``sa`` the sections are
-    symmetrized first, which keeps every output self-adjoint on real
-    grids.  Returns the lifted families and the per-step traces.  A
-    lifted family returns its step's idempotents on the grid and runs
-    the step's kernel elsewhere; it raises EnclosureFailed wherever the
-    step's point is invalid: its frozen enclosures (or a predecessor's)
-    fail, or its kernel raised a per-lambda error.
+    Step k takes e = p_1 + ... + p_{k-1} (already lifted), u = q_1 + ...
+    + q_{k-1} and v = q_k, where e and u are kept as running sums:
+    e_k = e_{k-1} + p_{k-1}.  With ``sa`` the sections are symmetrized
+    first, which keeps every output self-adjoint on real grids.  Returns
+    the lifted families and the per-step traces.  A lifted family returns
+    its step's idempotents on the grid and runs the step's kernel
+    elsewhere, through the same ``_point``; it raises EnclosureFailed
+    wherever the step's point is invalid: its frozen enclosures (or a
+    predecessor's) fail, or its kernel raised a per-lambda error.
     """
-    if len(qs) != len(secs):
-        raise ParameterError("need exactly one section per target family")
-    alg = pi.source
-    balg = pi.target
+    if not secs:
+        return [], []
+    pi = secs[0].pi
+    if any(sec.pi != pi for sec in secs):
+        raise ParameterError("the sections lift through different homomorphism families")
+    e_fam, u_fam = constant_family(pi.source.zero()), constant_family(pi.target.zero())
 
     lifted: list[ElementFamily] = []
     traces: list[LiftTrace] = []
-    for k, (qk, seck) in enumerate(zip(qs, secs)):
+    for k, sec in enumerate(secs):
         if sa:
-            seck = symmetrize(seck)
-        prev = list(lifted)
-
-        def e_eval(lam: complex, _prev=prev) -> Element:
-            total = alg.zero()
-            for fam in _prev:
-                total = total + fam(lam)
-            return total
-
-        def u_eval(lam: complex, _k=k) -> Element:
-            total = balg.zero()
-            for fam in qs[:_k]:
-                total = total + fam(lam)
-            return total
-
-        e_fam = ElementFamily(alg, e_eval, radius=min((f.radius for f in prev), default=math.inf))
-        u_fam = ElementFamily(balg, u_eval, radius=min((f.radius for f in qs[:k]), default=math.inf))
+            sec = symmetrize(sec)
         try:
-            trace = lift_ortho_step(pi, e_fam, u_fam, qk, seck, grid)
+            trace = lift_ortho_step(e_fam, u_fam, sec, grid)
         except (SectionInvalid, EnclosureFailed) as exc:
             exc.args = (f"family {k}: {exc.args[0]}" if exc.args else f"family {k}",)
             raise
         traces.append(trace)
-
-        # a string names why the step's point at that lambda is invalid
-        cache: dict[complex, Element | str] = {
-            pt.lam: pt.p if pt.valid else ", ".join(pt.defects) for pt in trace.points
-        }
-
-        def f_eval(lam: complex, _k=k, _e=e_fam, _sec=seck, _eps0=trace.eps0, _cache=cache) -> Element:
-            lam = complex(lam)
-            if lam not in _cache:
-                els = _ortho_point(_e, _sec, _eps0, lam)
-                _cache[lam] = els if isinstance(els, str) else els["p"]
-            p = _cache[lam]
-            if isinstance(p, str):
-                raise EnclosureFailed(f"family {_k}: no lift at lambda = {lam} ({p})")
-            return p
-
-        lifted.append(
-            ElementFamily(alg, f_eval, radius=min(qk.radius, seck.radius))
-        )
+        lifted.append(_lifted_family(k, e_fam, sec, trace))
+        e_fam = _sum_family(e_fam, lifted[-1])
+        u_fam = _sum_family(u_fam, sec.target)
     return lifted, traces

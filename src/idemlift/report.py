@@ -91,14 +91,7 @@ def run_record(
         "rows": rows,
         "validity_boundary": boundary,
         "checks": list(checks),
-        "contour_audit": [
-            {
-                "nodes_per_edge": a.nodes_per_edge,
-                "delta": _num(a.delta),
-                "refinements": a.refinements,
-            }
-            for a in audits
-        ],
+        "contour_audit": [{**a.describe(), "delta": _num(a.delta)} for a in audits],
         "error": error,
         "passed": error is None and not failed_checks,
     }

@@ -79,11 +79,13 @@ _SIGN_ETA = 1e-15  # the roundoff level its stop test aims at
 
 
 class Scenario(Frozen):
-    """A fully wired verification scenario."""
+    """A fully wired verification scenario.  The targets of its lifts are
+    read off their sections (``local_section.target`` and the targets of
+    ``family_sections``)."""
 
     __slots__ = (
-        "id", "source", "target", "pi", "grid", "theorem_paths", "expected", "local_target",
-        "local_section", "trivial_targets", "family_targets", "family_sections", "probes",
+        "id", "source", "target", "pi", "grid", "theorem_paths", "expected", "local_section",
+        "trivial_targets", "family_sections", "probes",
         "oracle_local", "oracle_family", "kernel_required",
     )
 
@@ -96,10 +98,8 @@ class Scenario(Frozen):
         grid: tuple[complex, ...],
         theorem_paths: tuple[int, ...],
         expected: str = "lift-succeeds",
-        local_target: ElementFamily | None = None,
         local_section: Section | None = None,
         trivial_targets: tuple[ElementFamily, ...] = (),
-        family_targets: tuple[ElementFamily, ...] = (),
         family_sections: tuple[Section, ...] = (),
         probes: tuple[tuple[str, Callable], ...] = (),
         oracle_local: Callable | None = None,
@@ -113,10 +113,8 @@ class Scenario(Frozen):
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "theorem_paths", theorem_paths)
         object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "local_target", local_target)
         object.__setattr__(self, "local_section", local_section)
         object.__setattr__(self, "trivial_targets", trivial_targets)
-        object.__setattr__(self, "family_targets", family_targets)
         object.__setattr__(self, "family_sections", family_sections)
         object.__setattr__(self, "probes", probes)
         object.__setattr__(self, "oracle_local", oracle_local)
@@ -259,9 +257,7 @@ def build_dual_testbed(seed: int = 0) -> Scenario:
         pi=pi,
         grid=_default_grid(),
         theorem_paths=(1, 2, 3, 4),
-        local_target=q,
         local_section=sec,
-        family_targets=fam_targets,
         family_sections=fam_secs,
         probes=(("square-zero-kernel", kernel_probe), ("self-adjoint-targets", sa_probe)),
         oracle_local=_dense_projection_oracle,
@@ -381,9 +377,7 @@ def build_block_testbed(seed: int = 0) -> Scenario:
         pi=pi,
         grid=_default_grid(),
         theorem_paths=(1, 5),
-        local_target=q_top,
         local_section=sec_top,
-        family_targets=(q_top, q_bot),
         family_sections=(sec_top, sec_bot),
         probes=(("square-zero-kernel", kernel_probe), ("non-constant-family", twist_probe)),
         oracle_local=_dense_projection_oracle,
@@ -579,7 +573,6 @@ def build_example2(seed: int = 0) -> Scenario:
         grid=_default_grid(),
         theorem_paths=(1, 3),
         trivial_targets=(q_one, q_zero),
-        family_targets=(q_one,),
         family_sections=(sec_one,),
         probes=(
             ("one-point-spectra", spectrum_probe),
@@ -687,7 +680,6 @@ def build_example3(seed: int = 0) -> Scenario:
         pi=pi,
         grid=_default_grid(),
         theorem_paths=(5,),
-        family_targets=(q_unit, q_orbit),
         family_sections=(sec_unit, sec_orbit),
         probes=(("kernel-spectra", kernel_probe), ("conjugation-orbit", orbit_probe)),
         oracle_family=oracle_family,
@@ -914,24 +906,24 @@ def _hypothesis_checks(
             note="spectral radius of sampled kernel elements",
         )
 
-    inputs = list(scn.trivial_targets)
-    if scn.local_target is not None:
-        inputs.append(scn.local_target)
-    inputs.extend(scn.family_targets)
+    # the targets are read off the sections, which lift them
+    lifted = [sec.target for sec in (scn.local_section, *scn.family_sections) if sec is not None]
+    family_targets = [sec.target for sec in scn.family_sections]
+    inputs = [*scn.trivial_targets, *lifted]
     if inputs:
         squares = (q(0.0) * q(0.0) - q(0.0) for q in inputs)
         worst = _worst_stored_norm(squares)
         yield check_record("input-idempotency", worst, tol["tol_idem"])
 
-    if len(scn.family_targets) > 1:
-        pairs = itertools.permutations(scn.family_targets, 2)
+    if len(family_targets) > 1:
+        pairs = itertools.permutations(family_targets, 2)
         worst = _worst_stored_norm(qi(0.0) * qj(0.0) for qi, qj in pairs)
         yield check_record("input-orthogonality", worst, tol["tol_orth"])
 
     if any(p in (2, 4, 6) for p in scn.theorem_paths):
         worst = 0.0
         reals = [l for l in (grid[0], 0.0, grid[-1]) if abs(complex(l).imag) < 1e-12]
-        for q in ([scn.local_target] if scn.local_target else []) + list(scn.family_targets):
+        for q in lifted:
             for lam in reals:
                 d = q(lam) - q(lam).adjoint()
                 worst = max(worst, d.norm())
@@ -962,19 +954,19 @@ def _trivial_record(scn: Scenario, q: ElementFamily, grid, tol, name: str) -> di
 
 
 def _local_runs(scn: Scenario, grid, tol, name: str, path: int) -> list[dict]:
-    if lift_trivial(scn.local_target, into=scn.source) is not None:
+    if lift_trivial(scn.local_section.target, into=scn.source) is not None:
         return [
             run_record(
                 name, path, "trivial", notes="spectrally pinned target; trivial shortcut taken"
             )
         ]
-    trace = lift_local(scn.pi, scn.local_target, scn.local_section, grid)
+    trace = lift_local(scn.local_section, grid)
     oracle = scn.oracle_local(trace) if scn.oracle_local is not None else ()
     return [_lift_record(name, path, trace, grid, tol, oracle, notes=f"sheet {trace.contours[0].sheet}")]
 
 
 def _sa_runs(scn: Scenario, grid, tol, name: str, path: int) -> list[dict]:
-    trace = lift_local_sa(scn.pi, scn.local_target, scn.local_section, grid)
+    trace = lift_local_sa(scn.local_section, grid)
     return [_lift_record(name, path, trace, grid, tol)]
 
 
@@ -1007,7 +999,7 @@ def _orthogonality_trace(
 
 def _family_runs(scn: Scenario, grid, tol, name: str, path: int) -> list[dict]:
     sa = path in (4, 6)
-    fams, traces = lift_family(scn.pi, scn.family_targets, scn.family_sections, grid, sa=sa)
+    fams, traces = lift_family(scn.family_sections, grid, sa=sa)
     out = [
         _lift_record(
             f"{name}-step-{k}", path, trace, grid, tol, notes=f"frozen smallness bound {trace.eps0}"
@@ -1058,13 +1050,13 @@ def run_verification(
         if scn.trivial_targets:
             clocked("trivial", lambda: _trivial_runs(scn, grid, tol))
         for path in scn.theorem_paths:
-            if path == 1 and scn.local_target is not None:
+            if path == 1 and scn.local_section is not None:
                 name, lift = "local", _local_runs
-            elif path == 2 and scn.local_target is not None:
+            elif path == 2 and scn.local_section is not None:
                 name, lift = "self-adjoint", _sa_runs
-            elif path in (3, 5) and scn.family_targets:
+            elif path in (3, 5) and scn.family_sections:
                 name, lift = "family", _family_runs
-            elif path in (4, 6) and scn.family_targets:
+            elif path in (4, 6) and scn.family_sections:
                 name, lift = "family-sa", _family_runs
             else:
                 continue

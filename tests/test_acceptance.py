@@ -103,7 +103,7 @@ def test_criterion_3_local_lift_on_both_testbeds():
     worst = {"lift": 0.0, "idempotency": 0.0, "commutation": 0.0, "oracle": 0.0}
     for sid in ("dual-testbed", "block-testbed"):
         scn = build_scenario(sid, seed=0)
-        trace = lift_local(scn.pi, scn.local_target, scn.local_section, GRID21)
+        trace = lift_local(scn.local_section, GRID21)
         assert len(trace.valid_points()) == len(GRID21)
         for key in ("lift", "idempotency", "commutation"):
             worst[key] = max(worst[key], trace.worst(key))
@@ -123,7 +123,7 @@ def test_criterion_3_local_lift_on_both_testbeds():
 def test_criterion_4_self_adjoint_local_lift():
     t0 = time.perf_counter()
     scn = build_scenario("dual-testbed", seed=0)
-    trace = lift_local_sa(scn.pi, scn.local_target, scn.local_section, GRID21)
+    trace = lift_local_sa(scn.local_section, GRID21)
     assert len(trace.valid_points()) == len(GRID21)
     assert trace.worst("lift") <= 1e-8
     assert trace.worst("idempotency") <= 1e-9
@@ -138,11 +138,11 @@ def test_criterion_5_family_induction():
     t0 = time.perf_counter()
     scn = build_scenario("dual-testbed", seed=0)
 
-    local = lift_local(scn.pi, scn.family_targets[0], scn.family_sections[0], GRID21)
+    local = lift_local(scn.family_sections[0], GRID21)
     assert local.worst("eq2") <= 1e-9
     assert local.worst("eq5") <= 1e-9
 
-    fams, traces = lift_family(scn.pi, scn.family_targets, scn.family_sections, GRID21)
+    fams, traces = lift_family(scn.family_sections, GRID21)
     worst_lift = max(tr.worst("lift") for tr in traces)
     worst_eq17 = max(tr.worst("eq17") for tr in traces)
     worst_pair = 0.0
@@ -162,7 +162,7 @@ def test_criterion_5_family_induction():
 def test_criterion_6_self_adjoint_family_induction():
     t0 = time.perf_counter()
     scn = build_scenario("dual-testbed", seed=0)
-    fams, traces = lift_family(scn.pi, scn.family_targets, scn.family_sections, GRID21, sa=True)
+    fams, traces = lift_family(scn.family_sections, GRID21, sa=True)
     worst_lift = max(tr.worst("lift") for tr in traces)
     worst_eq17 = max(tr.worst("eq17") for tr in traces)
     worst_pair = worst_sa = 0.0

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from idemlift import cli
 from idemlift.cli import _summarise, main
 from idemlift.report import REPORT_VERSION, build_report, check_record, report_passed, run_record
 
@@ -123,6 +124,33 @@ def test_non_finite_grid_exits_two(tmp_path, capsys, grid):
     out = tmp_path / "r.json"
     assert main(["run", "block-testbed", "--grid", grid, "--out", str(out)]) == 2
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oversized_grid_exits_two_before_building_it(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(cli.np, "linspace", refuse)
+    out = tmp_path / "r.json"
+    assert main(["run", "dual-testbed", "--grid", "0,0.4,100000000", "--out", str(out)]) == 2
+    assert f"at most {cli.MAX_GRID_POINTS}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_flag_exits_two(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["run", "dual-testbed", "--seed", "-1", "--grid", "0,0.5,3", "--out", str(out)]) == 2
+    assert "--seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_in_config_file_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = -1\n")
+    out = tmp_path / "r.json"
+    assert main(["run", "dual-testbed", "--grid", "0,0.5,3", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
 
 

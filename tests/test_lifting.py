@@ -133,7 +133,7 @@ def test_lift_local_dual_testbed_against_oracle():
     pi = dual_pi()
     q = ElementFamily(M4, rotated_projection)
     sec = messy_section(pi, q, seed=7)
-    trace = lift_local(pi, q, sec, GRID)
+    trace = lift_local(sec, GRID)
     assert all(pt.valid for pt in trace.points)
     assert trace.worst("idempotency") <= 1e-9
     assert trace.worst("lift") <= 1e-8
@@ -152,7 +152,7 @@ def test_lift_local_exact_section_is_fixed():
     pi = dual_pi()
     q = ElementFamily(M4, rotated_projection)
     sec = Section(pi, q, lambda lam: DUAL4.from_parts(q(lam), M4.zero()))
-    trace = lift_local(pi, q, sec, [0.0, 0.3, -0.45])
+    trace = lift_local(sec, [0.0, 0.3, -0.45])
     for pt in trace.points:
         assert (pt.elements["p"] - pt.elements["a"]).norm() <= 1e-12
 
@@ -163,8 +163,8 @@ def test_lift_local_sheet_flip_is_consistent():
     pi = dual_pi()
     q = ElementFamily(M4, rotated_projection)
     sec = messy_section(pi, q, seed=11)
-    t1 = lift_local(pi, q, sec, [0.0, 0.2])
-    t2 = lift_local(pi, q, sec, [0.0, 0.2])
+    t1 = lift_local(sec, [0.0, 0.2])
+    t2 = lift_local(sec, [0.0, 0.2])
     assert t1.contours[0].sheet == t2.contours[0].sheet
     gap = max(
         (a.elements["p"] - b.elements["p"]).norm()
@@ -180,7 +180,7 @@ def test_lift_local_rejects_bad_section():
         pi, q, lambda lam: DUAL4.from_parts(q(lam) + 0.5 * M4.one(), M4.zero())
     )
     with pytest.raises(SectionInvalid):
-        lift_local(pi, q, broken, GRID)
+        lift_local(broken, GRID)
 
 
 def test_lift_local_rejects_half_in_spectrum():
@@ -189,7 +189,7 @@ def test_lift_local_rejects_half_in_spectrum():
     q = ElementFamily(M4, lambda lam: half)
     sec = Section(pi, q, lambda lam: DUAL4.from_parts(half, M4.zero()))
     with pytest.raises(HalfInSpectrum):
-        lift_local(pi, q, sec, GRID)
+        lift_local(sec, GRID)
 
 
 def test_lift_local_empty_grid_rejected():
@@ -197,14 +197,14 @@ def test_lift_local_empty_grid_rejected():
     q = ElementFamily(M4, rotated_projection)
     sec = messy_section(pi, q, seed=13)
     with pytest.raises(ParameterError):
-        lift_local(pi, q, sec, [])
+        lift_local(sec, [])
 
 
 def test_lift_trace_accessors():
     pi = dual_pi()
     q = ElementFamily(M4, rotated_projection)
     sec = messy_section(pi, q, seed=17)
-    trace = lift_local(pi, q, sec, [0.0, 0.1])
+    trace = lift_local(sec, [0.0, 0.1])
     assert isinstance(trace, LiftTrace)
     assert trace.point(0.1).valid
     with pytest.raises(KeyError):
@@ -250,7 +250,7 @@ def scalar_kernel_data(c):
 
 def test_lift_local_freezes_the_chosen_sheet_into_its_contour():
     pi, q, sec = scalar_kernel_data(lambda lam: C0)
-    trace = lift_local(pi, q, sec, [0.0, 0.2, -0.2])
+    trace = lift_local(sec, [0.0, 0.2, -0.2])
     assert trace.contours[0].sheet == -1
     assert trace.contours[0].cut.angle < 0
     assert all(pt.valid for pt in trace.points)
@@ -261,7 +261,7 @@ def test_lift_local_freezes_the_chosen_sheet_into_its_contour():
 def test_lift_local_validity_is_the_frozen_enclosure_predicate():
     pi, q, sec = scalar_kernel_data(lambda lam: C0 + (C_HALF - C0) * lam / 0.5)
     grid = np.linspace(-0.5, 0.5, 11)
-    trace = lift_local(pi, q, sec, grid)
+    trace = lift_local(sec, grid)
     cd = trace.contours[0]
     expected = []
     for lam in grid:
@@ -285,7 +285,7 @@ def test_lift_local_sa_dual_testbed():
     pi = dual_pi()
     q = ElementFamily(M4, rotated_projection)
     sec = messy_section(pi, q, seed=19)
-    trace = lift_local_sa(pi, q, sec, GRID)
+    trace = lift_local_sa(sec, GRID)
     assert all(pt.valid for pt in trace.points)
     assert trace.worst("idempotency") <= 1e-9
     assert trace.worst("lift") <= 1e-8
@@ -298,7 +298,7 @@ def test_lift_local_sa_constant_diagonal_is_exact():
     p0 = M4.wrap(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
     q = constant_family(p0)
     sec = Section(pi, q, lambda lam: DUAL4.from_parts(p0, M4.zero()))
-    trace = lift_local_sa(pi, q, sec, [0.0, 0.25])
+    trace = lift_local_sa(sec, [0.0, 0.25])
     for pt in trace.points:
         want = DUAL4.from_parts(p0, M4.zero())
         assert (pt.elements["p"] - want).norm() <= 1e-11
@@ -309,7 +309,7 @@ def test_lift_local_sa_needs_real_grid():
     q = ElementFamily(M4, rotated_projection)
     sec = messy_section(pi, q, seed=23)
     with pytest.raises(ParameterError):
-        lift_local_sa(pi, q, sec, [0.0, 0.1 + 0.2j])
+        lift_local_sa(sec, [0.0, 0.1 + 0.2j])
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +324,8 @@ def test_ortho_step_with_no_predecessor_matches_local():
     pi = dual_pi()
     q = ElementFamily(M4, rotated_projection)
     sec = messy_section(pi, q, seed=29)
-    t_ortho = lift_ortho_step(pi, zero_family(DUAL4), zero_family(M4), q, sec, GRID)
-    t_local = lift_local(pi, q, sec, GRID)
+    t_ortho = lift_ortho_step(zero_family(DUAL4), zero_family(M4), sec, GRID)
+    t_local = lift_local(sec, GRID)
     gap = max(
         (po.elements["p"] - pl.elements["p"]).norm()
         for po, pl in zip(t_ortho.points, t_local.points)
@@ -337,7 +337,7 @@ def test_ortho_step_idempotent_section_is_fixed():
     pi = dual_pi()
     q = ElementFamily(M4, rotated_projection)
     sec = Section(pi, q, lambda lam: DUAL4.from_parts(q(lam), M4.zero()))
-    trace = lift_ortho_step(pi, zero_family(DUAL4), zero_family(M4), q, sec, GRID)
+    trace = lift_ortho_step(zero_family(DUAL4), zero_family(M4), sec, GRID)
     for pt in trace.points:
         assert (pt.elements["p"] - pt.elements["a"]).norm() <= 1e-12
 
@@ -356,9 +356,9 @@ def test_ortho_step_defect_suite():
     sec2 = Section(
         pi, q2, lambda lam: DUAL4.from_parts(q2(lam), (0.25 + 0.1 * lam) * noise)
     )
-    trace = lift_ortho_step(pi, p1, q1, q2, sec2, GRID)
+    trace = lift_ortho_step(p1, q1, sec2, GRID)
     assert all(pt.valid for pt in trace.points)
-    assert 0.0 < trace.eps0 <= 0.5
+    assert trace.eps0 == 0.5
     for key in ("idempotency", "ef", "fe", "eq17", "quadratic", "commutation"):
         assert trace.worst(key) <= 1e-9, key
     assert trace.worst("lift") <= 1e-8
@@ -370,7 +370,7 @@ def test_ortho_step_rejects_non_orthogonal_targets():
     sec = messy_section(pi, q, seed=37)
     p_same = ElementFamily(DUAL4, lambda lam: DUAL4.from_parts(q(lam), M4.zero()))
     with pytest.raises(SectionInvalid):
-        lift_ortho_step(pi, p_same, q, q, sec, GRID)
+        lift_ortho_step(p_same, q, sec, GRID)
 
 
 def test_lift_family_three_orthogonal_projections():
@@ -393,7 +393,7 @@ def test_lift_family_three_orthogonal_projections():
         )
         for tgt in targets
     ]
-    fams, traces = lift_family(pi, targets, secs, GRID)
+    fams, traces = lift_family(secs, GRID)
     assert len(fams) == 3 and len(traces) == 3
     for trace in traces:
         assert all(pt.valid for pt in trace.points)
@@ -430,7 +430,7 @@ def test_lift_family_sa_gives_self_adjoint_lifts():
         )
         for tgt in targets
     ]
-    fams, _ = lift_family(pi, targets, secs, GRID, sa=True)
+    fams, _ = lift_family(secs, GRID, sa=True)
     for lam in (-0.5, 0.0, 0.5):
         for f in fams:
             p = f(lam)
@@ -439,11 +439,13 @@ def test_lift_family_sa_gives_self_adjoint_lifts():
 
 
 def test_lift_family_respects_cap_and_shape():
-    pi = dual_pi()
+    # every section of a family set must lift through the one pi
     q = ElementFamily(M4, rotated_projection)
-    sec = messy_section(pi, q, seed=47)
-    with pytest.raises(ParameterError):
-        lift_family(pi, [q], [sec, sec], GRID)
+    sec = messy_section(dual_pi(), q, seed=47)
+    other = messy_section(dual_pi(), q, seed=47)  # the same data through another pi
+    with pytest.raises(ParameterError, match="different homomorphism families"):
+        lift_family([sec, other], GRID)
+    assert lift_family([], GRID) == ([], [])
 
 
 def diagonal_targets(count: int) -> list[ElementFamily]:
@@ -478,7 +480,7 @@ def test_lift_family_solves_each_point_once(monkeypatch):
         for tgt in targets
     ]
     grid = GRID[::5]
-    fams, traces = lift_family(pi, targets, secs, grid)
+    fams, traces = lift_family(secs, grid)
     per_step = [len(trace.valid_points()) for trace in traces]
     assert per_step == [len(grid)] * 3
     assert len(calls) == sum(per_step)
@@ -486,6 +488,31 @@ def test_lift_family_solves_each_point_once(monkeypatch):
         for fam, trace in zip(fams, traces):
             assert fam(lam) is trace.point(complex(lam)).p
     assert len(calls) == sum(per_step)
+
+
+def test_a_lifted_family_off_the_grid_is_the_lift_on_a_grid_that_holds_it():
+    # off the grid a lifted family runs its step's kernel through the same
+    # lifting._point, and its predecessors off the grid too, so the value is the
+    # one a run whose grid holds that lambda computes, bit for bit
+    pi = dual_pi()
+    rng = np.random.default_rng(61)
+    secs = [
+        Section(
+            pi,
+            tgt,
+            lambda lam, _t=tgt, _n=M4.random_element(rng): DUAL4.from_parts(
+                _t(lam), (0.2 + 0.1 * lam) * _n
+            ),
+        )
+        for tgt in diagonal_targets(3)
+    ]
+    off_grid, _ = lift_family(secs, (0.0, 0.2))
+    on_grid, traces = lift_family(secs, (0.0, 0.35))
+    for fam, ref, trace in zip(off_grid, on_grid, traces):
+        want = trace.point(0.35).p
+        assert ref(0.35) is want
+        got = fam(0.35)
+        assert all(np.array_equal(g, w) for g, w in zip(got.payload, want.payload))
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +548,7 @@ def product_family_data():
 
 def test_lift_family_invalid_point_propagates_through_later_steps():
     pi, targets, secs = product_family_data()
-    fams, traces = lift_family(pi, targets, secs, SPLIT_GRID)
+    fams, traces = lift_family(secs, SPLIT_GRID)
     for trace in traces:
         assert [pt.valid for pt in trace.points] == [True, True, True, False]
         assert trace.worst("idempotency") <= 1e-9
@@ -539,7 +566,7 @@ def test_ortho_step_records_predecessor_failures_apart():
     # step 0 fails its own frozen enclosures at lambda = 0.3; the later
     # steps fail there only because their predecessor e does
     pi, targets, secs = product_family_data()
-    _, traces = lift_family(pi, targets, secs, SPLIT_GRID)
+    _, traces = lift_family(secs, SPLIT_GRID)
     keys = [sorted(trace.points[-1].defects) for trace in traces]
     assert keys == [["enclosure"], ["predecessor"], ["predecessor"]]
 
@@ -575,13 +602,13 @@ def test_a_kernel_error_away_from_the_base_point_invalidates_only_that_point(
     sec = messy_section(pi, q, seed=31)
     if path == "local":  # its first sqrt_cut freezes the sheet at lambda = 0
         _failing_after(monkeypatch, "sqrt_cut", exc, spared=1)
-        lift = lambda grid: lift_local(pi, q, sec, grid)
+        lift = lambda grid: lift_local(sec, grid)
     elif path == "self-adjoint":
         _failing_after(monkeypatch, "riesz_projection", exc)
-        lift = lambda grid: lift_local_sa(pi, q, sec, grid)
+        lift = lambda grid: lift_local_sa(sec, grid)
     else:
         _failing_after(monkeypatch, "sqrt_near_one", exc)
-        lift = lambda grid: lift_family(pi, [q], [sec], grid)[1][0]
+        lift = lambda grid: lift_family([sec], grid)[1][0]
     trace = lift((-0.3, 0.2))
     assert [pt.valid for pt in trace.points] == [False, False]
     assert all(pt.defects == {key: math.inf} for pt in trace.points)
@@ -593,7 +620,7 @@ def test_a_lifted_family_raises_enclosure_failed_where_a_kernel_error_struck(mon
     pi = dual_pi()
     q = ElementFamily(M4, rotated_projection)
     sec = messy_section(pi, q, seed=31)
-    fams, traces = lift_family(pi, [q], [sec], (0.0, 0.2))
+    fams, traces = lift_family([sec], (0.0, 0.2))
     assert all(pt.valid for pt in traces[0].points)
     _failing_after(monkeypatch, "sqrt_near_one", NotInvertible("resolvent refused"))
     with pytest.raises(EnclosureFailed, match="not-invertible"):
@@ -610,7 +637,6 @@ def test_family_orthogonality_record_fails_on_invalid_rows():
         pi=pi,
         grid=SPLIT_GRID,
         theorem_paths=(3,),
-        family_targets=tuple(targets),
         family_sections=tuple(secs),
         kernel_required=False,
     )
@@ -679,7 +705,7 @@ def test_lift_local_block_testbed():
         return block.wrap(conj_in @ m @ (np.eye(4) + lam * twist))
 
     sec = Section(pi, q, sec_eval)
-    trace = lift_local(pi, q, sec, GRID)
+    trace = lift_local(sec, GRID)
     assert all(pt.valid for pt in trace.points)
     assert trace.worst("idempotency") <= 1e-9
     assert trace.worst("lift") <= 1e-8
@@ -689,7 +715,7 @@ def test_lift_allowance_carries_the_tail_of_p():
     # pi sees only the stored part of p, so the lift defect is allowed
     # p's certified tail on top of the tail of the defect itself
     scn = build_scenario("example2")
-    _, traces = lift_family(scn.pi, scn.family_targets, scn.family_sections, (0.0,))
+    _, traces = lift_family(scn.family_sections, (0.0,))
     pt = traces[0].point(0.0)
     tail = scn.source.tail_bound(pt.p)
     assert tail > 0.0

@@ -71,7 +71,7 @@ def test_dual_testbed_targets_are_rotated_projections():
     K = np.zeros((4, 4), dtype=complex)
     K[0, 1], K[1, 0], K[2, 3], K[3, 2] = 1.0, -1.0, 2.0, -2.0
     seeds = [np.diag([1.0, 0.0, 1.0, 0.0]), *(np.diag(np.eye(4)[i]) for i in range(3))]
-    families = [scn.local_target, *scn.family_targets]
+    families = [sec.target for sec in (scn.local_section, *scn.family_sections)]
     assert len(scn.grid) == 21
     for lam in (*scn.grid, 0.37 + 0.2j):
         turn, back = alg_exp(base.wrap(lam * K)), alg_exp(base.wrap(-lam * K))
@@ -144,8 +144,8 @@ def test_broken_section_fails_with_section_invalid():
     # a section that misses its target by a unit cannot start the lift
     broken = Section(
         scn.pi,
-        scn.local_target,
-        lambda lam: scn.pi.embed(lam, scn.local_target(lam)) + 0.5 * scn.source.one(),
+        scn.local_section.target,
+        lambda lam: scn.pi.embed(lam, scn.local_section.target(lam)) + 0.5 * scn.source.one(),
     )
     scn = scn.replace(local_section=broken, theorem_paths=(1,))
     rep = run_verification(scn, grid=SMALL_GRID, seed=0)
@@ -220,7 +220,7 @@ def test_one_bad_lambda_leaves_the_rest_of_the_family_run():
     assert "family-step-0" in rep["failures"]
 
     scn = build_scenario("example2")
-    fams, _ = lift_family(scn.pi, scn.family_targets, scn.family_sections, grid)
+    fams, _ = lift_family(scn.family_sections, grid)
     with pytest.raises(EnclosureFailed, match="not-invertible"):
         fams[0](1.5)
 
@@ -280,10 +280,10 @@ def _counting(scn, calls):
 
         return run
 
-    q = scn.local_target
+    q = scn.local_section.target
     target = ElementFamily(q.algebra, counted("target", q.evaluator))
     sec = Section(scn.pi, target, counted("section", scn.local_section.evaluator))
-    return scn.replace(local_target=target, local_section=sec)
+    return scn.replace(local_section=sec)
 
 
 def test_each_value_is_computed_once_per_run_and_never_kept():
@@ -298,6 +298,6 @@ def test_each_value_is_computed_once_per_run_and_never_kept():
     assert set(calls.values()) == {2}
 
     before = calls["target", 0.4]
-    scn.local_target(0.4)
-    scn.local_target(0.4)  # outside a run nothing is stored
+    scn.local_section.target(0.4)
+    scn.local_section.target(0.4)  # outside a run nothing is stored
     assert calls["target", 0.4] == before + 2
