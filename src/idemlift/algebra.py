@@ -21,8 +21,9 @@ Seven algebra kinds are implemented:
     ``D``.  The coefficients are stored as one ``(D+1, *base shape)`` array,
     and each element carries a nonnegative ``tail`` scalar bounding the norm
     distance between the stored truncation and the element it stands for.
-    A product is one batched truncated Cauchy product; the coefficient mass
-    it drops (degrees ``D+1 .. 2D``) goes into the tail, rounded up.
+    A product is one truncated Cauchy product, one GEMM on a convolution
+    base; the coefficient mass it drops (degrees ``D+1 .. 2D``) goes into
+    the tail, rounded up.
 ``unitization``
     A unit adjoined to a radical algebra; the norm is the l1 sum and every
     spectrum is the singleton of the adjoined scalar.  Its inverses and its
@@ -36,9 +37,10 @@ are pure functions.  An element's operators and its methods (``norm``,
 module-level function is ``alg_exp``.  The array-payload kinds (matrix,
 block-triangular, convolution) share one private base, ``_ArrayAlgebra``:
 numpy's linear arithmetic and a shape-checked ``wrap``.  They take norms of
-whole payload stacks with one kernel, ``_norms``; the matrix and convolution
-products broadcast over leading axes, which is what the series kind's
-batched product builds on.
+whole payload stacks with one kernel, ``_norms``.  The series kind's
+product takes every coefficient product from one ``_products`` call of its
+base.  Contour sums go through ``resolvent_kernel(x)``, built once per
+integral, so that what does not depend on the nodes is done once.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .errors import (
 from .frozen import Frozen
 
 CONDITION_LIMIT = 1e12
-RESOLVENT_BLOCK_BYTES = 1 << 16  # one block of MatrixAlgebra.resolvent_integral
+RESOLVENT_BLOCK_BYTES = 1 << 16  # one block of MatrixAlgebra.resolvent_kernel
 _TINY = np.finfo(np.float64).tiny  # smallest normal float
 
 
@@ -370,25 +372,55 @@ class BanachAlgebra(Frozen):
 
     def resolvent_batch(self, x: Element, zs: Sequence[complex]) -> list[Element]:
         """Resolvents ``(z - x)^-1``, one element per ``z``: the hook of the
-        generic ``resolvent_integral``, for the kinds that do not override it."""
+        generic resolvent kernel, for the kinds that do not override it."""
         raise ParameterError(f"{self.kind} algebra has no resolvent batch")
+
+    def resolvent_kernel(
+        self, x: Element
+    ) -> Callable[[Sequence[complex], Sequence[complex]], Element]:
+        """The contour sums of ``x``: a function of ``(zs, weights)`` that
+        gives ``sum_k weights[k] * (zs[k] - x)^-1``.  What does not depend
+        on the nodes is done here, once, so that a quadrature which calls
+        the kernel once per pass does it once per integral.
+
+        Generic: each call weights the resolvent batch and sums it pairwise
+        in node order.  Kinds that can contract the weights before building
+        any element, or that have node-independent work, override this."""
+
+        def integral(zs: Sequence[complex], weights: Sequence[complex]) -> Element:
+            batch = self.resolvent_batch(x, zs)
+            terms = [self._scale(complex(w), self._own(r)) for r, w in zip(batch, weights)]
+            if not terms:
+                return self.zero()
+            while len(terms) > 1:
+                terms = [
+                    self._add(terms[i], terms[i + 1]) if i + 1 < len(terms) else terms[i]
+                    for i in range(0, len(terms), 2)
+                ]
+            return self.wrap(terms[0])
+
+        return integral
 
     def resolvent_integral(
         self, x: Element, zs: Sequence[complex], weights: Sequence[complex]
     ) -> Element:
-        """``sum_k weights[k] * (zs[k] - x)^-1``: the resolvent batch,
-        weighted and summed pairwise in node order.  Kinds that can contract
-        the weights before building any element override this."""
-        batch = self.resolvent_batch(x, zs)
-        terms = [self._scale(complex(w), self._own(r)) for r, w in zip(batch, weights)]
-        if not terms:
-            return self.zero()
-        while len(terms) > 1:
-            terms = [
-                self._add(terms[i], terms[i + 1]) if i + 1 < len(terms) else terms[i]
-                for i in range(0, len(terms), 2)
-            ]
-        return self.wrap(terms[0])
+        """``sum_k weights[k] * (zs[k] - x)^-1``: one call of
+        ``resolvent_kernel(x)``."""
+        return self.resolvent_kernel(x)(zs, weights)
+
+    def _powers(self, f, cap: int) -> tuple[list, bool, float]:
+        """The powers ``f, f^2, ...`` before the first of norm 0, at most
+        ``cap`` of them: the table of the unitization's resolvent kernel.
+        Also whether a power of norm 0 ended them, and if not the norm of
+        the next power.  Generic: one ``_mul`` by ``f`` and one norm per
+        power."""
+        powers, term = [], f
+        for _ in range(cap):
+            if self._norm(term) == 0.0:
+                return powers, True, 0.0
+            powers.append(term)
+            term = self._mul(term, f)
+        return powers, False, self._norm(term)
 
     def _untailed(self, p):
         """``p`` without its carried tail bound (``p`` where there is none)."""
@@ -509,6 +541,14 @@ class MatrixAlgebra(_ArrayAlgebra):
     def _mul(self, p, q):
         return p @ q
 
+    def _right_operand(self, q):
+        """``q`` as the right factor of ``_products``: the matrices themselves."""
+        return q
+
+    def _products(self, a, rq):
+        """``a[i] @ rq[j]`` for every ``i`` and ``j``: one broadcast product."""
+        return a[:, None] @ rq[None, :]
+
     def _norms(self, stack) -> np.ndarray:
         return _spectral_norms(stack)
 
@@ -529,17 +569,22 @@ class MatrixAlgebra(_ArrayAlgebra):
         inv = _resolvents(self._own(x), np.asarray(list(zs), dtype=complex))
         return [self.wrap(r) for r in inv]
 
-    def resolvent_integral(self, x, zs, weights):
-        """In blocks of RESOLVENT_BLOCK_BYTES, so memory does not grow with the
-        node count; each block is summed by numpy onto the running total."""
+    def resolvent_kernel(self, x):
+        """Each call sums in blocks of RESOLVENT_BLOCK_BYTES, so memory does
+        not grow with the node count; each block is summed by numpy onto the
+        running total."""
         p = self._own(x)
-        zs, ws = np.asarray(list(zs), dtype=complex), np.asarray(list(weights), dtype=complex)
-        step = max(1, RESOLVENT_BLOCK_BYTES // (16 * self.n * self.n))
-        total = np.zeros((0, self.n, self.n), dtype=complex)
-        for lo in range(0, len(zs), step):
-            terms = ws[lo : lo + step, None, None] * _resolvents(p, zs[lo : lo + step])
-            total = np.sum(np.concatenate((total, terms)), axis=0, keepdims=True)
-        return self.wrap(total[0] if len(total) else self._zero())
+
+        def integral(zs, weights):
+            zs, ws = np.asarray(list(zs), dtype=complex), np.asarray(list(weights), dtype=complex)
+            step = max(1, RESOLVENT_BLOCK_BYTES // (16 * self.n * self.n))
+            total = np.zeros((0, self.n, self.n), dtype=complex)
+            for lo in range(0, len(zs), step):
+                terms = ws[lo : lo + step, None, None] * _resolvents(p, zs[lo : lo + step])
+                total = np.sum(np.concatenate((total, terms)), axis=0, keepdims=True)
+            return self.wrap(total[0] if len(total) else self._zero())
+
+        return integral
 
     def matrix_representation(self, x: Element) -> np.ndarray:
         return np.array(self._own(x), dtype=complex)
@@ -797,12 +842,30 @@ class ConvolutionAlgebra(_ArrayAlgebra):
     def shape(self) -> tuple[int]:
         return (self.n_grid - 1,)
 
+    def _right_operand(self, q):
+        """The strictly lower triangular Toeplitz matrix of each payload of
+        ``q``, without the ``1/N``: the right factor of ``_products``."""
+        padded = np.concatenate((np.zeros(q.shape[:-1] + (1,), dtype=complex), q), axis=-1)
+        return padded[..., _toeplitz_index(self.n_grid - 1)]
+
+    def _products(self, a, tb):
+        """The one product kernel of this kind: ``a[i] * b[j]`` for every
+        row ``a[i]`` of ``a`` and every Toeplitz matrix ``tb[j]`` of ``b``
+        (``_right_operand``), shape ``(I, J, M)``.
+
+        It is one GEMM (Goto & van de Geijn, ACM TOMS 34(3), 2008): the rows
+        of ``a`` times ``b``'s Toeplitz stack reshaped to ``(J*M, M)``, then
+        the ``1/N``.  So each product is ``T_b a``; the product commutes,
+        but ``T_a b`` rounds differently.
+        """
+        m = a.shape[-1]
+        prods = (a @ tb.reshape(-1, m).T).reshape(len(a), len(tb), m)
+        return (1.0 / self.n_grid) * prods
+
     def _mul(self, p, q):
-        """``T_p q`` with ``T_p`` the strictly lower triangular Toeplitz
-        operator of ``p``, over any leading axes of ``p`` and ``q``."""
-        padded = np.concatenate((np.zeros(p.shape[:-1] + (1,), dtype=complex), p), axis=-1)
-        toeplitz = padded[..., _toeplitz_index(self.n_grid - 1)]
-        return (1.0 / self.n_grid) * (toeplitz @ q[..., None])[..., 0]
+        """``p * q`` of two payloads: ``_products`` of one row and one
+        Toeplitz matrix."""
+        return self._products(p[None], self._right_operand(q)[None])[0, 0]
 
     def _norms(self, stack) -> np.ndarray:
         return np.sum(np.abs(stack), axis=-1) / self.n_grid
@@ -868,6 +931,11 @@ class WienerAlgebra(BanachAlgebra):
     where ``spill`` is the coefficient mass of degrees ``D+1 .. 2D`` that
     the truncation drops: the summed norms of the discarded block of the
     same Cauchy product, rounded up past the rounding error of that sum.
+
+    All ``(D+1)^2`` coefficient products come from one base ``_products``
+    call (``_cauchy``): on a convolution base one GEMM against the right
+    operand's Toeplitz stack, so each is formed as ``T_b a``, which rounds
+    differently from ``T_a b``.
     """
 
     __slots__ = ("base", "degree")
@@ -924,30 +992,54 @@ class WienerAlgebra(BanachAlgebra):
         # pairwise summation, which regroups from eight terms on
         return sum(self.base._norms(p.coeffs).tolist())
 
-    def _cauchy(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-        """Truncated Cauchy product of two coefficient arrays: its degrees
-        ``0 .. D``, and the spill, the summed norms of its degrees
-        ``D+1 .. 2D``.
+    def _cauchy(self, a: np.ndarray, rb: np.ndarray) -> tuple[np.ndarray, float]:
+        """Truncated Cauchy product of the coefficient arrays ``a`` and
+        ``b``, with ``b`` given as the base's right operand
+        ``rb = base._right_operand(b)``: its degrees ``0 .. D``, and the
+        spill, the summed norms of its degrees ``D+1 .. 2D``.
 
-        Every product ``a[i] b[j]`` comes from one batched base product,
-        and degree ``k`` sums its ``a[i] b[k-i]`` in increasing ``i``.
+        All ``(D+1)^2`` products ``a[i] b[j]`` come from one base
+        ``_products`` call: on a convolution base one GEMM of the rows of
+        ``a`` against the Toeplitz stack of ``b``, on a matrix base one
+        broadcast matrix product.  Degree ``k`` sums its ``a[i] b[k-i]`` in
+        increasing ``i``.
         """
         d = self.degree
-        prods = self.base._mul(a[:, None], b[None, :])
+        prods = self.base._products(a, rb)
         full = np.zeros((2 * d + 1,) + a.shape[1:], dtype=complex)
         for i in range(d + 1):
             full[i : i + d + 1] += prods[i]
         # round up past the rounding error of this sum of d nonnegative
-        # norms, as resolvent_integral rounds its tail
+        # norms, as the unitization's resolvent kernel rounds its tail
         spill = float(np.sum(self.base._norms(full[d + 1 :]))) * (1.0 + (d + 4) * 2.0**-50)
         # a copy, so that the product does not keep the dropped half alive
         return full[: d + 1].copy(), spill
 
+    def _product(self, p, sp: float, q, sq: float, rq: np.ndarray) -> _WienerPayload:
+        """``p q`` from the factors, their stored norms ``sp`` and ``sq``,
+        and the right operand ``rq`` of ``q``'s coefficients, by the tail
+        rule of the class docstring."""
+        kept, spill = self._cauchy(p.coeffs, rq)
+        return _WienerPayload(kept, spill + sp * q.tail + p.tail * sq + p.tail * q.tail)
+
     def _mul(self, p, q):
-        kept, spill = self._cauchy(p.coeffs, q.coeffs)
-        sx, sy = self._stored_norm(p), self._stored_norm(q)
-        tail = spill + sx * q.tail + p.tail * sy + p.tail * q.tail
-        return _WienerPayload(kept, tail)
+        rq = self.base._right_operand(q.coeffs)
+        return self._product(p, self._stored_norm(p), q, self._stored_norm(q), rq)
+
+    def _powers(self, f, cap: int) -> tuple[list, bool, float]:
+        """The chain against the fixed factor ``f``: its right operand and
+        stored norm are formed once, each step is one ``_products`` call,
+        and the one stored norm of each new power serves both the zero test
+        and the next step's tail rule."""
+        rf, sf = self.base._right_operand(f.coeffs), self._stored_norm(f)
+        powers, term, s = [], f, sf
+        for _ in range(cap):
+            if s + term.tail == 0.0:
+                return powers, True, 0.0
+            powers.append(term)
+            term = self._product(term, s, f, sf, rf)
+            s = self._stored_norm(term)
+        return powers, False, s + term.tail
 
     def _norm(self, p) -> float:
         return self._stored_norm(p) + p.tail
@@ -965,7 +1057,7 @@ class WienerAlgebra(BanachAlgebra):
             inv[k] = -b._mul(i0, np.sum(b._mul(f[1 : k + 1], inv[k - 1 :: -1]), axis=0))
         # residual of the true product f*g against 1: truncation spill plus
         # the hidden mass of f acting on g
-        _, spill = self._cauchy(f, inv)
+        _, spill = self._cauchy(f, b._right_operand(inv))
         g_norm = self._stored_norm(_WienerPayload(inv, 0.0))
         e_norm = spill + p.tail * g_norm
         if e_norm >= 1.0:
@@ -1152,9 +1244,9 @@ class UnitizationAlgebra(BanachAlgebra):
         # x^-1 = -(0 - x)^-1: the one-node resolvent integral at z = 0
         return self._neg(self._own(self.resolvent_integral(self.wrap(p), [0j], [1.0])))
 
-    def resolvent_integral(self, x, zs, weights):
+    def resolvent_kernel(self, x):
         """The one radical Neumann series of this algebra; ``inverse`` is
-        its negated one-node call at z = 0.
+        its negated one-node sum at z = 0.
 
         ``(z - x)^{-1} = sum_n f^n / (z - c)^{n+1}`` for ``x = f + c``, so
         the integral is ``sum_n s_n f^n`` with ``s_n = sum_k w_k
@@ -1164,6 +1256,12 @@ class UnitizationAlgebra(BanachAlgebra):
         node needs ``r_k = ||f|| / |z_k - c| < 1``.  Node k certifies the
         terms ``|w_k| |z_k - c|^{-(n+1)} tail(f^n)``, n = 1..N, plus for a
         cut series ``|w_k| ||f^{N+1}|| |z_k - c|^{-(N+2)} / (1 - r_k)``.
+
+        The table does not depend on the nodes, so the kernel builds it
+        once (the base's ``_powers``): the powers, their tails and untailed
+        parts, whether the series is exact, and the norms of ``f`` and of
+        the remainder ``f^{N+1}``.  Each call then does only the node sums,
+        with the same arithmetic as a table built for that call alone.
 
         Rounding (Higham, *Accuracy and Stability of Numerical Algorithms*,
         Lemma 3.1 and ch. 4; u = 2^-53, gamma_m = mu/(1 - mu); norms and
@@ -1185,42 +1283,40 @@ class UnitizationAlgebra(BanachAlgebra):
         """
         b = self.base
         f, c = self._own(x)
-        ds = np.asarray(zs, dtype=complex) - c
-        ws = np.asarray(weights, dtype=complex)
-        if np.any(np.abs(ds) < 1e-300):
-            raise NotInvertible("resolvent point hits the one-point spectrum")
-        cap = self.base.nilpotency_index
-        powers = []
-        term = f
-        exact = False
-        for _ in range(cap):
-            if b._norm(term) == 0.0:
-                exact = True
-                break
-            powers.append(term)
-            term = b._mul(term, f)
+        powers, exact, rest = b._powers(f, b.nilpotency_index)
         n = len(powers)
-        # row j holds (z_k - c)^-(j+1), the weight of f^j at node k
-        inv = np.cumprod(np.broadcast_to(1.0 / ds, (n + 1, len(ds))), axis=0)
-        # row j holds |w_k| |z_k - c|^-(j+1); row n + 1 is the remainder's
-        mags = np.abs(ws) * np.cumprod(np.broadcast_to(1.0 / np.abs(ds), (n + 2, len(ds))), axis=0)
-        terms = mags[1 : n + 1] * np.array([b.tail_bound(b.wrap(q)) for q in powers])[:, None]
-        if not exact:
-            r = b._norm(f) / np.abs(ds) * (1.0 + 2.0**-50)
-            if np.any(r >= 1.0):
-                raise NotInvertible(
-                    "radical Neumann series cannot be certified at this norm"
-                )
-            terms = np.vstack((terms, mags[n + 1] * b._norm(term) / (1.0 - r)))
+        tails = np.array([b.tail_bound(b.wrap(q)) for q in powers])[:, None]
+        untailed = [b._untailed(q) for q in powers]
+        f_norm = b._norm(f)
         up = 1.0 + (n + 4) * 2.0**-50
-        nodes = [math.fsum(col) * up for col in terms.T.tolist()]
-        tail = nodes[0] if len(nodes) == 1 else math.fsum(nodes) * up
-        scaled = [b._scale(complex(s), b._untailed(q)) for s, q in zip(inv[1:] @ ws, powers)]
-        stored = functools.reduce(b._add, scaled) if scaled else b._zero()
-        rad = b.add_tail(b.wrap(stored), tail)
-        if rad is None:
-            raise NotInvertible("no tail channel to carry the Neumann remainder")
-        return self.wrap((b._own(rad), complex(ws @ inv[0])))
+
+        def integral(zs, weights):
+            ds = np.asarray(zs, dtype=complex) - c
+            ws = np.asarray(weights, dtype=complex)
+            if np.any(np.abs(ds) < 1e-300):
+                raise NotInvertible("resolvent point hits the one-point spectrum")
+            # row j holds (z_k - c)^-(j+1), the weight of f^j at node k
+            inv = np.cumprod(np.broadcast_to(1.0 / ds, (n + 1, len(ds))), axis=0)
+            # row j holds |w_k| |z_k - c|^-(j+1); row n + 1 is the remainder's
+            mags = np.abs(ws) * np.cumprod(np.broadcast_to(1.0 / np.abs(ds), (n + 2, len(ds))), axis=0)
+            terms = mags[1 : n + 1] * tails
+            if not exact:
+                r = f_norm / np.abs(ds) * (1.0 + 2.0**-50)
+                if np.any(r >= 1.0):
+                    raise NotInvertible(
+                        "radical Neumann series cannot be certified at this norm"
+                    )
+                terms = np.vstack((terms, mags[n + 1] * rest / (1.0 - r)))
+            nodes = [math.fsum(col) * up for col in terms.T.tolist()]
+            tail = nodes[0] if len(nodes) == 1 else math.fsum(nodes) * up
+            scaled = [b._scale(complex(s), q) for s, q in zip(inv[1:] @ ws, untailed)]
+            stored = functools.reduce(b._add, scaled) if scaled else b._zero()
+            rad = b.add_tail(b.wrap(stored), tail)
+            if rad is None:
+                raise NotInvertible("no tail channel to carry the Neumann remainder")
+            return self.wrap((b._own(rad), complex(ws @ inv[0])))
+
+        return integral
 
     def _adjoint(self, p):
         return (self.base._adjoint(p[0]), np.conj(p[1]))
@@ -1335,9 +1431,14 @@ class ProductAlgebra(BanachAlgebra):
             raise ParameterError("component count mismatch")
         return self.wrap(tuple(f._own(c) for f, c in zip(self.factors, comps)))
 
-    def resolvent_integral(self, x, zs, weights):
-        parts = zip(self.factors, self._own(x))
-        return self.wrap(tuple(f._own(f.resolvent_integral(f.wrap(a), zs, weights)) for f, a in parts))
+    def resolvent_kernel(self, x):
+        """The factors' kernels, each built once, called componentwise."""
+        kernels = [f.resolvent_kernel(f.wrap(a)) for f, a in zip(self.factors, self._own(x))]
+
+        def integral(zs, weights):
+            return self.wrap(tuple(f._own(k(zs, weights)) for f, k in zip(self.factors, kernels)))
+
+        return integral
 
     def tail_bound(self, x: Element) -> float:
         return max(

@@ -12,8 +12,11 @@ use composite Gauss-Legendre per edge, and each doubling starts over.
 The fixed circle |z| = 1/2 of ``sqrt_near_one`` uses the periodic
 trapezoid rule, which converges geometrically; each doubling keeps half
 of the previous sum and evaluates only the new midpoint nodes.  The
-weighted resolvent sum is formed by the algebra's
-``resolvent_integral``; results are deterministic for a fixed version.
+weighted resolvent sum is formed by the algebra's resolvent kernel: an
+integral asks for it once (``resolvent_kernel``), so the work that does
+not depend on the nodes, such as the unitization's table of powers, is
+done once per integral and not once per pass.  Results are deterministic
+for a fixed version.
 """
 
 from __future__ import annotations
@@ -219,15 +222,17 @@ def _integrate(
 ) -> Element:
     """(1/2pi i) * integral of scalar_fn(z) (z - a)^(-1) dz over the loop
     of ``rule``, starting at n nodes per edge, with adaptive doubling;
-    the convergence record goes to ``audit_sink``."""
+    the convergence record goes to ``audit_sink``.  The algebra's resolvent
+    kernel for ``a`` is built once and called once per pass."""
     alg: BanachAlgebra = a.algebra
+    kernel = alg.resolvent_kernel(a)
     prev: Element | None = None
     refinements = 0
     while True:
         zs, coeffs, carry = rule(n, prev is not None)
         gv = np.asarray(scalar_fn(zs), dtype=complex)
         weights = gv * coeffs / (2j * math.pi)
-        total = alg.resolvent_integral(a, zs, weights)
+        total = kernel(zs, weights)
         if carry:
             total = carry * prev + total
         if prev is not None:

@@ -37,7 +37,7 @@ from .algebra import (
     UnitizationAlgebra,
     WienerAlgebra,
 )
-from .errors import IdemliftError, UnknownScenario
+from .errors import IdemliftError, ParameterError, UnknownScenario
 from .families import (
     ElementFamily,
     HomFamily,
@@ -763,6 +763,13 @@ def list_scenarios() -> list[str]:
     return sorted(_BUILDERS)
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a negative seed, which ``np.random.default_rng`` refuses
+    with an untyped ``ValueError`` or, offset, would take silently."""
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
+
+
 def build_scenario(scenario_id: str, seed: int = 0) -> Scenario:
     try:
         builder = _BUILDERS[scenario_id]
@@ -770,6 +777,7 @@ def build_scenario(scenario_id: str, seed: int = 0) -> Scenario:
         raise UnknownScenario(
             f"unknown scenario {scenario_id!r}; valid ids: {', '.join(list_scenarios())}"
         ) from None
+    _check_seed(seed)
     return builder(seed)
 
 
@@ -1021,7 +1029,9 @@ def run_verification(
     """Execute every declared theorem path plus probes; return the report.
 
     Each family and section is evaluated at most once per lambda within
-    the call, and nothing of that memo outlives it."""
+    the call, and nothing of that memo outlives it.  A negative ``seed``
+    is a ``ParameterError``."""
+    _check_seed(seed)
     grid = tuple(scn.grid if grid is None else tuple(complex(g) for g in grid))
     tol = _default_tolerances()
     if tolerances:

@@ -329,6 +329,43 @@ def test_wiener_product_matches_block_toeplitz_reference() -> None:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
+def _dense_cauchy(a: np.ndarray, b: np.ndarray, n_grid: int) -> np.ndarray:
+    """All 2D + 1 degrees of the Cauchy product of two convolution
+    coefficient arrays, from np.convolve: (f*g)_l = sum_{j<l} f_{l-j-1}
+    g_j / N."""
+    d, m = len(a) - 1, a.shape[1]
+    full = np.zeros((2 * d + 1, m), dtype=complex)
+    for i in range(d + 1):
+        for j in range(d + 1):
+            full[i + j, 1:] += np.convolve(a[i], b[j])[: m - 1] / n_grid
+    return full
+
+
+@pytest.mark.parametrize("n_grid", [8, 16, 32])
+def test_series_product_matches_the_dense_untruncated_product(n_grid) -> None:
+    """The kept degrees against np.convolve, componentwise to 1e-14 of the
+    product of the absolute values; the spill is the norm sum of the
+    dropped degrees, rounded up and never below it."""
+    conv = il.ConvolutionAlgebra(n_grid)
+    rng = np.random.default_rng(97 + n_grid)
+    for d in (0, 4, 6, 28):
+        alg = il.WienerAlgebra(conv, d)
+        for _ in range(3):
+            x, y = alg.random_element(rng), alg.random_element(rng)
+            a, b = x.payload.coeffs, y.payload.coeffs
+            kept, spill = alg._cauchy(a, conv._right_operand(b))
+            full = _dense_cauchy(a, b, n_grid)
+            scale = _dense_cauchy(np.abs(a), np.abs(b), n_grid)[: d + 1].real
+            assert np.all(np.abs(kept - full[: d + 1]) <= 1e-14 * scale), (n_grid, d)
+            dropped = float(np.sum(conv._norms(full[d + 1 :])))
+            assert spill >= dropped, (n_grid, d)
+            assert spill <= dropped * (1.0 + 1e-12), (n_grid, d)
+            assert (spill == 0.0) == (d == 0)
+            # the element product carries the same coefficients and spill
+            xy = (x * y).payload
+            assert xy.coeffs.tobytes() == kept.tobytes() and xy.tail == spill
+
+
 def test_wiener_refuses_bases_without_array_payloads() -> None:
     conv = il.ConvolutionAlgebra(5)
     for base in (

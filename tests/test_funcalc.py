@@ -344,13 +344,18 @@ def test_sqrt_near_one_matches_dense_reference_up_to_radius_one_third() -> None:
 
 def test_sqrt_near_one_evaluates_each_circle_node_once(monkeypatch) -> None:
     seen = []
-    kernel = MatrixAlgebra.resolvent_integral
+    make_kernel = MatrixAlgebra.resolvent_kernel
 
-    def spy(self, x, zs, weights):
-        seen.append(np.array(zs))
-        return kernel(self, x, zs, weights)
+    def spy(self, x):
+        kernel = make_kernel(self, x)
 
-    monkeypatch.setattr(MatrixAlgebra, "resolvent_integral", spy)
+        def integral(zs, weights):
+            seen.append(np.array(zs))
+            return kernel(zs, weights)
+
+        return integral
+
+    monkeypatch.setattr(MatrixAlgebra, "resolvent_kernel", spy)
     rng = np.random.default_rng(37)
     for radius in (0.1, 0.3):
         seen.clear()
@@ -399,6 +404,42 @@ def test_sqrt_near_one_nested_sum_keeps_the_certified_tail() -> None:
         # the certificate is never below the per-node one
         assert up.tail_bound(w) >= up.tail_bound(0.5 * per_node - 0.5 * up.one())
     assert n == 128  # the c = 0.25j input carried a sum through two doublings
+
+
+def test_sqrt_near_one_builds_one_power_table_per_integral(monkeypatch) -> None:
+    """A call that refines once integrates in two passes, but forms the
+    powers of its radical part once: one Cauchy product per table entry.
+    Its result and tail are bit-identical to a run that builds the table
+    again for each pass."""
+    wien = WienerAlgebra(ConvolutionAlgebra(16), 4)
+    up = UnitizationAlgebra(wien)
+    x = up.from_parts(wien.random_element(np.random.default_rng(53), 0.1), 0.1)
+    calls = []
+    cauchy = WienerAlgebra._cauchy
+
+    def counting(self, a, rb):
+        calls.append(len(a))
+        return cauchy(self, a, rb)
+
+    monkeypatch.setattr(WienerAlgebra, "_cauchy", counting)
+    audits = []
+    once = sqrt_near_one(x, audit_sink=audits)
+    assert audits[0].refinements == 1
+    products = len(calls)
+    # the table holds f .. f^16: no power of a tailed series has norm 0,
+    # so the chain runs to the nilpotency index of the base
+    table = wien._powers(up.radical_part(x).payload, wien.nilpotency_index)[0]
+    assert len(table) == 16 and products == len(table)
+
+    make_kernel = UnitizationAlgebra.resolvent_kernel
+    monkeypatch.setattr(
+        UnitizationAlgebra, "resolvent_kernel", lambda self, x: lambda zs, ws: make_kernel(self, x)(zs, ws)
+    )
+    again = sqrt_near_one(x)
+    assert up.scalar_part(again) == up.scalar_part(once)
+    rad, rad_again = up.radical_part(once).payload, up.radical_part(again).payload
+    assert rad.coeffs.tobytes() == rad_again.coeffs.tobytes()
+    assert rad.tail == rad_again.tail
 
 
 def test_kinds_without_a_resolvent_kernel_are_refused_by_name() -> None:

@@ -8,7 +8,7 @@ import pytest
 
 from idemlift import families, scenarios
 from idemlift.algebra import alg_exp
-from idemlift.errors import EnclosureFailed, UnknownScenario
+from idemlift.errors import EnclosureFailed, ParameterError, UnknownScenario
 from idemlift.families import ElementFamily, Section
 from idemlift.lifting import lift_family
 from idemlift.report import report_passed
@@ -38,6 +38,20 @@ def test_registry_lists_all_six():
 def test_unknown_scenario_raises_with_valid_ids():
     with pytest.raises(UnknownScenario, match="dual-testbed"):
         build_scenario("no-such-thing")
+
+
+def test_negative_seed_is_refused_by_build_scenario():
+    """numpy's default_rng would raise an untyped ValueError here."""
+    with pytest.raises(ParameterError, match="seed must be nonnegative, got -1"):
+        build_scenario("dual-testbed", seed=-1)
+
+
+def test_negative_seed_is_refused_by_run_verification():
+    """The driver draws from default_rng(seed + 101), which would take -1
+    silently."""
+    scn = build_scenario("example1")
+    with pytest.raises(ParameterError, match="seed must be nonnegative, got -1"):
+        run_verification(scn, seed=-1)
 
 
 def test_dual_testbed_runs_all_four_paths():
