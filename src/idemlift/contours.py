@@ -4,6 +4,10 @@ Everything here is exact-ish plane geometry with complex numbers; no
 quadrature happens in this module.  Polygons are stored as open vertex
 loops (closure is implicit) and normalised to counterclockwise
 orientation, so a point strictly inside always has winding number +1.
+The escape ray of a finite spectrum is found in closed form: it bisects
+the widest gap between the spectrum's directions, which is the ray that
+keeps the largest angle to every spectral point.  Every constructor
+refuses non-finite input with ``ParameterError``.
 """
 
 from __future__ import annotations
@@ -100,8 +104,8 @@ class PolygonalArc(Frozen):
 
     def __post_init__(self) -> None:
         d = complex(self.ray_direction)
-        if abs(d) == 0.0:
-            raise ParameterError("ray direction must be nonzero")
+        if abs(d) == 0.0 or not cmath.isfinite(d):
+            raise ParameterError("ray direction must be finite and nonzero")
         object.__setattr__(self, "ray_direction", d / abs(d))
 
     @property
@@ -133,6 +137,8 @@ class JordanPolygon(Frozen):
         verts = tuple(complex(v) for v in self.vertices)
         if len(verts) < 3:
             raise ParameterError("polygon needs at least three vertices")
+        if not all(map(cmath.isfinite, verts)):
+            raise ParameterError("polygon vertices must be finite")
         if verts[0] == verts[-1]:
             verts = verts[:-1]
         for u, v in zip(verts, verts[1:] + verts[:1]):
@@ -182,14 +188,6 @@ class JordanPolygon(Frozen):
     def edges(self) -> list[tuple[complex, complex]]:
         n = len(self.vertices)
         return [(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)]
-
-    @property
-    def signed_area(self) -> float:
-        return _signed_area(self.vertices)
-
-    @property
-    def perimeter(self) -> float:
-        return sum(abs(b - a) for a, b in self.edges())
 
     def winding_number(self, z: complex) -> int:
         """Integer winding number of the (counterclockwise) loop about z."""
@@ -242,8 +240,8 @@ def _signed_area(verts: Sequence[complex]) -> float:
 
 def circle_polygon(center: complex, radius: float, n: int = 64) -> JordanPolygon:
     """Counterclockwise regular n-gon inscribed in the given circle."""
-    if radius <= 0:
-        raise ParameterError("circle radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ParameterError("circle radius must be positive and finite")
     if n < 8:
         raise ParameterError("circle approximation needs at least 8 vertices")
     verts = tuple(
@@ -253,8 +251,8 @@ def circle_polygon(center: complex, radius: float, n: int = 64) -> JordanPolygon
 
 
 def square_polygon(center: complex, half_side: float) -> JordanPolygon:
-    if half_side <= 0:
-        raise ParameterError("square half side must be positive")
+    if not 0 < half_side < math.inf:
+        raise ParameterError("square half side must be positive and finite")
     c = complex(center)
     h = half_side
     return JordanPolygon(
@@ -266,71 +264,34 @@ def square_polygon(center: complex, half_side: float) -> JordanPolygon:
 # escape ray
 
 
-def _ray_objectives(
-    phis: Sequence[float], pts: np.ndarray, angles: np.ndarray
-) -> list[tuple[float, float]]:
-    """(angular distance, euclidean clearance) from the ray at each angle
-    of ``phis`` to the points, in one broadcast; each direction vector
-    comes from ``cmath.exp``, so an objective does not depend on which
-    other angles share its call."""
-    col = np.array(phis)[:, None]
-    ang = np.min(np.minimum((col - angles) % (2 * np.pi), (angles - col) % (2 * np.pi)), axis=1)
-    us = np.array([cmath.exp(1j * phi) for phi in phis])[:, None]
-    t = np.maximum(0.0, pts.real * us.real + pts.imag * us.imag)
-    eucl = np.min(np.abs(pts - t * us), axis=1)
-    return list(zip(ang.tolist(), eucl.tolist()))
-
-
 def build_escape_arc(spec) -> PolygonalArc:
     """Ray from the origin to infinity staying clear of a finite spectrum.
 
     The direction maximises the minimum angular distance to the spectrum
-    directions, with euclidean clearance as tie-breaker and the lowest
-    angle in [0, 2pi) breaking exact ties.  A 360-direction grid search,
-    evaluated in one broadcast, is refined by ternary search around the
-    best grid direction.  The search stops at its fixed point: once a
-    step leaves the bracket unchanged, every later step of the 200 would
-    repeat it.
+    directions, so it bisects the widest gap between neighbouring
+    directions in [0, 2pi) (the last gap wraps round to the first
+    direction).  Gaps within 2e-12 of the widest tie; among their
+    bisectors the largest euclidean clearance (within 1e-12) wins, then
+    the lowest angle.  An empty spectrum gets the negative real axis.
     """
     pts = np.asarray(getattr(spec, "points", spec), dtype=complex)
     if pts.size == 0:
         return PolygonalArc(-1.0 + 0j)
-    if np.min(np.abs(pts)) < 1e-13:
+    mods = np.abs(pts)
+    if np.min(mods) < 1e-13:
         raise SpectrumContainsZero("spectrum touches the origin; no escape ray exists")
-    angles = np.angle(pts)
-
-    phis = [2.0 * math.pi * j / 360.0 for j in range(360)]
-    best_phi = 0.0
-    best_obj = (-1.0, -1.0)
-    for phi, obj in zip(phis, _ray_objectives(phis, pts, angles)):
-        if obj[0] > best_obj[0] + 1e-12 or (
-            abs(obj[0] - best_obj[0]) <= 1e-12 and obj[1] > best_obj[1] + 1e-12
-        ):
-            best_obj = obj
-            best_phi = phi
-
-    lo = best_phi - 2.0 * math.pi / 360.0
-    hi = best_phi + 2.0 * math.pi / 360.0
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        obj1, obj2 = _ray_objectives((m1, m2), pts, angles)
-        if obj1 < obj2:
-            if m1 == lo:
-                break
-            lo = m1
-        else:
-            if m2 == hi:
-                break
-            hi = m2
-    phi = (0.5 * (lo + hi)) % (2.0 * math.pi)
-    (refined,) = _ray_objectives((phi,), pts, angles)
-    if refined >= best_obj:
-        best_phi, best_obj = phi, refined
-
-    if best_obj[1] <= 0.0:
-        raise DegenerateGeometry("no ray with positive clearance found")
-    return PolygonalArc(cmath.exp(1j * best_phi))
+    if not np.isfinite(mods).all():
+        raise DegenerateGeometry("spectrum has a non-finite point; no ray with positive clearance")
+    two_pi = 2.0 * math.pi
+    pts = pts.tolist()
+    angles = sorted(cmath.phase(z) % two_pi for z in pts)
+    gaps = [b - a for a, b in zip(angles, angles[1:] + [angles[0] + two_pi])]
+    widest = max(gaps)
+    rays = [(a + 0.5 * g) % two_pi for a, g in zip(angles, gaps) if g >= widest - 2e-12]
+    clear = [min(_ray_distance(z, cmath.exp(1j * phi)) for z in pts) for phi in rays]
+    top = max(clear)
+    phi = min(phi for phi, c in zip(rays, clear) if c >= top - 1e-12)
+    return PolygonalArc(cmath.exp(1j * phi))
 
 
 # ---------------------------------------------------------------------------

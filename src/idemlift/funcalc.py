@@ -90,8 +90,8 @@ class ContourData(Frozen):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise ParameterError("contour margin eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ParameterError("contour margin eps must be positive and finite")
         if self.branch not in _BRANCHES:
             raise ParameterError(f"unknown branch descriptor {self.branch!r}")
         if self.sheet not in (1, -1):

@@ -27,7 +27,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .algebra import (
-    BanachAlgebra,
     BlockTriangularAlgebra,
     ConvolutionAlgebra,
     DualAlgebra,
@@ -79,12 +78,13 @@ _SIGN_ETA = 1e-15  # the roundoff level its stop test aims at
 
 
 class Scenario(Frozen):
-    """A fully wired verification scenario.  The targets of its lifts are
+    """A fully wired verification scenario.  Its algebras are π's
+    (``pi.source`` and ``pi.target``), and the targets of its lifts are
     read off their sections (``local_section.target`` and the targets of
     ``family_sections``)."""
 
     __slots__ = (
-        "id", "source", "target", "pi", "grid", "theorem_paths", "expected", "local_section",
+        "id", "pi", "grid", "theorem_paths", "expected", "local_section",
         "trivial_targets", "family_sections", "probes",
         "oracle_local", "oracle_family", "kernel_required",
     )
@@ -92,8 +92,6 @@ class Scenario(Frozen):
     def __init__(
         self,
         id: str,
-        source: BanachAlgebra,
-        target: BanachAlgebra,
         pi: HomFamily,
         grid: tuple[complex, ...],
         theorem_paths: tuple[int, ...],
@@ -107,8 +105,6 @@ class Scenario(Frozen):
         kernel_required: bool = True,
     ):
         object.__setattr__(self, "id", id)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "theorem_paths", theorem_paths)
@@ -252,8 +248,6 @@ def build_dual_testbed(seed: int = 0) -> Scenario:
 
     return Scenario(
         id="dual-testbed",
-        source=dual,
-        target=base,
         pi=pi,
         grid=_default_grid(),
         theorem_paths=(1, 2, 3, 4),
@@ -372,8 +366,6 @@ def build_block_testbed(seed: int = 0) -> Scenario:
 
     return Scenario(
         id="block-testbed",
-        source=block,
-        target=prod,
         pi=pi,
         grid=_default_grid(),
         theorem_paths=(1, 5),
@@ -451,8 +443,6 @@ def build_example1(seed: int = 0) -> Scenario:
 
     return Scenario(
         id="example1",
-        source=series,
-        target=scalars,
         pi=pi,
         grid=_default_grid(),
         theorem_paths=(1,),
@@ -567,8 +557,6 @@ def build_example2(seed: int = 0) -> Scenario:
 
     return Scenario(
         id="example2",
-        source=up,
-        target=down,
         pi=pi,
         grid=_default_grid(),
         theorem_paths=(1, 3),
@@ -675,8 +663,6 @@ def build_example3(seed: int = 0) -> Scenario:
 
     return Scenario(
         id="example3",
-        source=source,
-        target=target,
         pi=pi,
         grid=_default_grid(),
         theorem_paths=(5,),
@@ -698,7 +684,7 @@ def remark3_probe(seed: int = 0) -> Scenario:
     spectrum hypothesis on the kernel holds only at the base point.
     Nothing here is drawn at random, so the seed is unused.
     """
-    scalars, series, pi = _evaluation_hom(8)
+    _, series, pi = _evaluation_hom(8)
     gen = series.generator()
 
     def escape_probe(rng_: np.random.Generator) -> list[dict]:
@@ -731,8 +717,6 @@ def remark3_probe(seed: int = 0) -> Scenario:
 
     return Scenario(
         id="remark3-probe",
-        source=series,
-        target=scalars,
         pi=pi,
         grid=(0.0, 0.3, -0.5),
         theorem_paths=(),
@@ -894,7 +878,7 @@ def _hypothesis_checks(
     rng = np.random.default_rng(seed + 101)
 
     if pi.embed is not None:
-        backs = (pi.apply(0.0, pi.embed(0.0, b)) - b for b in scn.target.probe_basis())
+        backs = (pi.apply(0.0, pi.embed(0.0, b)) - b for b in pi.target.probe_basis())
         yield check_record("surjectivity-at-base", _worst_stored_norm(backs), 1e-9)
 
         lam_set = [0.0] if not scn.kernel_required else sorted(
@@ -903,7 +887,7 @@ def _hypothesis_checks(
         worst_rad = 0.0
         for lam in lam_set:
             for _ in range(3):
-                x = scn.source.random_element(rng)
+                x = pi.source.random_element(rng)
                 k = x - pi.embed(lam, pi.apply(lam, x))
                 worst_rad = max(worst_rad, max(abs(z) for z in k.spectrum().points))
         yield check_record(
@@ -947,7 +931,7 @@ def _trivial_runs(scn: Scenario, grid, tol) -> list[dict]:
 
 
 def _trivial_record(scn: Scenario, q: ElementFamily, grid, tol, name: str) -> dict:
-    lifted = lift_trivial(q, into=scn.source)
+    lifted = lift_trivial(q, into=scn.pi.source)
     if lifted is None:
         return run_record(name, 1, "trivial", error="target spectrum is not pinned to 0 or 1")
     points = []
@@ -962,7 +946,7 @@ def _trivial_record(scn: Scenario, q: ElementFamily, grid, tol, name: str) -> di
 
 
 def _local_runs(scn: Scenario, grid, tol, name: str, path: int) -> list[dict]:
-    if lift_trivial(scn.local_section.target, into=scn.source) is not None:
+    if lift_trivial(scn.local_section.target, into=scn.pi.source) is not None:
         return [
             run_record(
                 name, path, "trivial", notes="spectrally pinned target; trivial shortcut taken"
@@ -1029,10 +1013,13 @@ def run_verification(
     """Execute every declared theorem path plus probes; return the report.
 
     Each family and section is evaluated at most once per lambda within
-    the call, and nothing of that memo outlives it.  A negative ``seed``
-    is a ``ParameterError``."""
+    the call, and nothing of that memo outlives it.  A negative ``seed``,
+    or a grid that is empty or has a non-finite point, is a
+    ``ParameterError``, raised before any check runs."""
     _check_seed(seed)
     grid = tuple(scn.grid if grid is None else tuple(complex(g) for g in grid))
+    if not grid or not np.isfinite(grid).all():
+        raise ParameterError(f"grid must be nonempty and finite, got {grid}")
     tol = _default_tolerances()
     if tolerances:
         tol.update(tolerances)

@@ -7,9 +7,6 @@ under test.
 
 from __future__ import annotations
 
-import cmath
-import math
-
 import numpy as np
 
 
@@ -88,44 +85,6 @@ def random_sectorial_matrix(
     v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     v += 2.0 * np.eye(n)
     return v @ np.diag(eigs) @ np.linalg.inv(v)
-
-
-def escape_direction_scalar(pts: np.ndarray) -> complex:
-    """The escape-ray direction by the one-direction-at-a-time scan that
-    ``build_escape_arc`` vectorises: 360 grid objectives, one call each,
-    then all 200 ternary refinement steps.  Returns the unit direction
-    (before ``PolygonalArc`` normalises it); the spectrum must be
-    nonempty and clear of the origin."""
-    pts = np.asarray(pts, dtype=complex)
-    angles = np.angle(pts)
-
-    def objective(phi: float) -> tuple[float, float]:
-        ang = float(np.min(np.minimum((phi - angles) % (2 * np.pi), (angles - phi) % (2 * np.pi))))
-        u = cmath.exp(1j * phi)
-        t = np.maximum(0.0, pts.real * u.real + pts.imag * u.imag)
-        return ang, float(np.min(np.abs(pts - t * u)))
-
-    best_phi, best_obj = 0.0, (-1.0, -1.0)
-    for j in range(360):
-        phi = 2.0 * math.pi * j / 360.0
-        obj = objective(phi)
-        if obj[0] > best_obj[0] + 1e-12 or (
-            abs(obj[0] - best_obj[0]) <= 1e-12 and obj[1] > best_obj[1] + 1e-12
-        ):
-            best_obj, best_phi = obj, phi
-    lo = best_phi - 2.0 * math.pi / 360.0
-    hi = best_phi + 2.0 * math.pi / 360.0
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if objective(m1) < objective(m2):
-            lo = m1
-        else:
-            hi = m2
-    phi = (0.5 * (lo + hi)) % (2.0 * math.pi)
-    if objective(phi) >= best_obj:
-        best_phi = phi
-    return cmath.exp(1j * best_phi)
 
 
 def polygon_is_simple_pairwise(verts) -> bool:

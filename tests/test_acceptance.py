@@ -108,8 +108,8 @@ def test_criterion_3_local_lift_on_both_testbeds():
         for key in ("lift", "idempotency", "commutation"):
             worst[key] = max(worst[key], trace.worst(key))
         for pt in trace.points:
-            rep = scn.source.matrix_representation(pt.elements["a"])
-            got = scn.source.matrix_representation(pt.elements["p"])
+            rep = scn.pi.source.matrix_representation(pt.elements["a"])
+            got = scn.pi.source.matrix_representation(pt.elements["p"])
             want = contour_projection(rep, 1.0, 0.45)
             worst["oracle"] = max(worst["oracle"], float(np.max(np.abs(got - want))))
     assert worst["lift"] <= 1e-8
@@ -185,7 +185,7 @@ def test_criterion_7_worked_examples():
     t0 = time.perf_counter()
 
     scn1 = build_scenario("example1", seed=0)
-    basis = scn1.source.probe_basis()
+    basis = scn1.pi.source.probe_basis()
     lams = [0.0, 0.25, -0.4, 0.5, -0.62, 0.9, 0.3j, -0.7j, 0.4 + 0.4j,
             -0.3 + 0.5j, 0.6 - 0.2j, -0.5 - 0.5j]
     worst_norm = 0.0
@@ -195,7 +195,7 @@ def test_criterion_7_worked_examples():
     assert worst_norm <= 1e-10
 
     scn2 = build_scenario("example2", seed=0)
-    conv = scn2.target.base
+    conv = scn2.pi.target.base
     n_grid = conv.n_grid
     rng = np.random.default_rng(707)
     for _ in range(3):
@@ -229,7 +229,7 @@ def test_criterion_7_worked_examples():
 def test_criterion_8_spectral_escape_probe():
     t0 = time.perf_counter()
     scn = build_scenario("remark3-probe", seed=0)
-    gen = scn.source.generator()
+    gen = scn.pi.source.generator()
     for lam in (0.0, 0.3, -0.5):
         pts = scn.pi.apply(lam, gen).spectrum().points
         assert len(pts) == 1

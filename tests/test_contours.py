@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import escape_direction_scalar, polygon_is_simple_pairwise
+from oracles import polygon_is_simple_pairwise
 
 from idemlift.algebra import SpectrumReport
 from idemlift.contours import (
@@ -102,7 +102,7 @@ def test_gamma_rejects_degenerate_margin() -> None:
 
 def test_polygon_normalises_to_counterclockwise() -> None:
     cw = JordanPolygon((0j, 1j, 1 + 1j, 1 + 0j))
-    assert cw.signed_area > 0
+    assert cw.vertices == (1 + 0j, 1 + 1j, 1j, 0j)
     assert cw.winding_number(0.5 + 0.5j) == 1
 
 
@@ -116,13 +116,39 @@ def test_polygon_rejects_repeated_vertex() -> None:
         JordanPolygon((0j, 0j, 1 + 1j))
 
 
+def test_polygon_refuses_a_non_finite_vertex() -> None:
+    for bad in (complex("nan"), complex("inf"), complex(1, math.inf)):
+        with pytest.raises(ParameterError):
+            JordanPolygon((0j, 1 + 0j, bad))
+
+
+def test_ray_refuses_a_non_finite_direction() -> None:
+    for bad in (complex("nan"), complex("inf"), complex(1, math.nan)):
+        with pytest.raises(ParameterError):
+            PolygonalArc(bad)
+
+
+def test_circle_polygon_refuses_a_non_finite_centre_or_radius() -> None:
+    bad = ((math.nan, 1.0), (complex(0, math.inf), 1.0), (0j, math.nan), (0j, math.inf))
+    for center, radius in bad:
+        with pytest.raises(ParameterError):
+            circle_polygon(center, radius)
+
+
+def test_square_polygon_refuses_a_non_finite_centre_or_half_side() -> None:
+    bad = ((math.nan, 1.0), (complex(math.inf, 0), 1.0), (0j, math.nan), (0j, math.inf))
+    for center, half in bad:
+        with pytest.raises(ParameterError):
+            square_polygon(center, half)
+
+
 def test_circle_polygon_geometry() -> None:
     c = circle_polygon(1 + 2j, 0.5)
     assert len(c.vertices) == 64
     assert all(abs(abs(v - (1 + 2j)) - 0.5) <= 1e-14 for v in c.vertices)
     assert c.winding_number(1 + 2j) == 1
     assert c.winding_number(1.7 + 2j) == 0
-    assert c.perimeter == pytest.approx(2 * math.pi * 0.5, rel=1e-3)
+    assert sum(abs(b - a) for a, b in c.edges()) == pytest.approx(2 * math.pi * 0.5, rel=1e-3)
 
 
 def test_square_polygon_symmetry_and_margin() -> None:
@@ -203,24 +229,73 @@ def _escape_direction(pts) -> complex:
     return build_escape_arc(SpectrumReport(tuple(complex(p) for p in pts), True)).ray_direction
 
 
-def _same_bits(a: complex, b: complex) -> bool:
-    return np.array([a]).tobytes() == np.array([b]).tobytes()
+def _angular_clearance(u: complex, pts) -> float:
+    return float(np.min(np.abs(np.angle(np.asarray(pts) / u))))
 
 
-def test_escape_ray_matches_scalar_scan_bit_for_bit() -> None:
+def _directions(pts) -> np.ndarray:
+    return np.sort(np.angle(pts) % (2 * np.pi))
+
+
+def _widest_gap(pts) -> float:
+    ang = _directions(pts)
+    return float(np.max(np.diff(np.append(ang, ang[0] + 2 * np.pi))))
+
+
+def test_escape_ray_bisects_the_widest_gap_of_random_spectra() -> None:
+    """The ray's angular clearance is half the widest gap, and on every
+    eighth spectrum no direction of a fine scan beats it by more than the
+    scan's step."""
     rng = np.random.default_rng(23)
-    for _ in range(200):
+    phis = 2 * np.pi * np.arange(2**16) / 2**16
+    for k in range(2000):
         n = int(rng.integers(1, 9))
         pts = rng.uniform(0.05, 3.0, n) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
-        ref = PolygonalArc(escape_direction_scalar(pts)).ray_direction
-        assert _same_bits(_escape_direction(pts), ref), pts
+        got = _angular_clearance(_escape_direction(pts), pts)
+        assert abs(got - 0.5 * _widest_gap(pts)) <= 1e-12, pts
+        if k % 8 == 0:  # distance from each scan direction to its two neighbours
+            ang = _directions(pts)
+            ring = np.concatenate(([ang[-1] - 2 * np.pi], ang, [ang[0] + 2 * np.pi]))
+            i = np.searchsorted(ring, phis)
+            scan = np.max(np.minimum(phis - ring[i - 1], ring[i] - phis))
+            assert scan <= got + 2 * np.pi / 2**16, pts
 
 
-def test_escape_ray_matches_scalar_scan_on_exact_ties() -> None:
-    spectra = [np.exp(2j * np.pi * np.arange(k) / k) for k in range(1, 13)]
-    spectra += [[z, z.conjugate()] for z in (1 + 1j, -2 + 0.5j, 0.3 - 4j, 1j)]
-    spectra += [[1.0, -1.0], [1j, -1j], [2.0, 1 + 1j, 1 - 1j], [0.5, -0.5, 0.5j, -0.5j]]
-    for pts in spectra:
-        pts = np.asarray(pts, dtype=complex)
-        ref = PolygonalArc(escape_direction_scalar(pts)).ray_direction
-        assert _same_bits(_escape_direction(pts), ref), pts
+def test_escape_ray_takes_the_wider_of_two_near_tied_gaps() -> None:
+    """Gaps of 121.67 and 121.50 degrees (a spectrum drawn with seed 5): a
+    one-degree scan settles on the narrower one, the bisector does not."""
+    pts = (
+        -2.5377650139802372 - 1.4851506675824082j,
+        0.7412741472551774 - 0.39691438450462435j,
+        0.03297322432331931 + 1.4194197064147362j,
+    )
+    lo, hi = np.angle(pts[2]), np.angle(pts[0]) % (2 * np.pi)
+    u = _escape_direction(pts)
+    assert abs(u - cmath.exp(0.5j * (lo + hi))) <= 1e-12
+    assert _angular_clearance(u, pts) == pytest.approx(0.5 * _widest_gap(pts), abs=1e-12)
+
+
+def test_escape_ray_breaks_angular_ties_by_clearance_then_lowest_angle() -> None:
+    spectra = [(np.exp(2j * np.pi * np.arange(k) / k), math.pi / k) for k in range(1, 13)]
+    spectra += [
+        ([1 + 1j, 1 - 1j], math.pi),
+        ([-2 + 0.5j, -2 - 0.5j], 0.0),
+        ([0.3 - 4j, 0.3 + 4j], math.pi),
+        ([1j, -1j], 0.0),
+        ([1.0, -1.0], 0.5 * math.pi),
+        ([2.0, 1 + 1j, 1 - 1j], math.pi),
+        ([0.5, -0.5, 0.5j, -0.5j], 0.25 * math.pi),
+        # three gaps of 120 degrees; the bisector between the far points is clearest
+        ([1.0, 2 * cmath.exp(2j * math.pi / 3), 3 * cmath.exp(4j * math.pi / 3)], math.pi),
+    ]
+    for pts, phi in spectra:
+        assert abs(_escape_direction(pts) - cmath.exp(1j * phi)) <= 1e-12, pts
+
+
+def test_escape_ray_refuses_a_non_finite_spectrum() -> None:
+    with pytest.raises(DegenerateGeometry):
+        build_escape_arc([1.0, complex("nan")])
+
+
+def test_escape_ray_of_an_empty_spectrum_is_the_negative_axis() -> None:
+    assert build_escape_arc(SpectrumReport((), True)).ray_direction == -1

@@ -140,6 +140,17 @@ def test_riesz_rejects_spectrum_on_contour() -> None:
         riesz_projection(a, cd)
 
 
+def test_contour_data_refuses_a_non_finite_eps() -> None:
+    """A NaN margin would switch off the on-contour check: diag(1, 1.45)
+    has 1.45 on this circle, which eps=0.1 catches."""
+    for eps in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            ContourData(circle_polygon(1 + 0j, 0.45), eps=eps)
+    a = M2.wrap(np.diag([1.0, 1.45]).astype(complex))
+    with pytest.raises(SpectrumOnContour):
+        riesz_projection(a, ContourData(circle_polygon(1 + 0j, 0.45), eps=0.1))
+
+
 _ENCLOSING_ENTRY_POINTS = {
     "contour_apply": lambda a, cd: contour_apply(lambda z: z, a, cd),
     "spectral_component_apply": lambda a, cd: funcalc.spectral_component_apply(

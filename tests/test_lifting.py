@@ -632,8 +632,6 @@ def test_family_orthogonality_record_fails_on_invalid_rows():
     pi, targets, secs = product_family_data()
     scn = Scenario(
         id="product-split",
-        source=PROD,
-        target=M4,
         pi=pi,
         grid=SPLIT_GRID,
         theorem_paths=(3,),
@@ -717,6 +715,6 @@ def test_lift_allowance_carries_the_tail_of_p():
     scn = build_scenario("example2")
     _, traces = lift_family(scn.family_sections, (0.0,))
     pt = traces[0].point(0.0)
-    tail = scn.source.tail_bound(pt.p)
+    tail = scn.pi.source.tail_bound(pt.p)
     assert tail > 0.0
     assert pt.allowances["lift"] >= tail

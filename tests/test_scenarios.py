@@ -54,6 +54,28 @@ def test_negative_seed_is_refused_by_run_verification():
         run_verification(scn, seed=-1)
 
 
+@pytest.mark.parametrize(
+    "sid, grid",
+    [
+        ("dual-testbed", ()),
+        ("example1", ()),
+        ("dual-testbed", [float("nan")]),
+        ("example1", [0.0, complex(0, np.inf)]),
+    ],
+    ids=["empty-dual-testbed", "empty-example1", "nan", "infinite"],
+)
+def test_empty_or_non_finite_grid_is_refused_before_any_check(sid, grid, monkeypatch):
+    """An empty grid used to raise IndexError on dual-testbed and give a
+    report of NaN checks on example1; a NaN point gave errored runs."""
+
+    def no_checks(*args):
+        raise AssertionError("a hypothesis check ran")
+
+    monkeypatch.setattr(scenarios, "_hypothesis_checks", no_checks)
+    with pytest.raises(ParameterError, match="grid must be nonempty and finite"):
+        run_verification(build_scenario(sid), grid=grid)
+
+
 def test_dual_testbed_runs_all_four_paths():
     rep = run_verification(build_scenario("dual-testbed"), grid=SMALL_GRID, seed=0)
     assert rep["passed"]
@@ -81,7 +103,7 @@ def test_dual_testbed_targets_are_rotated_projections():
     # q(lambda) = exp(lambda K) P exp(-lambda K) written out with alg_exp
     # agrees bit for bit with the scenario's conjugation families
     scn = build_dual_testbed(seed=1)
-    base = scn.target
+    base = scn.pi.target
     K = np.zeros((4, 4), dtype=complex)
     K[0, 1], K[1, 0], K[2, 3], K[3, 2] = 1.0, -1.0, 2.0, -2.0
     seeds = [np.diag([1.0, 0.0, 1.0, 0.0]), *(np.diag(np.eye(4)[i]) for i in range(3))]
@@ -159,7 +181,7 @@ def test_broken_section_fails_with_section_invalid():
     broken = Section(
         scn.pi,
         scn.local_section.target,
-        lambda lam: scn.pi.embed(lam, scn.local_section.target(lam)) + 0.5 * scn.source.one(),
+        lambda lam: scn.pi.embed(lam, scn.local_section.target(lam)) + 0.5 * scn.pi.source.one(),
     )
     scn = scn.replace(local_section=broken, theorem_paths=(1,))
     rep = run_verification(scn, grid=SMALL_GRID, seed=0)

@@ -1,0 +1,108 @@
+"""Compare two directories of idemlift reports, file by file.
+
+    python tools/compare_reports.py OLD_DIR NEW_DIR
+
+Every ``.json`` and ``.csv`` file of OLD_DIR is paired with the file of
+the same name in NEW_DIR.  A JSON report loses its ``timings`` block (the
+only part of a report that is not deterministic); a CSV cell counts as a
+float when it parses as one and is not an integer.  For each pair the
+script prints whether every non-float field matches, how many floats
+moved, and the worst relative move among the floats with |old| > 1e-12.
+The exit code is 1 when a non-float field differs or a file has no
+partner, else 0.  It is a tool for comparing runs, not a test.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import math
+import sys
+from pathlib import Path
+
+_SCALE_FLOOR = 1e-12
+
+
+def _cell(text: str):
+    """A CSV cell as a float when it is one, else as the text."""
+    try:
+        int(text)
+        return text
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def load(path: Path):
+    if path.suffix == ".csv":
+        with path.open(newline="", encoding="utf-8") as fh:
+            return [[_cell(c) for c in row] for row in csv.reader(fh)]
+    body = json.loads(path.read_text(encoding="utf-8"))
+    if isinstance(body, dict):
+        body.pop("timings", None)
+    return body
+
+
+def _leaves(node, path=""):
+    """(path, value) for every leaf; containers contribute their shape."""
+    if isinstance(node, dict):
+        yield path + "{}", tuple(sorted(node))
+        for key in sorted(node):
+            yield from _leaves(node[key], f"{path}/{key}")
+    elif isinstance(node, list):
+        yield path + "[]", len(node)
+        for i, item in enumerate(node):
+            yield from _leaves(item, f"{path}/{i}")
+    else:
+        yield path, node
+
+
+def compare(old, new) -> tuple[list[str], int, int, float]:
+    """Differing non-float paths, floats moved, floats compared, worst
+    relative move."""
+    a, b = dict(_leaves(old)), dict(_leaves(new))
+    differ = sorted(p for p in a.keys() | b.keys() if p not in a or p not in b)
+    moved = total = 0
+    worst = 0.0
+    for p in a.keys() & b.keys():
+        u, v = a[p], b[p]
+        if isinstance(u, float) and isinstance(v, float):
+            total += 1
+            if u == v or (math.isnan(u) and math.isnan(v)):
+                continue
+            moved += 1
+            if abs(u) > _SCALE_FLOOR:
+                worst = max(worst, abs(v - u) / abs(u))
+        elif type(u) is not type(v) or u != v:
+            differ.append(p)
+    return sorted(differ), moved, total, worst
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    old_dir, new_dir = map(Path, args)
+    names = sorted(
+        p.name for d in (old_dir, new_dir) for p in d.iterdir() if p.suffix in (".json", ".csv")
+    )
+    status = 0
+    for name in dict.fromkeys(names):
+        old, new = old_dir / name, new_dir / name
+        if not (old.exists() and new.exists()):
+            print(f"{name}: only in {old_dir if old.exists() else new_dir}")
+            status = 1
+            continue
+        differ, moved, total, worst = compare(load(old), load(new))
+        fields = f"non-float fields differ at {differ[:3]}" if differ else "non-float fields match"
+        print(f"{name}: {fields}; {moved} of {total} floats moved; worst relative move {worst:.2g}")
+        status |= bool(differ)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
