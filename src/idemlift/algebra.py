@@ -36,10 +36,11 @@ are pure functions.  An element's operators and its methods (``norm``,
 ``inverse``, ``adjoint``, ``spectrum``) are the one function API: the only
 module-level function is ``alg_exp``.  The array-payload kinds (matrix,
 block-triangular, convolution) share one private base, ``_ArrayAlgebra``:
-numpy's linear arithmetic and a shape-checked ``wrap``.  They take norms of
-whole payload stacks with one kernel, ``_norms``.  The series kind's
-product takes every coefficient product from one ``_products`` call of its
-base.  Contour sums go through ``resolvent_kernel(x)``, built once per
+numpy's linear arithmetic, a shape-checked ``wrap`` and, for matrix
+payloads, the spectral norm and the payload as its representation.  They
+take norms of whole payload stacks with one kernel, ``_norms``.  The series
+kind's product takes every coefficient product from one ``_products`` call
+of its base.  Contour sums go through ``resolvent_kernel(x)``, built once per
 integral, so that what does not depend on the nodes is done once.
 """
 
@@ -279,7 +280,9 @@ class BanachAlgebra(Frozen):
 
     @property
     def has_involution(self) -> bool:
-        return False
+        """Read off ``involution_bound``, which each kind with an
+        involution overrides."""
+        return self.involution_bound is not None
 
     @property
     def involution_bound(self) -> float | None:
@@ -480,7 +483,9 @@ def _eigvals(mat: np.ndarray) -> np.ndarray:
 class _ArrayAlgebra(BanachAlgebra):
     """The kinds whose payload is one complex array of a fixed ``shape``
     (matrix, block-triangular, convolution): their linear arithmetic is
-    numpy's, and ``wrap`` refuses a payload of any other shape."""
+    numpy's, and ``wrap`` refuses a payload of any other shape.  A matrix
+    payload is its own representation and takes the operator 2-norm; the
+    convolution kind, whose payload is a vector, overrides both."""
 
     __slots__ = ()
 
@@ -504,9 +509,15 @@ class _ArrayAlgebra(BanachAlgebra):
             )
         return Element(self, arr)
 
+    def _norms(self, stack) -> np.ndarray:
+        return _spectral_norms(stack)
+
     def probe_basis(self) -> list[Element]:
         units = np.eye(math.prod(self.shape), dtype=complex).reshape((-1, *self.shape))
         return [self.wrap(u) for u in units]
+
+    def matrix_representation(self, x: Element) -> np.ndarray:
+        return np.array(self._own(x), dtype=complex)
 
 
 class MatrixAlgebra(_ArrayAlgebra):
@@ -528,10 +539,6 @@ class MatrixAlgebra(_ArrayAlgebra):
         return (self.n, self.n)
 
     @property
-    def has_involution(self) -> bool:
-        return True
-
-    @property
     def involution_bound(self) -> float:
         return 1.0
 
@@ -548,9 +555,6 @@ class MatrixAlgebra(_ArrayAlgebra):
     def _products(self, a, rq):
         """``a[i] @ rq[j]`` for every ``i`` and ``j``: one broadcast product."""
         return a[:, None] @ rq[None, :]
-
-    def _norms(self, stack) -> np.ndarray:
-        return _spectral_norms(stack)
 
     def _inverse(self, p):
         return _checked_inv(p, "matrix is numerically singular")
@@ -586,9 +590,6 @@ class MatrixAlgebra(_ArrayAlgebra):
 
         return integral
 
-    def matrix_representation(self, x: Element) -> np.ndarray:
-        return np.array(self._own(x), dtype=complex)
-
 
 # ---------------------------------------------------------------------------
 # dual numbers over a base algebra
@@ -612,10 +613,6 @@ class DualAlgebra(BanachAlgebra):
     def __post_init__(self):
         if not self.base.is_unital:
             raise ParameterError("dual numbers need a unital base algebra")
-
-    @property
-    def has_involution(self) -> bool:
-        return self.base.has_involution
 
     @property
     def involution_bound(self) -> float | None:
@@ -735,9 +732,6 @@ class BlockTriangularAlgebra(_ArrayAlgebra):
         out[self.k :, : self.k] = 0.0
         return out
 
-    def _norms(self, stack) -> np.ndarray:
-        return _spectral_norms(stack)
-
     def _inverse(self, p):
         k = self.k
         x, y, z = p[:k, :k], p[:k, k:], p[k:, k:]
@@ -774,9 +768,6 @@ class BlockTriangularAlgebra(_ArrayAlgebra):
     def probe_basis(self) -> list[Element]:
         units = np.eye(self.size**2, dtype=complex).reshape(-1, self.size, self.size)
         return [self.wrap(u) for u in units if not u[self.k :, : self.k].any()]
-
-    def matrix_representation(self, x: Element) -> np.ndarray:
-        return np.array(self._own(x), dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -825,10 +816,6 @@ class ConvolutionAlgebra(_ArrayAlgebra):
     @property
     def nilpotency_index(self) -> int | None:
         return self.n_grid
-
-    @property
-    def has_involution(self) -> bool:
-        return True
 
     @property
     def involution_bound(self) -> float:
@@ -960,10 +947,6 @@ class WienerAlgebra(BanachAlgebra):
     def nilpotency_index(self) -> int | None:
         # coefficients of an m-fold product are sums of m-fold base products
         return self.base.nilpotency_index
-
-    @property
-    def has_involution(self) -> bool:
-        return self.base.has_involution
 
     @property
     def involution_bound(self) -> float | None:
@@ -1204,10 +1187,6 @@ class UnitizationAlgebra(BanachAlgebra):
             raise ParameterError("base algebra already has a unit")
 
     @property
-    def has_involution(self) -> bool:
-        return self.base.has_involution
-
-    @property
     def involution_bound(self) -> float | None:
         c = self.base.involution_bound
         return None if c is None else max(c, 1.0)
@@ -1375,14 +1354,9 @@ class ProductAlgebra(BanachAlgebra):
         return all(f.is_unital for f in self.factors)
 
     @property
-    def has_involution(self) -> bool:
-        return all(f.has_involution for f in self.factors)
-
-    @property
     def involution_bound(self) -> float | None:
-        if not self.has_involution:
-            return None
-        return max(f.involution_bound for f in self.factors)
+        bounds = [f.involution_bound for f in self.factors]
+        return None if None in bounds else max(bounds)
 
     def _zero(self):
         return tuple(f._zero() for f in self.factors)

@@ -1,5 +1,10 @@
 """Command-line front end for the scenario verification runs.
 
+Each option of ``idemlift run`` is one row of ``_RUN_OPTIONS``: its
+config-file key, which is the flag without ``--``, its parser and its
+help.  A flag's text and a ``key=value`` line of a ``--config`` file go
+through that one parser, and a flag wins over the file.
+
 Exit codes: 0 when every required check passed, 1 when a run or
 hypothesis failed its tolerance, 2 for configuration problems (unknown
 scenario, malformed grid or config file, a grid of more than
@@ -20,51 +25,15 @@ from .errors import ConfigError, UnknownScenario
 from .report import report_passed, write_csv, write_json
 from .scenarios import build_scenario, list_scenarios, run_verification
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 ENV_OUT_DIR = "IDEMLIFT_OUT_DIR"
 
 # the most grid points a run takes; checked before any point is built
 MAX_GRID_POINTS = 10_000
 
-_CONFIG_KEYS = ("grid", "tol-idem", "tol-lift", "out", "csv", "seed")
 
-
-class RunConfig:
-    """Resolved options for one verification run."""
-
-    __slots__ = ("scenario", "grid", "tol_idem", "tol_lift", "out", "csv", "seed")
-
-    def __init__(
-        self,
-        scenario: str,
-        grid: tuple[float, ...] | None = None,
-        tol_idem: float | None = None,
-        tol_lift: float | None = None,
-        out: str | None = None,
-        csv: str | None = None,
-        seed: int = 0,
-    ):
-        self.scenario = scenario
-        self.grid = grid
-        self.tol_idem = tol_idem
-        self.tol_lift = tol_lift
-        self.out = out
-        self.csv = csv
-        self.seed = seed
-
-    def tolerance_overrides(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        if self.tol_idem is not None:
-            out["tol_idem"] = self.tol_idem
-            out["tol_comm"] = self.tol_idem
-        if self.tol_lift is not None:
-            out["tol_lift"] = self.tol_lift
-            out["tol_orth"] = self.tol_lift
-        return out
-
-
-def _parse_grid(text: str) -> tuple[float, ...]:
+def _parse_grid(text: str, _name: str) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != 3:
         raise ConfigError(f"grid must be center,halfwidth,count, got {text!r}")
@@ -90,21 +59,47 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return tuple(grid)
 
 
-def _parse_tolerance(value: float, name: str) -> float:
-    """``value`` as a tolerance: finite and nonnegative.  An infinite or NaN
+def _parse_tolerance(text: str, name: str) -> float:
+    """``text`` as a tolerance: finite and nonnegative.  An infinite or NaN
     tolerance would switch its checks off, and a negative one fail every
     check, so both are configuration errors."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {name}: {exc}") from None
     if not (math.isfinite(value) and value >= 0):
         raise ConfigError(f"{name} must be finite and nonnegative, got {value!r}")
     return value
 
 
-def _parse_seed(value: int, name: str) -> int:
-    """``value`` as a seed: a scenario draws its noise from
+def _parse_seed(text: str, name: str) -> int:
+    """``text`` as a seed: a scenario draws its noise from
     ``np.random.default_rng(seed)``, which refuses a negative one."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {name}: {exc}") from None
     if value < 0:
         raise ConfigError(f"{name} must be nonnegative, got {value}")
     return value
+
+
+def _parse_path(text: str, _name: str) -> str:
+    return text
+
+
+# The options of `idemlift run`, one row each: the config-file key (the
+# flag is --key), the parser of the option's text, called with the name
+# of the text's source (--key for a flag, key for a config line), and the
+# flag's help.
+_RUN_OPTIONS = (
+    ("grid", _parse_grid, "parameter grid as center,halfwidth,count (e.g. 0,0.5,21)"),
+    ("tol-idem", _parse_tolerance, "idempotency/commutation tolerance"),
+    ("tol-lift", _parse_tolerance, "lift/orthogonality tolerance"),
+    ("out", _parse_path, "JSON report path (default: <scenario>-report.json)"),
+    ("csv", _parse_path, "also write per-grid-point defect rows as CSV"),
+    ("seed", _parse_seed, "seed for randomised sections and probes"),
+)
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -113,6 +108,7 @@ def _read_config_file(path: str) -> dict[str, str]:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    keys = [key for key, _, _ in _RUN_OPTIONS]
     out: dict[str, str] = {}
     for ln, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -122,48 +118,34 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(
-                f"{path}:{ln}: unknown key {key!r}; valid keys: {', '.join(_CONFIG_KEYS)}"
-            )
+        if key not in keys:
+            raise ConfigError(f"{path}:{ln}: unknown key {key!r}; valid keys: {', '.join(keys)}")
         out[key] = value.strip()
     return out
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(scenario=args.scenario)
-    if args.config:
-        raw = _read_config_file(args.config)
-        try:
-            if "grid" in raw:
-                cfg.grid = _parse_grid(raw["grid"])
-            if "tol-idem" in raw:
-                cfg.tol_idem = _parse_tolerance(float(raw["tol-idem"]), "tol-idem")
-            if "tol-lift" in raw:
-                cfg.tol_lift = _parse_tolerance(float(raw["tol-lift"]), "tol-lift")
-            if "seed" in raw:
-                cfg.seed = _parse_seed(int(raw["seed"]), "seed")
-        except ValueError as exc:
-            raise ConfigError(f"bad value in config file: {exc}") from None
-        cfg.out = raw.get("out", cfg.out)
-        cfg.csv = raw.get("csv", cfg.csv)
-    # command-line flags override the config file
-    if args.grid is not None:
-        cfg.grid = _parse_grid(args.grid)
-    if args.tol_idem is not None:
-        cfg.tol_idem = _parse_tolerance(args.tol_idem, "--tol-idem")
-    if args.tol_lift is not None:
-        cfg.tol_lift = _parse_tolerance(args.tol_lift, "--tol-lift")
-    if args.out is not None:
-        cfg.out = args.out
-    if args.csv is not None:
-        cfg.csv = args.csv
-    if args.seed is not None:
-        cfg.seed = _parse_seed(args.seed, "--seed")
-    if cfg.out is None:
-        out_dir = os.environ.get(ENV_OUT_DIR, ".")
-        cfg.out = os.path.join(out_dir, f"{cfg.scenario}-report.json")
-    return cfg
+def _resolve_options(args: argparse.Namespace) -> dict[str, object]:
+    """Each run option by its key: the flag's text if given, else the
+    config-file line's, through the option's parser; None when neither
+    gives it.  So a flag wins over the file."""
+    lines = _read_config_file(args.config) if args.config else {}
+    opts: dict[str, object] = {}
+    for key, parse, _ in _RUN_OPTIONS:
+        flag = getattr(args, key.replace("-", "_"))
+        source, text = (key, lines.get(key)) if flag is None else (f"--{key}", flag)
+        opts[key] = None if text is None else parse(text, source)
+    return opts
+
+
+def _tolerance_overrides(opts: dict[str, object]) -> dict[str, float]:
+    """The library tolerances that the run options set: tol-idem bounds
+    idempotency and commutation, tol-lift the lift and orthogonality."""
+    out: dict[str, float] = {}
+    if opts["tol-idem"] is not None:
+        out["tol_idem"] = out["tol_comm"] = opts["tol-idem"]
+    if opts["tol-lift"] is not None:
+        out["tol_lift"] = out["tol_orth"] = opts["tol-lift"]
+    return out
 
 
 def _fmt(value: float | None, spec: str) -> str:
@@ -221,15 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="run one scenario and write its report")
     runp.add_argument("scenario", help="scenario id (see `idemlift list`)")
-    runp.add_argument(
-        "--grid",
-        help="parameter grid as center,halfwidth,count (e.g. 0,0.5,21)",
-    )
-    runp.add_argument("--tol-idem", type=float, help="idempotency/commutation tolerance")
-    runp.add_argument("--tol-lift", type=float, help="lift/orthogonality tolerance")
-    runp.add_argument("--out", help="JSON report path (default: <scenario>-report.json)")
-    runp.add_argument("--csv", help="also write per-grid-point defect rows as CSV")
-    runp.add_argument("--seed", type=int, help="seed for randomised sections and probes")
+    for key, _, help_text in _RUN_OPTIONS:
+        runp.add_argument(f"--{key}", help=help_text)
     runp.add_argument("--config", help="key=value config file; flags override it")
 
     sub.add_parser("list", help="list available scenario ids")
@@ -250,31 +225,29 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        cfg = _resolve_config(args)
-        scenario = build_scenario(cfg.scenario, seed=cfg.seed)
-    except UnknownScenario as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+        opts = _resolve_options(args)
+        seed = 0 if opts["seed"] is None else opts["seed"]
+        scenario = build_scenario(args.scenario, seed=seed)
+    except (UnknownScenario, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     report = run_verification(
-        scenario,
-        grid=cfg.grid,
-        tolerances=cfg.tolerance_overrides(),
-        seed=cfg.seed,
+        scenario, grid=opts["grid"], tolerances=_tolerance_overrides(opts), seed=seed
     )
+    out, csv = opts["out"], opts["csv"]
+    if out is None:
+        out = os.path.join(os.environ.get(ENV_OUT_DIR, "."), f"{args.scenario}-report.json")
 
     try:
-        write_json(report, cfg.out)
-        if cfg.csv:
-            write_csv(report, cfg.csv)
+        write_json(report, out)
+        if csv:
+            write_csv(report, csv)
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 2
 
-    print(_summarise(report, cfg.out, cfg.csv))
+    print(_summarise(report, out, csv))
     return 0 if report_passed(report) else 1
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -239,9 +240,12 @@ def _signed_area(verts: Sequence[complex]) -> float:
 
 
 def circle_polygon(center: complex, radius: float, n: int = 64) -> JordanPolygon:
-    """Counterclockwise regular n-gon inscribed in the given circle."""
+    """Counterclockwise regular n-gon inscribed in the given circle; ``n``
+    is an integer of at least 8."""
     if not 0 < radius < math.inf:
         raise ParameterError("circle radius must be positive and finite")
+    if not isinstance(n, numbers.Integral):
+        raise ParameterError(f"circle vertex count must be an integer, got {n!r}")
     if n < 8:
         raise ParameterError("circle approximation needs at least 8 vertices")
     verts = tuple(

@@ -80,6 +80,14 @@ def _evaluate(owner: "ElementFamily | Section", lam: complex, algebra: BanachAlg
     return out
 
 
+def _check_positive_radius(record: "ElementFamily | HomFamily | Section") -> None:
+    """The ``__post_init__`` of every family record: its validity radius
+    must be positive.  ``not radius > 0`` also refuses NaN, which would
+    switch the radius check off."""
+    if not record.radius > 0:
+        raise ParameterError("validity radius must be positive")
+
+
 class ElementFamily(Frozen):
     """Analytic map lambda -> element of a fixed algebra, around 0."""
 
@@ -96,9 +104,7 @@ class ElementFamily(Frozen):
         object.__setattr__(self, "radius", radius)
         self.__post_init__()
 
-    def __post_init__(self) -> None:
-        if not self.radius > 0:
-            raise ParameterError("validity radius must be positive")
+    __post_init__ = _check_positive_radius
 
     def __call__(self, lam: complex) -> Element:
         _check_radius(lam, self.radius, "family")
@@ -140,9 +146,7 @@ class HomFamily(Frozen):
         object.__setattr__(self, "label", label)
         self.__post_init__()
 
-    def __post_init__(self) -> None:
-        if not self.radius > 0:
-            raise ParameterError("validity radius must be positive")
+    __post_init__ = _check_positive_radius
 
     def apply(self, lam: complex, x: Element) -> Element:
         _check_radius(lam, self.radius, "homomorphism")
@@ -153,7 +157,8 @@ class HomFamily(Frozen):
 
 
 class Section(Frozen):
-    """Analytic right inverse: pi(lambda)(section(lambda)) = target(lambda)."""
+    """Analytic right inverse: pi(lambda)(section(lambda)) = target(lambda)
+    for |lambda| < ``radius``, which must be positive, as for every family."""
 
     __slots__ = ("pi", "target", "evaluator", "radius", "label")
 
@@ -170,6 +175,9 @@ class Section(Frozen):
         object.__setattr__(self, "evaluator", evaluator)
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "label", label)
+        self.__post_init__()
+
+    __post_init__ = _check_positive_radius
 
     def __call__(self, lam: complex) -> Element:
         _check_radius(lam, self.radius, "section")

@@ -94,8 +94,9 @@ class ContourData(Frozen):
             raise ParameterError("contour margin eps must be positive and finite")
         if self.branch not in _BRANCHES:
             raise ParameterError(f"unknown branch descriptor {self.branch!r}")
-        if self.sheet not in (1, -1):
-            raise ParameterError("sheet must be +1 or -1")
+        # exactly the int 1 or -1: True == 1, and would be written as true
+        if type(self.sheet) is not int or self.sheet not in (1, -1):
+            raise ParameterError(f"sheet must be the integer +1 or -1, got {self.sheet!r}")
         if self.branch == "cut" and self.cut is None:
             raise ParameterError("cut branch needs the cut ray")
 

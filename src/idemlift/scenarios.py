@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -769,13 +770,26 @@ def build_scenario(scenario_id: str, seed: int = 0) -> Scenario:
 # verification driver
 
 
-def _default_tolerances() -> dict[str, float]:
-    return {
+def _tolerances(overrides: dict[str, float] | None) -> dict[str, float]:
+    """The default tolerances with ``overrides`` applied.  An unknown key,
+    or a value that is not a finite nonnegative real number (a bool is
+    not one), is a ``ParameterError``: an infinite or NaN tolerance would
+    switch its checks off, a negative one fail them all, and a misspelt
+    key would be ignored while the report lists the defaults as judged."""
+    tol = {
         "tol_idem": TOL_IDEM,
         "tol_comm": TOL_COMM,
         "tol_lift": TOL_LIFT,
         "tol_orth": TOL_ORTH,
     }
+    for key, value in (overrides or {}).items():
+        if key not in tol:
+            raise ParameterError(f"unknown tolerance {key!r}; valid keys: {', '.join(tol)}")
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and math.isfinite(value) and value >= 0):
+            raise ParameterError(f"tolerance {key} must be finite and nonnegative, got {value!r}")
+        tol[key] = value
+    return tol
 
 
 # The checks of each kind of lift trace, by trace label, in report order:
@@ -1014,15 +1028,15 @@ def run_verification(
 
     Each family and section is evaluated at most once per lambda within
     the call, and nothing of that memo outlives it.  A negative ``seed``,
-    or a grid that is empty or has a non-finite point, is a
+    a grid that is empty or has a non-finite point, and a ``tolerances``
+    key other than ``tol_idem``, ``tol_comm``, ``tol_lift`` and
+    ``tol_orth`` or a value that is not finite and nonnegative are each a
     ``ParameterError``, raised before any check runs."""
     _check_seed(seed)
     grid = tuple(scn.grid if grid is None else tuple(complex(g) for g in grid))
     if not grid or not np.isfinite(grid).all():
         raise ParameterError(f"grid must be nonempty and finite, got {grid}")
-    tol = _default_tolerances()
-    if tolerances:
-        tol.update(tolerances)
+    tol = _tolerances(tolerances)
 
     with memoised_evaluations():  # family values are computed once per run
         timings: dict[str, float] = {}

@@ -595,6 +595,16 @@ def test_involution_laws() -> None:
             assert x.adjoint().norm() <= c * x.norm() * (1 + 1e-12), name
 
 
+def test_product_involution_is_read_off_its_factors() -> None:
+    mat = il.MatrixAlgebra(2)
+    block = il.BlockTriangularAlgebra(1, 1)
+    conv = il.UnitizationAlgebra(il.ConvolutionAlgebra(4))
+    assert il.ProductAlgebra((mat, conv)).involution_bound == 1.0
+    assert il.ProductAlgebra((mat, conv)).has_involution
+    assert il.ProductAlgebra((mat, block)).involution_bound is None
+    assert not il.ProductAlgebra((block, mat)).has_involution
+
+
 def test_matrix_representations_are_multiplicative() -> None:
     rng = np.random.default_rng(89)
     conv = il.ConvolutionAlgebra(7)

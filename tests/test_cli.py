@@ -106,11 +106,71 @@ def test_flags_override_config(tmp_path):
     assert json.loads(out.read_text())["seed"] == 4
 
 
+# one value per run option, each unlike its default; the file names are
+# relative to the test's directory
+_OPTION_VALUES = {
+    "grid": "0,0.3,4",
+    "tol-idem": "2e-9",
+    "tol-lift": "3e-9",
+    "out": "r.json",
+    "csv": "r.csv",
+    "seed": "5",
+}
+
+
+@pytest.mark.parametrize("key", [key for key, _, _ in cli._RUN_OPTIONS])
+def test_an_option_as_flag_or_config_line_gives_the_same_report(tmp_path, monkeypatch, key):
+    monkeypatch.chdir(tmp_path)
+    value = _OPTION_VALUES[key]
+    base = {"grid": "0,0.4,3", "out": "r.json"}
+    args = ["run", "example1"]
+    for k, v in base.items():
+        if k != key:
+            args += [f"--{k}", v]
+    (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+    outputs = []
+    for extra in ([f"--{key}", value], ["--config", "run.cfg"]):
+        assert main([*args, *extra]) == 0
+        body = json.loads((tmp_path / "r.json").read_text())
+        body.pop("timings")
+        csv_text = (tmp_path / "r.csv").read_text() if key == "csv" else None
+        outputs.append((body, csv_text))
+        for written in ("r.json", "r.csv"):
+            (tmp_path / written).unlink(missing_ok=True)
+    assert outputs[0] == outputs[1]
+    body = outputs[0][0]
+    if key == "grid":
+        assert len(body["grid"]) == 4
+    elif key.startswith("tol-"):
+        assert body["tolerances"][key.replace("-", "_")] == float(value)
+    elif key == "seed":
+        assert body["seed"] == 5
+    elif key == "csv":
+        assert outputs[0][1].startswith("run,lambda_re")
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("wibble=1\n")
     assert main(["run", "example1", "--config", str(cfg)]) == 2
     assert "wibble" in capsys.readouterr().err
+
+
+# a flag's text goes through its option's parser, as a config line does,
+# so the message names the flag
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--seed", "1.5"], "bad value for --seed: invalid literal for int()"),
+        (["--tol-idem", "abc"], "bad value for --tol-idem: could not convert string to float"),
+    ],
+    ids=["seed", "tol-idem"],
+)
+def test_a_flag_that_does_not_parse_exits_two_and_names_the_flag(tmp_path, capsys, args, message):
+    out = tmp_path / "r.json"
+    assert main(["run", "example1", "--grid", "0,0.4,3", *args, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_grid_exits_two(tmp_path, capsys):

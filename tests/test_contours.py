@@ -135,6 +135,15 @@ def test_circle_polygon_refuses_a_non_finite_centre_or_radius() -> None:
             circle_polygon(center, radius)
 
 
+def test_circle_polygon_refuses_a_non_integer_vertex_count() -> None:
+    """8.5 and NaN passed the size check and failed in ``range`` with an
+    untyped TypeError."""
+    for n in (8.5, math.nan, 16.0):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            circle_polygon(0j, 1.0, n=n)
+    assert len(circle_polygon(0j, 1.0, n=np.int64(9)).vertices) == 9
+
+
 def test_square_polygon_refuses_a_non_finite_centre_or_half_side() -> None:
     bad = ((math.nan, 1.0), (complex(math.inf, 0), 1.0), (0j, math.nan), (0j, math.inf))
     for center, half in bad:

@@ -240,3 +240,18 @@ def test_family_validation():
         ElementFamily(M3, lambda lam: M3.one(), radius=0.0)
     with pytest.raises(ParameterError):
         HomFamily(DUAL, M3, lambda lam, x: DUAL.base_part(x), radius=-1.0)
+
+
+def test_section_refuses_a_radius_that_is_not_positive():
+    """A zero or negative radius put every lambda out of radius, and a NaN
+    one switched the radius check off."""
+    pi = dual_projection()
+    target = constant_family(M3.one())
+    embed = lambda lam: DUAL.from_parts(M3.one(), M3.zero())
+    for radius in (0.0, -1.0, float("nan")):
+        with pytest.raises(ParameterError, match="radius must be positive"):
+            Section(pi, target, embed, radius=radius)
+    sec = Section(pi, target, embed, radius=2.0)
+    assert sec.defect(1.5) == 0.0
+    with pytest.raises(ParameterError, match="radius must be positive"):
+        sec.replace(radius=float("nan"))

@@ -151,6 +151,17 @@ def test_contour_data_refuses_a_non_finite_eps() -> None:
         riesz_projection(a, ContourData(circle_polygon(1 + 0j, 0.45), eps=0.1))
 
 
+def test_contour_data_takes_only_the_integer_sheets() -> None:
+    """True passed ``sheet in (1, -1)``, was stored, and was described as
+    ``"sheet": true``."""
+    poly = circle_polygon(1 + 0j, 0.45)
+    for sheet in (True, False, 1.0, -1.0, 2):
+        with pytest.raises(ParameterError, match="sheet must be the integer"):
+            ContourData(poly, eps=0.1, sheet=sheet)
+    for sheet in (1, -1):
+        assert ContourData(poly, eps=0.1, sheet=sheet).describe()["sheet"] == sheet
+
+
 _ENCLOSING_ENTRY_POINTS = {
     "contour_apply": lambda a, cd: contour_apply(lambda z: z, a, cd),
     "spectral_component_apply": lambda a, cd: funcalc.spectral_component_apply(

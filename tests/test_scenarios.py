@@ -76,6 +76,28 @@ def test_empty_or_non_finite_grid_is_refused_before_any_check(sid, grid, monkeyp
         run_verification(build_scenario(sid), grid=grid)
 
 
+# an infinite or NaN tolerance switched its checks off, a negative one failed
+# them all, and a misspelt key was ignored and then listed in the report
+@pytest.mark.parametrize(
+    "tolerances, match",
+    [
+        ({"tol_idem": np.inf}, "tol_idem must be finite and nonnegative"),
+        ({"tol_lift": np.nan}, "tol_lift must be finite and nonnegative"),
+        ({"tol_orth": -1.0}, "tol_orth must be finite and nonnegative"),
+        ({"tol_comm": True}, "tol_comm must be finite and nonnegative"),
+        ({"tol_idm": 1.0}, "unknown tolerance 'tol_idm'"),
+    ],
+    ids=["inf", "nan", "negative", "bool", "unknown-key"],
+)
+def test_bad_tolerance_is_refused_before_any_check(tolerances, match, monkeypatch):
+    def no_checks(*args):
+        raise AssertionError("a hypothesis check ran")
+
+    monkeypatch.setattr(scenarios, "_hypothesis_checks", no_checks)
+    with pytest.raises(ParameterError, match=match):
+        run_verification(build_scenario("block-testbed"), grid=SMALL_GRID, tolerances=tolerances)
+
+
 def test_dual_testbed_runs_all_four_paths():
     rep = run_verification(build_scenario("dual-testbed"), grid=SMALL_GRID, seed=0)
     assert rep["passed"]
