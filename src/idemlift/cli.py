@@ -9,7 +9,7 @@ Exit codes: 0 when every required check passed, 1 when a run or
 hypothesis failed its tolerance, 2 for configuration problems (unknown
 scenario, malformed grid or config file, a grid of more than
 MAX_GRID_POINTS points, a negative seed, a tolerance that is not finite
-and nonnegative).
+and nonnegative, an output path in a missing or read-only directory).
 """
 
 from __future__ import annotations
@@ -148,6 +148,13 @@ def _tolerance_overrides(opts: dict[str, object]) -> dict[str, float]:
     return out
 
 
+def _check_writable(path: str) -> None:
+    """Refuse, before the run, an output ``path`` no file can be written to."""
+    folder = os.path.dirname(path) or "."
+    if not path or os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise ConfigError(f"cannot write report: {path!r} is not a file in a writable directory")
+
+
 def _fmt(value: float | None, spec: str) -> str:
     """``value`` formatted by ``spec``; reports store non-finite values as null."""
     return "null" if value is None else format(value, spec)
@@ -228,6 +235,12 @@ def main(argv: list[str] | None = None) -> int:
         opts = _resolve_options(args)
         seed = 0 if opts["seed"] is None else opts["seed"]
         scenario = build_scenario(args.scenario, seed=seed)
+        out, csv = opts["out"], opts["csv"]
+        if out is None:
+            out = os.path.join(os.environ.get(ENV_OUT_DIR, "."), f"{args.scenario}-report.json")
+        _check_writable(out)
+        if csv:
+            _check_writable(csv)
     except (UnknownScenario, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -235,10 +248,6 @@ def main(argv: list[str] | None = None) -> int:
     report = run_verification(
         scenario, grid=opts["grid"], tolerances=_tolerance_overrides(opts), seed=seed
     )
-    out, csv = opts["out"], opts["csv"]
-    if out is None:
-        out = os.path.join(os.environ.get(ENV_OUT_DIR, "."), f"{args.scenario}-report.json")
-
     try:
         write_json(report, out)
         if csv:

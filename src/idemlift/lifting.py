@@ -20,6 +20,7 @@ EnclosureFailed where its step's point is invalid.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from typing import Callable, Sequence
@@ -278,9 +279,11 @@ def _local_data(a: Element) -> tuple[Element, Element, Element]:
 
 
 def _grid_tuple(grid: Sequence[complex]) -> tuple[complex, ...]:
+    """``grid`` as complex points; an empty grid or a non-finite point is a
+    ``ParameterError``, raised before a lift does any work."""
     pts = tuple(complex(g) for g in grid)
-    if not pts:
-        raise ParameterError("empty lambda grid")
+    if not pts or not all(map(cmath.isfinite, pts)):
+        raise ParameterError(f"lambda grid must be nonempty and finite, got {pts}")
     return pts
 
 

@@ -53,6 +53,7 @@ from .lifting import (
     TOL_ORTH,
     LiftPoint,
     LiftTrace,
+    _grid_tuple,
     lift_family,
     lift_local,
     lift_local_sa,
@@ -82,12 +83,16 @@ class Scenario(Frozen):
     """A fully wired verification scenario.  Its algebras are π's
     (``pi.source`` and ``pi.target``), and the targets of its lifts are
     read off their sections (``local_section.target`` and the targets of
-    ``family_sections``)."""
+    ``family_sections``).
+
+    Each of ``theorem_paths`` must be a row of ``_PATHS`` whose input the
+    scenario has (path 1 needs ``local_section`` or ``trivial_targets``,
+    path 2 ``local_section``, paths 3-6 ``family_sections``), else
+    ``ParameterError``."""
 
     __slots__ = (
         "id", "pi", "grid", "theorem_paths", "expected", "local_section",
-        "trivial_targets", "family_sections", "probes",
-        "oracle_local", "oracle_family", "kernel_required",
+        "trivial_targets", "family_sections", "probes", "oracle_family",
     )
 
     def __init__(
@@ -101,9 +106,7 @@ class Scenario(Frozen):
         trivial_targets: tuple[ElementFamily, ...] = (),
         family_sections: tuple[Section, ...] = (),
         probes: tuple[tuple[str, Callable], ...] = (),
-        oracle_local: Callable | None = None,
         oracle_family: Callable | None = None,
-        kernel_required: bool = True,
     ):
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "pi", pi)
@@ -114,9 +117,16 @@ class Scenario(Frozen):
         object.__setattr__(self, "trivial_targets", trivial_targets)
         object.__setattr__(self, "family_sections", family_sections)
         object.__setattr__(self, "probes", probes)
-        object.__setattr__(self, "oracle_local", oracle_local)
         object.__setattr__(self, "oracle_family", oracle_family)
-        object.__setattr__(self, "kernel_required", kernel_required)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        for path in self.theorem_paths:
+            if path not in _PATHS:
+                raise ParameterError(f"unknown theorem path {path!r}; valid paths: {sorted(_PATHS)}")
+            inputs = _PATHS[path][2]
+            if not any(getattr(self, field) for field in inputs):
+                raise ParameterError(f"theorem path {path} needs {' or '.join(inputs)}")
 
 
 def _default_grid() -> tuple[float, ...]:
@@ -163,18 +173,6 @@ def _oracle_check(name: str, pairs: Iterable[tuple[np.ndarray, np.ndarray]]) -> 
     except np.linalg.LinAlgError as exc:
         return check_record(name, math.nan, ORACLE_TOL, passed=False, note=f"oracle failed: {exc}")
     return check_record(name, worst, ORACLE_TOL)
-
-
-def _dense_projection_oracle(trace: LiftTrace) -> list[dict]:
-    """Local-lift oracle for algebras with a matrix representation: each
-    valid p must be the dense spectral projector of its section value a
-    onto the spectrum near 1."""
-
-    def rep(x: Element) -> np.ndarray:
-        return x.algebra.matrix_representation(x)
-
-    pairs = ((rep(pt.elements["a"]), rep(pt.p)) for pt in trace.valid_points())
-    return [_oracle_check("dense-projection-oracle", pairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +253,6 @@ def build_dual_testbed(seed: int = 0) -> Scenario:
         local_section=sec,
         family_sections=fam_secs,
         probes=(("square-zero-kernel", kernel_probe), ("self-adjoint-targets", sa_probe)),
-        oracle_local=_dense_projection_oracle,
     )
 
 
@@ -373,7 +370,6 @@ def build_block_testbed(seed: int = 0) -> Scenario:
         local_section=sec_top,
         family_sections=(sec_top, sec_bot),
         probes=(("square-zero-kernel", kernel_probe), ("non-constant-family", twist_probe)),
-        oracle_local=_dense_projection_oracle,
     )
 
 
@@ -453,7 +449,6 @@ def build_example1(seed: int = 0) -> Scenario:
             ("involution", involution_probe),
             ("evaluation-sample", evaluation_probe),
         ),
-        kernel_required=False,
     )
 
 
@@ -726,7 +721,6 @@ def remark3_probe(seed: int = 0) -> Scenario:
             ("spectral-escape", escape_probe),
             ("kernel-escape", kernel_escape_probe),
         ),
-        kernel_required=False,
     )
 
 
@@ -868,14 +862,17 @@ def _lift_record(
     )
 
 
-def _guarded(
-    name: str, path: int | None, kind: str, build: Callable[[], list[dict]]
+def _timed(
+    timings: dict[str, float], label: str, name: str, path: int | None, kind: str, build: Callable
 ) -> list[dict]:
-    """The records ``build`` returns, or one error record where it raises."""
+    """The records of ``build``, or an error record if it raises, timed into ``timings[label]``."""
+    start = time.perf_counter()
     try:
-        return build()
+        records = build()
     except IdemliftError as exc:
-        return [run_record(name, path, kind, error=f"{type(exc).__name__}: {exc}")]
+        records = [run_record(name, path, kind, error=f"{type(exc).__name__}: {exc}")]
+    timings[label] = timings.get(label, 0.0) + time.perf_counter() - start
+    return records
 
 
 def _worst_stored_norm(elements: Iterable[Element]) -> float:
@@ -895,7 +892,8 @@ def _hypothesis_checks(
         backs = (pi.apply(0.0, pi.embed(0.0, b)) - b for b in pi.target.probe_basis())
         yield check_record("surjectivity-at-base", _worst_stored_norm(backs), 1e-9)
 
-        lam_set = [0.0] if not scn.kernel_required else sorted(
+        kernel_required = scn.local_section is not None or bool(scn.family_sections)  # a section is lifted
+        lam_set = [0.0] if not kernel_required else sorted(
             {0.0, float(np.real(grid[0])), float(np.real(grid[-1]))}
         )
         worst_rad = 0.0
@@ -908,7 +906,7 @@ def _hypothesis_checks(
             "kernel-spectral-condition",
             worst_rad,
             1e-9,
-            required=scn.kernel_required,
+            required=kernel_required,
             note="spectral radius of sampled kernel elements",
         )
 
@@ -926,7 +924,7 @@ def _hypothesis_checks(
         worst = _worst_stored_norm(qi(0.0) * qj(0.0) for qi, qj in pairs)
         yield check_record("input-orthogonality", worst, tol["tol_orth"])
 
-    if any(p in (2, 4, 6) for p in scn.theorem_paths):
+    if any(_PATHS[p][3] for p in scn.theorem_paths):  # a self-adjoint path
         worst = 0.0
         reals = [l for l in (grid[0], 0.0, grid[-1]) if abs(complex(l).imag) < 1e-12]
         for q in lifted:
@@ -934,14 +932,6 @@ def _hypothesis_checks(
                 d = q(lam) - q(lam).adjoint()
                 worst = max(worst, d.norm())
         yield check_record("input-self-adjointness", worst, 1e-12)
-
-
-def _trivial_runs(scn: Scenario, grid, tol) -> list[dict]:
-    out = []
-    for idx, q in enumerate(scn.trivial_targets):
-        name = f"trivial-{idx}"
-        out.extend(_guarded(name, 1, "trivial", lambda: [_trivial_record(scn, q, grid, tol, name)]))
-    return out
 
 
 def _trivial_record(scn: Scenario, q: ElementFamily, grid, tol, name: str) -> dict:
@@ -961,19 +951,19 @@ def _trivial_record(scn: Scenario, q: ElementFamily, grid, tol, name: str) -> di
 
 def _local_runs(scn: Scenario, grid, tol, name: str, path: int) -> list[dict]:
     if lift_trivial(scn.local_section.target, into=scn.pi.source) is not None:
-        return [
-            run_record(
-                name, path, "trivial", notes="spectrally pinned target; trivial shortcut taken"
-            )
-        ]
+        note = "spectrally pinned target; trivial shortcut taken"
+        return [run_record(name, path, "trivial", notes=note)]
     trace = lift_local(scn.local_section, grid)
-    oracle = scn.oracle_local(trace) if scn.oracle_local is not None else ()
+    # the oracle: each valid p must be the dense spectral projector of its
+    # section value a onto the spectrum near 1
+    rep = lambda x: x.algebra.matrix_representation(x)
+    pairs = ((rep(pt.elements["a"]), rep(pt.p)) for pt in trace.valid_points())
+    oracle = [_oracle_check("dense-projection-oracle", pairs)]
     return [_lift_record(name, path, trace, grid, tol, oracle, notes=f"sheet {trace.contours[0].sheet}")]
 
 
 def _sa_runs(scn: Scenario, grid, tol, name: str, path: int) -> list[dict]:
-    trace = lift_local_sa(scn.local_section, grid)
-    return [_lift_record(name, path, trace, grid, tol)]
+    return [_lift_record(name, path, lift_local_sa(scn.local_section, grid), grid, tol)]
 
 
 def _orthogonality_trace(
@@ -1004,7 +994,7 @@ def _orthogonality_trace(
 
 
 def _family_runs(scn: Scenario, grid, tol, name: str, path: int) -> list[dict]:
-    sa = path in (4, 6)
+    sa = _PATHS[path][3]
     fams, traces = lift_family(scn.family_sections, grid, sa=sa)
     out = [
         _lift_record(
@@ -1018,6 +1008,20 @@ def _family_runs(scn: Scenario, grid, tol, name: str, path: int) -> list[dict]:
     return out
 
 
+# The theorem paths by number: the name of a path's records and timing, its
+# runner, the Scenario fields it runs on (the runner lifts the first; trivial
+# targets are lifted whatever the paths), and whether it is self-adjoint.
+# Paths 3 and 5 run the family induction, 4 and 6 its self-adjoint form.
+_PATHS: dict[int, tuple[str, Callable[..., list[dict]], tuple[str, ...], bool]] = {
+    1: ("local", _local_runs, ("local_section", "trivial_targets"), False),
+    2: ("self-adjoint", _sa_runs, ("local_section",), True),
+    3: ("family", _family_runs, ("family_sections",), False),
+    4: ("family-sa", _family_runs, ("family_sections",), True),
+    5: ("family", _family_runs, ("family_sections",), False),
+    6: ("family-sa", _family_runs, ("family_sections",), True),
+}
+
+
 def run_verification(
     scn: Scenario,
     grid: Sequence[complex] | None = None,
@@ -1026,16 +1030,16 @@ def run_verification(
 ) -> dict:
     """Execute every declared theorem path plus probes; return the report.
 
-    Each family and section is evaluated at most once per lambda within
-    the call, and nothing of that memo outlives it.  A negative ``seed``,
-    a grid that is empty or has a non-finite point, and a ``tolerances``
-    key other than ``tol_idem``, ``tol_comm``, ``tol_lift`` and
-    ``tol_orth`` or a value that is not finite and nonnegative are each a
-    ``ParameterError``, raised before any check runs."""
+    The trivial targets, each path by its row of ``_PATHS``, then the
+    probes run; a block that raises an ``IdemliftError`` gives one error
+    record.  Each family and section is evaluated at most once per lambda
+    within the call, and nothing of that memo outlives it.  A negative
+    ``seed``, a grid that is empty or has a non-finite point, and a
+    ``tolerances`` key other than ``tol_idem``, ``tol_comm``, ``tol_lift``
+    and ``tol_orth`` or a value that is not finite and nonnegative are
+    each a ``ParameterError``, raised before any check runs."""
     _check_seed(seed)
-    grid = tuple(scn.grid if grid is None else tuple(complex(g) for g in grid))
-    if not grid or not np.isfinite(grid).all():
-        raise ParameterError(f"grid must be nonempty and finite, got {grid}")
+    grid = _grid_tuple(scn.grid if grid is None else grid)
     tol = _tolerances(tolerances)
 
     with memoised_evaluations():  # family values are computed once per run
@@ -1051,38 +1055,21 @@ def run_verification(
         timings["hypotheses"] = time.perf_counter() - t0
 
         runs: list[dict] = []
-
-        def clocked(label: str, thunk: Callable[[], list[dict]]) -> None:
-            start = time.perf_counter()
-            recs = thunk()
-            timings[label] = time.perf_counter() - start
-            runs.extend(recs)
-
-        if scn.trivial_targets:
-            clocked("trivial", lambda: _trivial_runs(scn, grid, tol))
+        for idx, q in enumerate(scn.trivial_targets):
+            name = f"trivial-{idx}"
+            build = lambda: [_trivial_record(scn, q, grid, tol, name)]
+            runs += _timed(timings, "trivial", name, 1, "trivial", build)
         for path in scn.theorem_paths:
-            if path == 1 and scn.local_section is not None:
-                name, lift = "local", _local_runs
-            elif path == 2 and scn.local_section is not None:
-                name, lift = "self-adjoint", _sa_runs
-            elif path in (3, 5) and scn.family_sections:
-                name, lift = "family", _family_runs
-            elif path in (4, 6) and scn.family_sections:
-                name, lift = "family-sa", _family_runs
-            else:
-                continue
-            clocked(
-                name, lambda: _guarded(name, path, "lift", lambda: lift(scn, grid, tol, name, path))
-            )
+            name, lift, inputs, _ = _PATHS[path]
+            if getattr(scn, inputs[0]):
+                build = lambda: lift(scn, grid, tol, name, path)
+                runs += _timed(timings, name, name, path, "lift", build)
 
         probe_records: list[dict] = []
         for idx, (name, fn) in enumerate(scn.probes):
-            start = time.perf_counter()
             rng = np.random.default_rng(seed + 1000 + idx)
-            probe_records.extend(
-                _guarded(name, None, "probe", lambda: [run_record(name, None, "probe", checks=fn(rng))])
-            )
-            timings[f"probe:{name}"] = time.perf_counter() - start
+            build = lambda: [run_record(name, None, "probe", checks=fn(rng))]
+            probe_records += _timed(timings, f"probe:{name}", name, None, "probe", build)
 
     return build_report(
         scn.id,

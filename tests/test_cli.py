@@ -312,6 +312,27 @@ def test_summary_prints_non_finite_values_as_null():
     assert "worst check null" in text
 
 
+@pytest.mark.parametrize("bad", ["out-dir-missing", "csv-dir-missing", "out-is-a-directory"])
+def test_an_unwritable_output_path_exits_two_before_the_run(tmp_path, monkeypatch, capsys, bad):
+    """Such a path used to fail only after the whole run, and a bad --csv
+    after the JSON report had been written."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(cli, "run_verification", no_run)
+    paths = {"out": tmp_path / "r.json", "csv": tmp_path / "r.csv"}
+    if bad == "out-is-a-directory":
+        paths["out"] = tmp_path
+    else:
+        key = bad.split("-")[0]
+        paths[key] = tmp_path / "no-such-dir" / paths[key].name
+    code = main(["run", "block-testbed", "--out", str(paths["out"]), "--csv", str(paths["csv"])])
+    assert code == 2
+    assert "error: cannot write report" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_config_file_exits_two(tmp_path):
     assert main(["run", "example1", "--config", str(tmp_path / "absent.cfg")]) == 2
 

@@ -200,6 +200,24 @@ def test_lift_local_empty_grid_rejected():
         lift_local(sec, [])
 
 
+@pytest.mark.parametrize("grid", [[], [0.0, math.nan], [0.0, math.inf]], ids=["empty", "nan", "inf"])
+@pytest.mark.parametrize("lift", ["lift_local", "lift_local_sa", "lift_ortho_step", "lift_family"])
+def test_every_lift_refuses_an_empty_or_non_finite_grid_by_name(lift, grid):
+    """A NaN point used to fail deep inside a lift ("spectral norm failed:
+    non-finite entries"), and an infinite one with OutOfRadius."""
+    pi = dual_pi()
+    sec = messy_section(pi, ElementFamily(M4, rotated_projection), seed=13)
+    zero_e, zero_u = constant_family(DUAL4.zero()), constant_family(M4.zero())
+    call = {
+        "lift_local": lambda: lift_local(sec, grid),
+        "lift_local_sa": lambda: lift_local_sa(sec, grid),
+        "lift_ortho_step": lambda: lift_ortho_step(zero_e, zero_u, sec, grid),
+        "lift_family": lambda: lift_family([sec], grid),
+    }[lift]
+    with pytest.raises(ParameterError, match="lambda grid must be nonempty and finite"):
+        call()
+
+
 def test_lift_trace_accessors():
     pi = dual_pi()
     q = ElementFamily(M4, rotated_projection)
@@ -636,7 +654,6 @@ def test_family_orthogonality_record_fails_on_invalid_rows():
         grid=SPLIT_GRID,
         theorem_paths=(3,),
         family_sections=tuple(secs),
-        kernel_required=False,
     )
     report = run_verification(scn)
     runs = {run["name"]: run for run in report["runs"]}

@@ -76,6 +76,67 @@ def test_empty_or_non_finite_grid_is_refused_before_any_check(sid, grid, monkeyp
         run_verification(build_scenario(sid), grid=grid)
 
 
+@pytest.mark.parametrize(
+    "paths, inputs, message",
+    [
+        ((2,), {"family_sections"}, "theorem path 2 needs local_section"),
+        ((3,), {"local_section"}, "theorem path 3 needs family_sections"),
+        ((7,), {"local_section", "family_sections"}, "unknown theorem path 7"),
+    ],
+    ids=["self-adjoint-without-local-section", "family-without-family-sections", "unknown-path"],
+)
+def test_a_path_the_scenario_cannot_run_is_refused_when_it_is_built(paths, inputs, message):
+    """Such a scenario used to run nothing for the path, yet pass and list
+    it under theorem_paths."""
+    dual = build_scenario("dual-testbed")
+    given = {field: getattr(dual, field) for field in inputs}
+    absent = {field: empty for field, empty in (("local_section", None), ("family_sections", ()))}
+    with pytest.raises(ParameterError, match=message):
+        scenarios.Scenario(id="bad", pi=dual.pi, grid=SMALL_GRID, theorem_paths=paths, **given)
+    with pytest.raises(ParameterError, match=message):  # replace builds through __init__
+        dual.replace(theorem_paths=paths, **{f: v for f, v in absent.items() if f not in inputs})
+
+
+_FAMILY_RECORDS = ("step-0", "step-1", "step-2", "orthogonality")
+
+
+@pytest.mark.parametrize(
+    "path, records, sa",
+    [
+        (1, ["local"], False),
+        (2, ["self-adjoint"], True),
+        (3, [f"family-{r}" for r in _FAMILY_RECORDS], False),
+        (4, [f"family-sa-{r}" for r in _FAMILY_RECORDS], True),
+        (5, [f"family-{r}" for r in _FAMILY_RECORDS], False),
+        (6, [f"family-sa-{r}" for r in _FAMILY_RECORDS], True),
+    ],
+    ids=[f"path-{path}" for path in range(1, 7)],
+)
+def test_each_theorem_path_runs_its_records_and_is_self_adjoint_as_declared(path, records, sa):
+    """dual-testbed with only the input the path lifts: its records, the
+    self-adjointness checks of a self-adjoint path, and a required kernel
+    condition, since a section is lifted."""
+    dual = build_scenario("dual-testbed")
+    only = {"family_sections": ()} if path <= 2 else {"local_section": None}
+    rep = run_verification(dual.replace(theorem_paths=(path,), **only), grid=(0.0, 0.2), seed=0)
+    assert [r["name"] for r in rep["runs"]] == records
+    assert all(r["theorem_path"] == path and r["error"] is None for r in rep["runs"])
+    checks = {c["name"] for r in rep["runs"] for c in r["checks"]}
+    assert ("self-adjointness" in checks) == sa
+    hypotheses = {h["name"]: h for h in rep["hypotheses"]}
+    assert ("input-self-adjointness" in hypotheses) == sa
+    assert hypotheses["kernel-spectral-condition"]["required"]
+
+
+@pytest.mark.parametrize("sid", list_scenarios())
+def test_the_kernel_condition_is_required_exactly_where_a_section_is_lifted(sid):
+    scn = build_scenario(sid)
+    grid = tuple(complex(g) for g in SMALL_GRID)
+    hyps = scenarios._hypothesis_checks(scn, grid, scenarios._tolerances(None), 0)
+    kernel = next(h for h in hyps if h["name"] == "kernel-spectral-condition")
+    assert kernel["required"] == (sid not in ("example1", "remark3-probe"))
+
+
 # an infinite or NaN tolerance switched its checks off, a negative one failed
 # them all, and a misspelt key was ignored and then listed in the report
 @pytest.mark.parametrize(
