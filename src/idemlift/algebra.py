@@ -131,10 +131,6 @@ class SpectrumReport(Frozen):
 
     __slots__ = ("points", "exact")
 
-    def __init__(self, points: tuple[complex, ...], exact: bool):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "exact", exact)
-
     @property
     def radius(self) -> float:
         if not self.points:
@@ -526,10 +522,6 @@ class MatrixAlgebra(_ArrayAlgebra):
     __slots__ = ("n",)
     kind = "matrix"
 
-    def __init__(self, n: int):
-        object.__setattr__(self, "n", n)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError("matrix size must be >= 1")
@@ -563,7 +555,7 @@ class MatrixAlgebra(_ArrayAlgebra):
         return p.conj().swapaxes(-1, -2)
 
     def _spectrum(self, p) -> SpectrumReport:
-        return SpectrumReport(_as_point_tuple(_eigvals(p)), exact=True)
+        return SpectrumReport(_as_point_tuple(_eigvals(p)), True)
 
     def _random(self, rng, scale):
         m = rng.standard_normal((self.n, self.n)) + 1j * rng.standard_normal((self.n, self.n))
@@ -605,10 +597,6 @@ class DualAlgebra(BanachAlgebra):
 
     __slots__ = ("base",)
     kind = "dual"
-
-    def __init__(self, base: BanachAlgebra):
-        object.__setattr__(self, "base", base)
-        self.__post_init__()
 
     def __post_init__(self):
         if not self.base.is_unital:
@@ -707,11 +695,6 @@ class BlockTriangularAlgebra(_ArrayAlgebra):
     __slots__ = ("k", "m")
     kind = "block-triangular"
 
-    def __init__(self, k: int, m: int):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "m", m)
-        self.__post_init__()
-
     def __post_init__(self):
         if self.k < 1 or self.m < 1:
             raise ParameterError("block sizes must be >= 1")
@@ -746,7 +729,7 @@ class BlockTriangularAlgebra(_ArrayAlgebra):
     def _spectrum(self, p) -> SpectrumReport:
         k = self.k
         pts = list(_eigvals(p[:k, :k])) + list(_eigvals(p[k:, k:]))
-        return SpectrumReport(_as_point_tuple(pts), exact=True)
+        return SpectrumReport(_as_point_tuple(pts), True)
 
     def _random(self, rng, scale):
         n = self.size
@@ -800,10 +783,6 @@ class ConvolutionAlgebra(_ArrayAlgebra):
 
     __slots__ = ("n_grid",)
     kind = "convolution-discrete"
-
-    def __init__(self, n_grid: int):
-        object.__setattr__(self, "n_grid", n_grid)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.n_grid < 2:
@@ -864,7 +843,7 @@ class ConvolutionAlgebra(_ArrayAlgebra):
         return np.conj(p)
 
     def _spectrum(self, p) -> SpectrumReport:
-        return SpectrumReport((0j,), exact=True)
+        return SpectrumReport((0j,), True)
 
     def _random(self, rng, scale):
         m = self.n_grid - 1
@@ -893,12 +872,20 @@ _SPECTRUM_CIRCLES = 8
 _SPECTRUM_ANGLES = 32
 
 
-class _WienerPayload(Frozen):
+class _WienerPayload:
+    """A series' coefficients and tail bound; not a record, as an array has no value equality."""
+
     __slots__ = ("coeffs", "tail")
 
     def __init__(self, coeffs: np.ndarray, tail: float):
         object.__setattr__(self, "coeffs", coeffs)  # shape (degree + 1, *base payload shape)
         object.__setattr__(self, "tail", tail)
+
+    def __setattr__(self, name: str, value: Any):
+        raise AttributeError("_WienerPayload is immutable")
+
+    def __delattr__(self, name: str):
+        raise AttributeError("_WienerPayload is immutable")
 
 
 class WienerAlgebra(BanachAlgebra):
@@ -927,11 +914,6 @@ class WienerAlgebra(BanachAlgebra):
 
     __slots__ = ("base", "degree")
     kind = "wiener-truncated"
-
-    def __init__(self, base: BanachAlgebra, degree: int):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "degree", degree)
-        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.base, (MatrixAlgebra, ConvolutionAlgebra)):
@@ -1068,7 +1050,7 @@ class WienerAlgebra(BanachAlgebra):
         for w in _as_point_tuple(pts):
             if not uniq or abs(w - uniq[-1]) > 1e-13:
                 uniq.append(w)
-        return SpectrumReport(tuple(uniq), exact=False)
+        return SpectrumReport(tuple(uniq), False)
 
     def _eval_payload(self, p, zs: Sequence[complex]) -> np.ndarray:
         """The stored series at each point of ``zs``, in one pass over the
@@ -1175,10 +1157,6 @@ class UnitizationAlgebra(BanachAlgebra):
 
     __slots__ = ("base",)
     kind = "unitization"
-
-    def __init__(self, base: BanachAlgebra):
-        object.__setattr__(self, "base", base)
-        self.__post_init__()
 
     def __post_init__(self):
         if not self.base.is_radical:
@@ -1301,7 +1279,7 @@ class UnitizationAlgebra(BanachAlgebra):
         return (self.base._adjoint(p[0]), np.conj(p[1]))
 
     def _spectrum(self, p) -> SpectrumReport:
-        return SpectrumReport((complex(p[1]),), exact=True)
+        return SpectrumReport((complex(p[1]),), True)
 
     def _random(self, rng, scale):
         c = scale * (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
@@ -1341,11 +1319,8 @@ class ProductAlgebra(BanachAlgebra):
     __slots__ = ("factors",)
     kind = "product"
 
-    def __init__(self, factors: Iterable[BanachAlgebra]):
-        object.__setattr__(self, "factors", tuple(factors))
-        self.__post_init__()
-
     def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(self.factors))
         if len(self.factors) < 1:
             raise ParameterError("product needs at least one factor")
 
@@ -1392,7 +1367,7 @@ class ProductAlgebra(BanachAlgebra):
             rep = f._spectrum(a)
             pts.extend(rep.points)
             exact = exact and rep.exact
-        return SpectrumReport(_as_point_tuple(pts), exact=exact)
+        return SpectrumReport(_as_point_tuple(pts), exact)
 
     def _random(self, rng, scale):
         return tuple(f._random(rng, scale) for f in self.factors)

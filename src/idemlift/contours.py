@@ -99,10 +99,6 @@ class PolygonalArc(Frozen):
 
     __slots__ = ("ray_direction",)
 
-    def __init__(self, ray_direction: complex):
-        object.__setattr__(self, "ray_direction", ray_direction)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         d = complex(self.ray_direction)
         if abs(d) == 0.0 or not cmath.isfinite(d):
@@ -129,10 +125,6 @@ class JordanPolygon(Frozen):
     """Simple closed polygon, normalised to counterclockwise orientation."""
 
     __slots__ = ("vertices",)
-
-    def __init__(self, vertices: Iterable[complex]):
-        object.__setattr__(self, "vertices", vertices)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         verts = tuple(complex(v) for v in self.vertices)

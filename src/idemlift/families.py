@@ -18,7 +18,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .algebra import BanachAlgebra, Element, alg_exp
 from .errors import (
@@ -92,17 +92,7 @@ class ElementFamily(Frozen):
     """Analytic map lambda -> element of a fixed algebra, around 0."""
 
     __slots__ = ("algebra", "evaluator", "radius")
-
-    def __init__(
-        self,
-        algebra: BanachAlgebra,
-        evaluator: Callable[[complex], Element],
-        radius: float = math.inf,
-    ):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "evaluator", evaluator)
-        object.__setattr__(self, "radius", radius)
-        self.__post_init__()
+    _defaults = {"radius": math.inf}
 
     __post_init__ = _check_positive_radius
 
@@ -126,25 +116,7 @@ class HomFamily(Frozen):
     """
 
     __slots__ = ("source", "target", "evaluator", "embed", "radius", "star_on_real", "label")
-
-    def __init__(
-        self,
-        source: BanachAlgebra,
-        target: BanachAlgebra,
-        evaluator: Callable[[complex, Element], Element],
-        embed: Callable[[complex, Element], Element] | None = None,
-        radius: float = math.inf,
-        star_on_real: bool = False,
-        label: str = "",
-    ):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "evaluator", evaluator)
-        object.__setattr__(self, "embed", embed)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "star_on_real", star_on_real)
-        object.__setattr__(self, "label", label)
-        self.__post_init__()
+    _defaults = {"embed": None, "radius": math.inf, "star_on_real": False, "label": ""}
 
     __post_init__ = _check_positive_radius
 
@@ -161,21 +133,7 @@ class Section(Frozen):
     for |lambda| < ``radius``, which must be positive, as for every family."""
 
     __slots__ = ("pi", "target", "evaluator", "radius", "label")
-
-    def __init__(
-        self,
-        pi: HomFamily,
-        target: ElementFamily,
-        evaluator: Callable[[complex], Element],
-        radius: float = math.inf,
-        label: str = "",
-    ):
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "evaluator", evaluator)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "label", label)
-        self.__post_init__()
+    _defaults = {"radius": math.inf, "label": ""}
 
     __post_init__ = _check_positive_radius
 

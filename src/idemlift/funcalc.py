@@ -71,23 +71,7 @@ class ContourData(Frozen):
     """
 
     __slots__ = ("polygon", "eps", "branch", "cut", "sheet", "label")
-
-    def __init__(
-        self,
-        polygon: JordanPolygon,
-        eps: float,
-        branch: str = "none",
-        cut: PolygonalArc | None = None,
-        sheet: int = 1,
-        label: str = "",
-    ):
-        object.__setattr__(self, "polygon", polygon)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "cut", cut)
-        object.__setattr__(self, "sheet", sheet)
-        object.__setattr__(self, "label", label)
-        self.__post_init__()
+    _defaults = {"branch": "none", "cut": None, "sheet": 1, "label": ""}
 
     def __post_init__(self) -> None:
         if not 0 < self.eps < math.inf:
@@ -123,11 +107,6 @@ class QuadratureAudit(Frozen):
     """
 
     __slots__ = ("nodes_per_edge", "delta", "refinements")
-
-    def __init__(self, nodes_per_edge: int, delta: float, refinements: int):
-        object.__setattr__(self, "nodes_per_edge", nodes_per_edge)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "refinements", refinements)
 
     def describe(self) -> dict:
         return {

@@ -112,20 +112,11 @@ class LiftPoint(Frozen):
     """
 
     __slots__ = ("lam", "valid", "defects", "elements", "allowances")
+    _defaults = {"defects": None, "elements": None, "allowances": None}
 
-    def __init__(
-        self,
-        lam: complex,
-        valid: bool,
-        defects: dict[str, float] | None = None,
-        elements: dict[str, Element] | None = None,
-        allowances: dict[str, float] | None = None,
-    ):
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "defects", {} if defects is None else defects)
-        object.__setattr__(self, "elements", {} if elements is None else elements)
-        object.__setattr__(self, "allowances", {} if allowances is None else allowances)
+    def __post_init__(self) -> None:  # each record its own empty dict
+        for name in [f for f in ("defects", "elements", "allowances") if getattr(self, f) is None]:
+            object.__setattr__(self, name, {})
 
     @property
     def p(self) -> Element | None:
@@ -152,20 +143,7 @@ class LiftTrace(Frozen):
     branch sheet), the smallness bound ``eps0`` of an orthogonal step."""
 
     __slots__ = ("points", "audits", "contours", "eps0", "label")
-
-    def __init__(
-        self,
-        points: tuple[LiftPoint, ...],
-        audits: tuple[QuadratureAudit, ...],
-        contours: tuple[ContourData, ...] = (),
-        eps0: float | None = None,
-        label: str = "",
-    ):
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "audits", audits)
-        object.__setattr__(self, "contours", contours)
-        object.__setattr__(self, "eps0", eps0)
-        object.__setattr__(self, "label", label)
+    _defaults = {"contours": (), "eps0": None, "label": ""}
 
     def point(self, lam: complex) -> LiftPoint:
         for pt in self.points:

@@ -85,46 +85,32 @@ class Scenario(Frozen):
     read off their sections (``local_section.target`` and the targets of
     ``family_sections``).
 
-    Each of ``theorem_paths`` must be a row of ``_PATHS`` whose input the
-    scenario has (path 1 needs ``local_section`` or ``trivial_targets``,
-    path 2 ``local_section``, paths 3-6 ``family_sections``), else
-    ``ParameterError``."""
+    ``theorem_paths`` must be a tuple of ``int`` path numbers, each a row
+    of ``_PATHS`` whose input the scenario has (path 1 needs
+    ``local_section`` or ``trivial_targets``, path 2 ``local_section``,
+    paths 3-6 ``family_sections``), and no two may write records of one
+    name (3 and 5, 4 and 6), else ``ParameterError``."""
 
     __slots__ = (
         "id", "pi", "grid", "theorem_paths", "expected", "local_section",
         "trivial_targets", "family_sections", "probes", "oracle_family",
     )
-
-    def __init__(
-        self,
-        id: str,
-        pi: HomFamily,
-        grid: tuple[complex, ...],
-        theorem_paths: tuple[int, ...],
-        expected: str = "lift-succeeds",
-        local_section: Section | None = None,
-        trivial_targets: tuple[ElementFamily, ...] = (),
-        family_sections: tuple[Section, ...] = (),
-        probes: tuple[tuple[str, Callable], ...] = (),
-        oracle_family: Callable | None = None,
-    ):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "theorem_paths", theorem_paths)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "local_section", local_section)
-        object.__setattr__(self, "trivial_targets", trivial_targets)
-        object.__setattr__(self, "family_sections", family_sections)
-        object.__setattr__(self, "probes", probes)
-        object.__setattr__(self, "oracle_family", oracle_family)
-        self.__post_init__()
+    _defaults = {"expected": "lift-succeeds", "local_section": None, "trivial_targets": (),
+                 "family_sections": (), "probes": (), "oracle_family": None}
 
     def __post_init__(self) -> None:
-        for path in self.theorem_paths:
+        paths = self.theorem_paths
+        # exactly ints: True and 1.0 equal 1, and would be written as true and 1.0
+        if type(paths) is not tuple or any(type(path) is not int for path in paths):
+            raise ParameterError(f"theorem_paths must be a tuple of int path numbers, got {paths!r}")
+        named: dict[str, int] = {}
+        for path in paths:
             if path not in _PATHS:
                 raise ParameterError(f"unknown theorem path {path!r}; valid paths: {sorted(_PATHS)}")
-            inputs = _PATHS[path][2]
+            name, _, inputs, _ = _PATHS[path]
+            if name in named:
+                raise ParameterError(f"theorem paths {named[name]} and {path} both write {name!r} records")
+            named[name] = path
             if not any(getattr(self, field) for field in inputs):
                 raise ParameterError(f"theorem path {path} needs {' or '.join(inputs)}")
 

@@ -1,0 +1,89 @@
+"""tools/compare_reports.py, run as a script on small report directories."""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
+
+_REPORT = {"scenario": "demo", "passed": True, "runs": [{"name": "local", "eps": 0.5, "defect": 1.5e-15}]}
+_CSV = "name,lam,defect,count\nlocal,0.25,1.5e-15,3\n"
+
+
+def _write(directory: pathlib.Path, report=_REPORT, csv=_CSV, timings=0.1) -> pathlib.Path:
+    directory.mkdir()
+    (directory / "demo.json").write_text(json.dumps(dict(report, timings={"total": timings})))
+    (directory / "demo.csv").write_text(csv)
+    return directory
+
+
+def _compare(old, new) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(TOOL), str(old), str(new)], capture_output=True, text=True
+    )
+
+
+def test_identical_directories_exit_0(tmp_path):
+    """The timings block is the one part of a report that may differ."""
+    proc = _compare(_write(tmp_path / "a"), _write(tmp_path / "b", timings=9.9))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "demo.csv: non-float fields match; 0 of 2 floats moved; worst relative move 0",
+        "demo.json: non-float fields match; 0 of 2 floats moved; worst relative move 0",
+    ]
+
+
+def test_moved_floats_are_counted_and_exit_0(tmp_path):
+    """Both moves are counted; the worst relative move is taken only over
+    floats above 1e-12 in size, so the defect's doubling is not it."""
+    moved = dict(_REPORT, runs=[{"name": "local", "eps": 0.75, "defect": 3.0e-15}])
+    proc = _compare(_write(tmp_path / "a"), _write(tmp_path / "b", report=moved))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "demo.json: non-float fields match; 2 of 2 floats moved; worst relative move 0.5" in proc.stdout
+
+
+def test_a_differing_non_float_field_exits_1(tmp_path):
+    csv = _CSV.replace(",3\n", ",4\n")  # an integer cell is not a float
+    proc = _compare(_write(tmp_path / "a"), _write(tmp_path / "b", csv=csv))
+    assert proc.returncode == 1
+    assert "demo.csv: non-float fields differ at ['/1/3']" in proc.stdout
+    assert "demo.json: non-float fields match" in proc.stdout
+
+
+def test_an_unpaired_file_exits_1(tmp_path):
+    new = _write(tmp_path / "b")
+    (new / "extra.json").write_text("{}")
+    proc = _compare(_write(tmp_path / "a"), new)
+    assert proc.returncode == 1
+    assert f"extra.json: only in {new}" in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("missing", ["old", "new"])
+def test_a_missing_directory_exits_2_with_one_line(tmp_path, missing):
+    """It used to end in a FileNotFoundError traceback with exit 1, the
+    code of differing fields."""
+    present, absent = _write(tmp_path / "present"), tmp_path / "absent"
+    proc = _compare(absent, present) if missing == "old" else _compare(present, absent)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: {absent} is not a directory"]
+
+
+def test_a_file_given_as_a_directory_exits_2(tmp_path):
+    report = _write(tmp_path / "a") / "demo.json"
+    proc = _compare(report, tmp_path / "a")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: {report} is not a directory"]
+
+
+def test_a_pair_without_reports_exits_2(tmp_path):
+    """It used to compare nothing and exit 0."""
+    old, new = tmp_path / "a", tmp_path / "b"
+    old.mkdir()
+    new.mkdir()
+    (new / "notes.txt").write_text("not a report")
+    proc = _compare(old, new)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: neither {old} nor {new} holds a .json or .csv report"]

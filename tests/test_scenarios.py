@@ -97,6 +97,44 @@ def test_a_path_the_scenario_cannot_run_is_refused_when_it_is_built(paths, input
         dual.replace(theorem_paths=paths, **{f: v for f, v in absent.items() if f not in inputs})
 
 
+def _refused_both_ways(paths, message: str) -> None:
+    """dual-testbed, which has every path's input, refuses ``paths`` when
+    built and through ``replace``."""
+    dual = build_scenario("dual-testbed")
+    fields = {name: getattr(dual, name) for name in dual._fields}
+    with pytest.raises(ParameterError, match=message):
+        scenarios.Scenario(**dict(fields, theorem_paths=paths))
+    with pytest.raises(ParameterError, match=message):
+        dual.replace(theorem_paths=paths)
+
+
+@pytest.mark.parametrize(
+    "paths",
+    [(True,), (1.0,), (np.int64(1),), [1], [1, 1], 1, (1, 1), (2, 1, 2)],
+    ids=["bool", "float", "numpy-int", "list", "repeated-list", "bare-int", "repeated", "repeated-apart"],
+)
+def test_theorem_paths_must_be_a_tuple_of_distinct_int_path_numbers(paths):
+    """True and 1.0 used to pass as path 1 and be written into the report
+    as true and 1.0, [1, 1] ran the local lift twice, and a bare 1 ended
+    in an untyped TypeError."""
+    _refused_both_ways(paths, "theorem_paths must be a tuple of int|both write")
+
+
+@pytest.mark.parametrize(
+    "paths, message",
+    [
+        ((3, 5), "theorem paths 3 and 5 both write 'family' records"),
+        ((4, 6), "theorem paths 4 and 6 both write 'family-sa' records"),
+        ((6, 1, 4), "theorem paths 6 and 4 both write 'family-sa' records"),
+    ],
+    ids=["3-and-5", "4-and-6", "6-and-4"],
+)
+def test_two_paths_that_write_records_of_one_name_are_refused(paths, message):
+    """block-testbed with (3, 5) used to run the induction twice and report
+    family-step-0 ... family-orthogonality twice under one name."""
+    _refused_both_ways(paths, message)
+
+
 _FAMILY_RECORDS = ("step-0", "step-1", "step-2", "orthogonality")
 
 

@@ -9,7 +9,9 @@ float when it parses as one and is not an integer.  For each pair the
 script prints whether every non-float field matches, how many floats
 moved, and the worst relative move among the floats with |old| > 1e-12.
 The exit code is 1 when a non-float field differs or a file has no
-partner, else 0.  It is a tool for comparing runs, not a test.
+partner, else 0.  It is 2, with a one-line message, when an argument is
+not a directory or neither directory holds a ``.json`` or ``.csv`` file.
+It is a tool for comparing runs, not a test.
 """
 
 from __future__ import annotations
@@ -87,9 +89,16 @@ def main(argv: list[str] | None = None) -> int:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     old_dir, new_dir = map(Path, args)
+    for d in (old_dir, new_dir):
+        if not d.is_dir():
+            print(f"error: {d} is not a directory", file=sys.stderr)
+            return 2
     names = sorted(
         p.name for d in (old_dir, new_dir) for p in d.iterdir() if p.suffix in (".json", ".csv")
     )
+    if not names:
+        print(f"error: neither {old_dir} nor {new_dir} holds a .json or .csv report", file=sys.stderr)
+        return 2
     status = 0
     for name in dict.fromkeys(names):
         old, new = old_dir / name, new_dir / name
