@@ -162,6 +162,9 @@ class Element:
     def __setattr__(self, name: str, value: Any):
         raise AttributeError("Element is immutable")
 
+    def __delattr__(self, name: str):
+        raise AttributeError("Element is immutable")
+
     # -- arithmetic -----------------------------------------------------
 
     def _coerce(self, other: Any) -> "Element":
@@ -306,7 +309,13 @@ class BanachAlgebra(Frozen):
         raise NotImplementedError
 
     def _norm(self, p) -> float:
-        return float(self._norms(p))
+        return self._norm_parts(p)[0]
+
+    def _norm_parts(self, p) -> tuple[float, float]:
+        """The norm of ``p`` and the norm of its stored data, carried tails
+        set aside: the one norm hook of a kind (array kinds: no tails)."""
+        n = float(self._norms(p))
+        return n, n
 
     def _norms(self, stack) -> np.ndarray:
         """The norm of each payload of an array stack (array payloads only)."""
@@ -356,6 +365,9 @@ class BanachAlgebra(Frozen):
 
     def norm(self, x: Element) -> float:
         return self._norm(self._own(x))
+
+    def norm_parts(self, x: Element) -> tuple[float, float]:
+        return self._norm_parts(self._own(x))
 
     def inverse(self, x: Element) -> Element:
         return self.wrap(self._inverse(self._own(x)))
@@ -625,8 +637,9 @@ class DualAlgebra(BanachAlgebra):
         b = self.base
         return (b._mul(p[0], q[0]), b._add(b._mul(p[0], q[1]), b._mul(p[1], q[0])))
 
-    def _norm(self, p) -> float:
-        return self.base._norm(p[0]) + self.base._norm(p[1])
+    def _norm_parts(self, p) -> tuple[float, float]:
+        (n0, s0), (n1, s1) = self.base._norm_parts(p[0]), self.base._norm_parts(p[1])
+        return n0 + n1, s0 + s1
 
     def _inverse(self, p):
         b = self.base
@@ -1006,8 +1019,9 @@ class WienerAlgebra(BanachAlgebra):
             s = self._stored_norm(term)
         return powers, False, s + term.tail
 
-    def _norm(self, p) -> float:
-        return self._stored_norm(p) + p.tail
+    def _norm_parts(self, p) -> tuple[float, float]:
+        s = self._stored_norm(p)
+        return s + p.tail, s
 
     def _inverse(self, p):
         b = self.base
@@ -1039,15 +1053,14 @@ class WienerAlgebra(BanachAlgebra):
         return _WienerPayload(self.base._adjoint(p.coeffs), c * p.tail)
 
     def _spectrum(self, p) -> SpectrumReport:
+        if self.base.is_radical:  # every sample has the spectrum {0}
+            return SpectrumReport((0j,), False)
         radii = np.arange(1, _SPECTRUM_CIRCLES + 1) / _SPECTRUM_CIRCLES
         ang = 2.0 * np.pi * np.arange(_SPECTRUM_ANGLES) / _SPECTRUM_ANGLES
         zs = [0j, *(radii[:, None] * np.exp(1j * ang)).ravel().tolist()]
-        pts: list[complex] = []
-        for val in self._eval_payload(p, zs):
-            pts.extend(self.base._spectrum(val).points)
-        # collapse duplicates to keep reports small
+        # a matrix base: one eigvals call on the sample stack; duplicates collapse
         uniq: list[complex] = []
-        for w in _as_point_tuple(pts):
+        for w in _as_point_tuple(_eigvals(self._eval_payload(p, zs)).ravel()):
             if not uniq or abs(w - uniq[-1]) > 1e-13:
                 uniq.append(w)
         return SpectrumReport(tuple(uniq), False)
@@ -1192,8 +1205,9 @@ class UnitizationAlgebra(BanachAlgebra):
         mixed = b._add(b._add(fg, b._scale(c, g)), b._scale(d, f))
         return (mixed, c * d)
 
-    def _norm(self, p) -> float:
-        return self.base._norm(p[0]) + abs(p[1])
+    def _norm_parts(self, p) -> tuple[float, float]:
+        norm, stored = self.base._norm_parts(p[0])
+        return norm + abs(p[1]), stored + abs(p[1])
 
     def _inverse(self, p):
         if abs(p[1]) < 1e-300:
@@ -1351,8 +1365,10 @@ class ProductAlgebra(BanachAlgebra):
     def _mul(self, p, q):
         return tuple(f._mul(a, b) for f, a, b in zip(self.factors, p, q))
 
-    def _norm(self, p) -> float:
-        return max(f._norm(a) for f, a in zip(self.factors, p))
+    def _norm_parts(self, p) -> tuple[float, float]:
+        # per factor: one factor's tail is no slack on another's data
+        norms, stored = zip(*(f._norm_parts(a) for f, a in zip(self.factors, p)))
+        return max(norms), max(stored)
 
     def _inverse(self, p):
         return tuple(f._inverse(a) for f, a in zip(self.factors, p))

@@ -94,8 +94,8 @@ def _parse_path(text: str, _name: str) -> str:
 # flag's help.
 _RUN_OPTIONS = (
     ("grid", _parse_grid, "parameter grid as center,halfwidth,count (e.g. 0,0.5,21)"),
-    ("tol-idem", _parse_tolerance, "idempotency/commutation tolerance"),
-    ("tol-lift", _parse_tolerance, "lift/orthogonality tolerance"),
+    ("tol-idem", _parse_tolerance, "tolerance of idempotency, commutation and the residuals"),
+    ("tol-lift", _parse_tolerance, "tolerance of the lift and of orthogonality"),
     ("out", _parse_path, "JSON report path (default: <scenario>-report.json)"),
     ("csv", _parse_path, "also write per-grid-point defect rows as CSV"),
     ("seed", _parse_seed, "seed for randomised sections and probes"),
@@ -135,17 +135,6 @@ def _resolve_options(args: argparse.Namespace) -> dict[str, object]:
         source, text = (key, lines.get(key)) if flag is None else (f"--{key}", flag)
         opts[key] = None if text is None else parse(text, source)
     return opts
-
-
-def _tolerance_overrides(opts: dict[str, object]) -> dict[str, float]:
-    """The library tolerances that the run options set: tol-idem bounds
-    idempotency and commutation, tol-lift the lift and orthogonality."""
-    out: dict[str, float] = {}
-    if opts["tol-idem"] is not None:
-        out["tol_idem"] = out["tol_comm"] = opts["tol-idem"]
-    if opts["tol-lift"] is not None:
-        out["tol_lift"] = out["tol_orth"] = opts["tol-lift"]
-    return out
 
 
 def _check_writable(path: str) -> None:
@@ -245,9 +234,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    report = run_verification(
-        scenario, grid=opts["grid"], tolerances=_tolerance_overrides(opts), seed=seed
-    )
+    tols = {key.replace("-", "_"): opts[key] for key in ("tol-idem", "tol-lift") if opts[key] is not None}
+    report = run_verification(scenario, grid=opts["grid"], tolerances=tols, seed=seed)
     try:
         write_json(report, out)
         if csv:

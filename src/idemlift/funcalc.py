@@ -217,10 +217,10 @@ def _integrate(
             total = carry * prev + total
         if prev is not None:
             gap = total - prev
-            # convergence concerns the stored data; carried tail bounds
-            # do not shrink with node count and are certified separately
-            delta = max(0.0, gap.norm() - alg.tail_bound(gap))
-            if delta < QUAD_TOL:
+            # convergence concerns the stored data, as tails do not shrink with the
+            # nodes; a NaN gap, which no node count mends, ends it and fails every check
+            delta = alg.norm_parts(gap)[1]
+            if not delta >= QUAD_TOL:
                 if audit_sink is not None:
                     audit_sink.append(QuadratureAudit(n, delta, refinements))
                 return total

@@ -12,8 +12,9 @@ idempotent is built orthogonal to the sum of its predecessors.
 A lift takes only its sections: pi is ``sec.pi`` and the target family
 is ``sec.target``.  Every path returns a LiftTrace whose points carry the
 lifted idempotent under "p" (``trace.point(lam).p``).  One routine,
-``_point``, makes every point from a path's per-lambda kernel and alone
-decides which failures make a point invalid; a family from lift_family
+``_point``, makes every point of a lift or of ``family_orthogonality``
+from a per-lambda kernel, and alone decides which failures make a point
+invalid and which element a defect reports; a family from lift_family
 runs its step's kernel through it off the grid, and raises
 EnclosureFailed where its step's point is invalid.
 """
@@ -22,10 +23,11 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from typing import Callable, Sequence
 
-from .algebra import BanachAlgebra, Element, SpectrumReport
+from .algebra import Element, SpectrumReport
 from .contours import build_escape_arc, build_gamma_pair, square_polygon
 from .errors import (
     AmbiguousSign,
@@ -54,9 +56,7 @@ from .frozen import Frozen
 
 __all__ = [
     "TOL_IDEM",
-    "TOL_COMM",
     "TOL_LIFT",
-    "TOL_ORTH",
     "LiftPoint",
     "LiftTrace",
     "lift_trivial",
@@ -65,12 +65,11 @@ __all__ = [
     "lift_local_sa",
     "lift_ortho_step",
     "lift_family",
+    "family_orthogonality",
 ]
 
 TOL_IDEM = 1e-9
-TOL_COMM = 1e-9
 TOL_LIFT = 1e-8
-TOL_ORTH = 1e-8
 
 _EXACT = 1e-12  # slack for spectra that our algebra kinds report exactly
 
@@ -106,9 +105,8 @@ class LiftPoint(Frozen):
 
     ``allowances`` carries, per defect, the tail slack of the defect
     element (nonzero only over truncated-series algebras): the certified
-    statement is defect - allowance <= tolerance.  A non-finite defect or
-    allowance certifies nothing, so its certified value is NaN, which
-    fails every check.
+    statement is defect - allowance <= tolerance.  An invalid point keeps
+    no allowance, and its one defect, infinite, names why it failed.
     """
 
     __slots__ = ("lam", "valid", "defects", "elements", "allowances")
@@ -123,10 +121,20 @@ class LiftPoint(Frozen):
         return self.elements.get("p")
 
     def certified(self, key: str) -> float:
-        defect, allowance = self.defects[key], self.allowances.get(key, 0.0)
-        if not (math.isfinite(defect) and math.isfinite(allowance)):
-            return math.nan
-        return max(0.0, defect - allowance)
+        return _certified(self.defects[key], self.allowances.get(key, 0.0))
+
+
+def _certified(defect: float, allowance: float) -> float:
+    """max(0, defect - allowance); NaN, which fails every check, where
+    either is not finite and so certifies nothing."""
+    if not (math.isfinite(defect) and math.isfinite(allowance)):
+        return math.nan
+    return max(0.0, defect - allowance)
+
+
+def _rank(pair: tuple[float, float]) -> tuple[bool, float]:
+    """A (defect, allowance) pair by certified value, one that certifies nothing above all."""
+    return math.isnan(_certified(*pair)), _certified(*pair)
 
 
 def _worst(vals: list[float]) -> float:
@@ -163,17 +171,19 @@ class LiftTrace(Frozen):
 
 def _point(lam: complex, kernel: Callable, checks: Callable | None) -> LiftPoint:
     """The point at lam of a path whose per-lambda ``kernel`` returns the
-    named elements, the lifted idempotent under "p".
+    named elements, a lifted idempotent under "p".
 
     The point is invalid where the kernel raises _Invalid (its reason),
     an enclosure error ("enclosure"), or a NotInvertible or
     QuadratureNotConverged (the error's code); at the base point, where
     nothing could be frozen, those two end the lift instead.  A valid
-    point carries the elements and, unless ``checks`` is None, the
-    defects ``checks(lam, elements)`` names with any norms it has already
-    taken: the norm of each defect element, allowed its tail.  pi only
-    sees the stored part of p, so p's tail is extra slack on the lift
-    defect."""
+    point carries the elements and, unless ``checks`` is None, a defect per
+    name of ``checks(lam, elements)``: of the element or list of candidate
+    elements it names, the one with the largest certified value max(0,
+    ||d|| - allowance), whose allowance is the part of ||d|| that is
+    carried tail (||d|| less its stored norm); an empty list is a defect
+    of 0.  pi only sees the stored part of p, so p's tail is extra slack
+    on a lift defect."""
     try:
         elements = kernel(lam)
     except _Invalid as exc:
@@ -186,11 +196,14 @@ def _point(lam: complex, kernel: Callable, checks: Callable | None) -> LiftPoint
         return LiftPoint(lam, False, {exc.code: math.inf})
     if checks is None:
         return LiftPoint(lam, True, elements=elements)
-    gaps, norms = checks(lam, elements)
-    allow = {k: d.algebra.tail_bound(d) for k, d in gaps.items()}
-    p = elements["p"]
-    allow["lift"] += p.algebra.tail_bound(p)
-    defects = {k: norms[k] if k in norms else d.norm() for k, d in gaps.items()}
+    defects, allow = {}, {}
+    for key, found in checks(lam, elements).items():
+        parts = (d.algebra.norm_parts(d) for d in ([found] if isinstance(found, Element) else found))
+        pairs = [(raw, raw - stored) for raw, stored in parts]
+        defects[key], allow[key] = max(pairs, key=_rank, default=(0.0, 0.0))
+    if "lift" in allow:
+        p = elements["p"]
+        allow["lift"] += p.algebra.tail_bound(p)
     return LiftPoint(lam, True, defects, elements, allow)
 
 
@@ -198,20 +211,26 @@ def _point(lam: complex, kernel: Callable, checks: Callable | None) -> LiftPoint
 # trivial path
 
 
-def lift_trivial(
-    q: ElementFamily, into: BanachAlgebra | None = None
-) -> ElementFamily | None:
-    """Constant lift when the base spectrum pins the family: sigma(q(0))
-    inside {0} lifts to 0, inside {1} lifts to 1, anything else returns
-    None so the caller falls through to the main path."""
-    alg = into if into is not None else q.algebra
-    rep = q(0).spectrum()
-    pts = rep.points
+def lift_trivial(pi: HomFamily, q: ElementFamily, grid: Sequence[complex]) -> LiftTrace | None:
+    """Constant lift of ``q`` through ``pi`` when the base spectrum pins
+    it: sigma(q(0)) inside {0} lifts to 0, inside {1} lifts to 1.  Each
+    grid point is made by ``_point``, with the idempotency and lift
+    defects of the constant; a target that is not pinned returns None, so
+    the caller falls through to the main path."""
+    grid_pts = _grid_tuple(grid)
+    pts = q(0).spectrum().points
     if all(abs(z) <= _EXACT for z in pts):
-        return constant_family(alg.zero(), radius=q.radius)
-    if all(abs(z - 1) <= _EXACT for z in pts):
-        return constant_family(alg.one(), radius=q.radius)
-    return None
+        p = pi.source.zero()
+    elif all(abs(z - 1) <= _EXACT for z in pts):
+        p = pi.source.one()
+    else:
+        return None
+
+    def checks(lam: complex, els: dict[str, Element]):
+        return {"idempotency": p * p - p, "lift": pi.apply(lam, p) - q(lam)}
+
+    points = tuple(_point(lam, lambda lam: {"p": p}, checks) for lam in grid_pts)
+    return LiftTrace(points, (), label="trivial")
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +340,7 @@ def lift_local(sec: Section, grid: Sequence[complex]) -> LiftTrace:
             "commutation": z * a - a * z,
             "eq2": z * z + (2.0 * a - one) * z - r,
             "eq5": x * x + x + r0,
-        }, {}
+        }
 
     points = tuple(_point(lam, kernel, checks) for lam in grid_pts)
     return LiftTrace(points, tuple(audits), (cd,), label="local")
@@ -392,7 +411,7 @@ def lift_local_sa(sec: Section, grid: Sequence[complex]) -> LiftTrace:
             "commutation": p * a - a * p,
             "self-adjointness": p - p.adjoint(),
             "factorisation": (a - p) - (a * a - a) * (aux1 - aux0),
-        }, {}
+        }
 
     points = tuple(_point(lam, kernel, checks) for lam in grid_pts)
     return LiftTrace(points, tuple(audits), (cd0, cd1), label="self-adjoint")
@@ -483,7 +502,7 @@ def lift_ortho_step(
         ("uv", (u0 * v0).norm()),
         ("vu", (v0 * u0).norm()),
     ):
-        if val > TOL_ORTH + pi.target.tail_bound(u0) + pi.target.tail_bound(v0):
+        if val > TOL_LIFT + pi.target.tail_bound(u0) + pi.target.tail_bound(v0):
             raise SectionInvalid(f"target families fail the {name} requirement: {val:.3g}")
     if sec_v.defect(0.0) > TOL_LIFT:
         raise SectionInvalid("section does not lift v at the base point")
@@ -497,17 +516,8 @@ def lift_ortho_step(
     audits: list[QuadratureAudit] = []
 
     def checks(lam: complex, els: dict[str, Element]):
-        # the worst commutator's norm is taken while choosing it
         e, z, w, r, m, f = (els[k] for k in ("e", "z", "w", "r", "m", "p"))
-        group = {k: els[k] for k in ("a", "z", "w", "x", "r", "p")}
-        commutators = [
-            g1 * g2 - g2 * g1
-            for n1, g1 in group.items()
-            for n2, g2 in group.items()
-            if n1 < n2
-        ]
-        comm_norms = [d.norm() for d in commutators]
-        worst = max(range(len(commutators)), key=comm_norms.__getitem__)
+        group = [els[k] for k in ("a", "z", "w", "x", "r", "p")]
         return {
             "idempotency": f * f - f,
             "ef": e * f,
@@ -515,8 +525,8 @@ def lift_ortho_step(
             "lift": pi.apply(lam, f) - v_fam(lam),
             "eq17": w * w + w + z * els["m2inv"],
             "quadratic": r * r + m * r + z,
-            "commutation": commutators[worst],
-        }, {"commutation": comm_norms[worst]}
+            "commutation": [g * h - h * g for g, h in itertools.combinations(group, 2)],
+        }
 
     kernel = functools.partial(_ortho_point, e_fam, sec_v, audit_sink=audits)
     points = tuple(_point(lam, kernel, checks) for lam in grid_pts)
@@ -594,3 +604,25 @@ def lift_family(
         e_fam = _sum_family(e_fam, lifted[-1])
         u_fam = _sum_family(u_fam, sec.target)
     return lifted, traces
+
+
+def family_orthogonality(
+    fams: Sequence[ElementFamily], grid: Sequence[complex], sa: bool = False
+) -> LiftTrace:
+    """The joint defects of the families of ``lift_family`` on ``grid``:
+    pairwise products, partial sums and, with ``sa``, self-adjointness.
+    A point is invalid, for "predecessor", where a family has no value."""
+
+    def kernel(lam: complex) -> dict[str, Element]:
+        return {f"p{k}": f(lam) for k, f in enumerate(fams)}
+
+    def checks(lam: complex, els: dict[str, Element]):
+        vals = list(els.values())
+        return {
+            "pairwise-orthogonality": [vi * vj for vi, vj in itertools.permutations(vals, 2)],
+            "partial-sum-idempotency": [s * s - s for s in itertools.accumulate(vals)],
+            **({"self-adjointness": [v - v.adjoint() for v in vals]} if sa else {}),
+        }
+
+    points = tuple(_point(lam, kernel, checks) for lam in _grid_tuple(grid))
+    return LiftTrace(points, (), label="orthogonality-sa" if sa else "orthogonality")

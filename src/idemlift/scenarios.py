@@ -47,13 +47,11 @@ from .families import (
 )
 from .frozen import Frozen
 from .lifting import (
-    TOL_COMM,
     TOL_IDEM,
     TOL_LIFT,
-    TOL_ORTH,
-    LiftPoint,
     LiftTrace,
     _grid_tuple,
+    family_orthogonality,
     lift_family,
     lift_local,
     lift_local_sa,
@@ -756,12 +754,7 @@ def _tolerances(overrides: dict[str, float] | None) -> dict[str, float]:
     not one), is a ``ParameterError``: an infinite or NaN tolerance would
     switch its checks off, a negative one fail them all, and a misspelt
     key would be ignored while the report lists the defaults as judged."""
-    tol = {
-        "tol_idem": TOL_IDEM,
-        "tol_comm": TOL_COMM,
-        "tol_lift": TOL_LIFT,
-        "tol_orth": TOL_ORTH,
-    }
+    tol = {"tol_idem": TOL_IDEM, "tol_lift": TOL_LIFT}
     for key, value in (overrides or {}).items():
         if key not in tol:
             raise ParameterError(f"unknown tolerance {key!r}; valid keys: {', '.join(tol)}")
@@ -775,15 +768,16 @@ def _tolerances(overrides: dict[str, float] | None) -> dict[str, float]:
 # The checks of each kind of lift trace, by trace label, in report order:
 # (check name, defect key, tolerance key).  The check value is the worst
 # certified defect over the valid points; the defect key None counts the
-# grid points outside the frozen enclosures instead, against 0.
+# grid points outside the frozen enclosures instead, against 0.  Lift and
+# orthogonality are judged by tol_lift, everything else by tol_idem.
 _IDEMPOTENCY = ("idempotency", "idempotency", "tol_idem")
 _LIFT = ("lift", "lift", "tol_lift")
-_COMMUTATION = ("commutation", "commutation", "tol_comm")
+_COMMUTATION = ("commutation", "commutation", "tol_idem")
 _SELF_ADJOINTNESS = ("self-adjointness", "self-adjointness", "tol_idem")
 _COVERS_GRID = ("validity-covers-grid", None, "")
 _ORTHOGONALITY = (
-    ("pairwise-orthogonality", "pairwise-orthogonality", "tol_orth"),
-    ("partial-sum-idempotency", "partial-sum-idempotency", "tol_orth"),
+    ("pairwise-orthogonality", "pairwise-orthogonality", "tol_lift"),
+    ("partial-sum-idempotency", "partial-sum-idempotency", "tol_lift"),
     _COVERS_GRID,
 )
 _CHECKS: dict[str, tuple[tuple[str, str | None, str], ...]] = {
@@ -807,8 +801,8 @@ _CHECKS: dict[str, tuple[tuple[str, str | None, str], ...]] = {
     "orthogonal": (
         _IDEMPOTENCY,
         _LIFT,
-        ("orthogonal-to-predecessors-left", "ef", "tol_orth"),
-        ("orthogonal-to-predecessors-right", "fe", "tol_orth"),
+        ("orthogonal-to-predecessors-left", "ef", "tol_lift"),
+        ("orthogonal-to-predecessors-right", "fe", "tol_lift"),
         ("eq17-residual", "eq17", "tol_idem"),
         ("quadratic-residual", "quadratic", "tol_idem"),
         _COMMUTATION,
@@ -862,9 +856,9 @@ def _timed(
 
 
 def _worst_stored_norm(elements: Iterable[Element]) -> float:
-    """max(0, ||d|| - tail(d)) over ``elements``: the largest norm their
-    stored data shows, certified tails set aside."""
-    return max([0.0, *(d.norm() - d.algebra.tail_bound(d) for d in elements)])
+    """The largest norm the stored data of ``elements`` shows, certified
+    tails set aside; 0 when there is none."""
+    return max((d.algebra.norm_parts(d)[1] for d in elements), default=0.0)
 
 
 def _hypothesis_checks(
@@ -908,7 +902,7 @@ def _hypothesis_checks(
     if len(family_targets) > 1:
         pairs = itertools.permutations(family_targets, 2)
         worst = _worst_stored_norm(qi(0.0) * qj(0.0) for qi, qj in pairs)
-        yield check_record("input-orthogonality", worst, tol["tol_orth"])
+        yield check_record("input-orthogonality", worst, tol["tol_lift"])
 
     if any(_PATHS[p][3] for p in scn.theorem_paths):  # a self-adjoint path
         worst = 0.0
@@ -921,24 +915,17 @@ def _hypothesis_checks(
 
 
 def _trivial_record(scn: Scenario, q: ElementFamily, grid, tol, name: str) -> dict:
-    lifted = lift_trivial(q, into=scn.pi.source)
-    if lifted is None:
+    trace = lift_trivial(scn.pi, q, grid)
+    if trace is None:
         return run_record(name, 1, "trivial", error="target spectrum is not pinned to 0 or 1")
-    points = []
-    for lam in grid:
-        p = lifted(lam)
-        defects = {
-            "idempotency": (p * p - p).norm(),
-            "lift": (scn.pi.apply(lam, p) - q(lam)).norm(),
-        }
-        points.append(LiftPoint(lam, True, defects, {"p": p}, dict.fromkeys(defects, 0.0)))
-    return _lift_record(name, 1, LiftTrace(tuple(points), (), label="trivial"), grid, tol)
+    return _lift_record(name, 1, trace, grid, tol)
 
 
 def _local_runs(scn: Scenario, grid, tol, name: str, path: int) -> list[dict]:
-    if lift_trivial(scn.local_section.target, into=scn.pi.source) is not None:
+    trivial = lift_trivial(scn.pi, scn.local_section.target, grid)
+    if trivial is not None:
         note = "spectrally pinned target; trivial shortcut taken"
-        return [run_record(name, path, "trivial", notes=note)]
+        return [_lift_record(name, path, trivial, grid, tol, notes=note)]
     trace = lift_local(scn.local_section, grid)
     # the oracle: each valid p must be the dense spectral projector of its
     # section value a onto the spectrum near 1
@@ -952,33 +939,6 @@ def _sa_runs(scn: Scenario, grid, tol, name: str, path: int) -> list[dict]:
     return [_lift_record(name, path, lift_local_sa(scn.local_section, grid), grid, tol)]
 
 
-def _orthogonality_trace(
-    fams: Sequence[ElementFamily], traces: Sequence[LiftTrace], sa: bool
-) -> LiftTrace:
-    """The joint defects of the lifted families: pairwise products,
-    partial sums and, with ``sa``, self-adjointness.  A lambda is checked
-    only where every step's enclosures held."""
-    points = []
-    for step_pts in zip(*(trace.points for trace in traces)):
-        lam = step_pts[0].lam
-        if not all(pt.valid for pt in step_pts):
-            points.append(LiftPoint(lam, False))
-            continue
-        vals = [f(lam) for f in fams]
-        defects = {
-            "pairwise-orthogonality": _worst_stored_norm(
-                vi * vj for vi, vj in itertools.permutations(vals, 2)
-            ),
-            "partial-sum-idempotency": _worst_stored_norm(
-                s * s - s for s in itertools.accumulate(vals)
-            ),
-        }
-        if sa:
-            defects["self-adjointness"] = max((v - v.adjoint()).norm() for v in vals)
-        points.append(LiftPoint(lam, True, defects, allowances=dict.fromkeys(defects, 0.0)))
-    return LiftTrace(tuple(points), (), label="orthogonality-sa" if sa else "orthogonality")
-
-
 def _family_runs(scn: Scenario, grid, tol, name: str, path: int) -> list[dict]:
     sa = _PATHS[path][3]
     fams, traces = lift_family(scn.family_sections, grid, sa=sa)
@@ -988,7 +948,7 @@ def _family_runs(scn: Scenario, grid, tol, name: str, path: int) -> list[dict]:
         )
         for k, trace in enumerate(traces)
     ]
-    joint = _orthogonality_trace(fams, traces, sa)
+    joint = family_orthogonality(fams, grid, sa)
     oracle = scn.oracle_family(fams, traces) if scn.oracle_family is not None else ()
     out.append(_lift_record(f"{name}-orthogonality", path, joint, grid, tol, oracle))
     return out
@@ -1021,9 +981,9 @@ def run_verification(
     record.  Each family and section is evaluated at most once per lambda
     within the call, and nothing of that memo outlives it.  A negative
     ``seed``, a grid that is empty or has a non-finite point, and a
-    ``tolerances`` key other than ``tol_idem``, ``tol_comm``, ``tol_lift``
-    and ``tol_orth`` or a value that is not finite and nonnegative are
-    each a ``ParameterError``, raised before any check runs."""
+    ``tolerances`` key other than ``tol_idem`` and ``tol_lift`` or a value
+    that is not finite and nonnegative are each a ``ParameterError``,
+    raised before any check runs."""
     _check_seed(seed)
     grid = _grid_tuple(scn.grid if grid is None else grid)
     tol = _tolerances(tolerances)

@@ -739,3 +739,64 @@ def test_alg_exp_matches_dense_expm() -> None:
     w, v = np.linalg.eig(x.payload)
     dense = v @ np.diag(np.exp(w)) @ np.linalg.inv(v)
     np.testing.assert_allclose(ex.payload, dense, atol=1e-11)
+
+
+def test_elements_refuse_assignment_and_deletion() -> None:
+    """Deleting a field used to succeed and leave an element whose repr raised."""
+    for name, alg in _kinds().items():
+        x = alg.zero()
+        for field in ("algebra", "payload"):
+            with pytest.raises(AttributeError, match="Element is immutable"):
+                setattr(x, field, None)
+            with pytest.raises(AttributeError, match="Element is immutable"):
+                delattr(x, field)
+        assert repr(x).startswith(f"Element({alg.kind}, "), name
+
+
+def test_the_stored_norm_sets_the_tails_aside_factor_by_factor() -> None:
+    conv = il.ConvolutionAlgebra(8)
+    series = il.WienerAlgebra(conv, 2)
+    up = il.UnitizationAlgebra(series)
+    mats = il.MatrixAlgebra(2)
+    prod = il.ProductAlgebra((up, mats))
+    f = np.zeros(conv.shape, dtype=complex)
+    f[0] = 8 * 0.125  # a coefficient of norm 0.125
+    tailed = up.from_parts(series.from_coeffs([conv.wrap(f)], tail=0.5), -2.0)
+    assert up.norm_parts(tailed) == (tailed.norm(), 2.125) == (2.625, 2.125)
+    # one factor's tail is no slack on another factor's data
+    x = prod.from_components(up.from_parts(series.from_coeffs([], tail=0.5), 0.0), 0.25 * mats.one())
+    assert x.norm() == prod.tail_bound(x) == 0.5
+    assert prod.norm_parts(x) == (0.5, 0.25)
+    rng = np.random.default_rng(7)
+    for name, alg in _kinds().items():  # without a tail, the stored norm is the norm
+        y = alg.random_element(rng)
+        assert alg.norm_parts(y) == (y.norm(), y.norm()), name
+
+
+def _sampled_spectrum_one_sample_at_a_time(alg, x) -> tuple:
+    """The series spectrum as each sample's base spectrum, merged: the
+    reference for the one-call form."""
+    from idemlift.algebra import _SPECTRUM_ANGLES, _SPECTRUM_CIRCLES, _as_point_tuple
+
+    radii = np.arange(1, _SPECTRUM_CIRCLES + 1) / _SPECTRUM_CIRCLES
+    ang = 2.0 * np.pi * np.arange(_SPECTRUM_ANGLES) / _SPECTRUM_ANGLES
+    zs = [0j, *(radii[:, None] * np.exp(1j * ang)).ravel().tolist()]
+    pts = []
+    for val in alg._eval_payload(x.payload, zs):
+        pts.extend(alg.base.spectrum(alg.base.wrap(val)).points)
+    uniq = []
+    for w in _as_point_tuple(pts):
+        if not uniq or abs(w - uniq[-1]) > 1e-13:
+            uniq.append(w)
+    return tuple(uniq)
+
+
+@pytest.mark.parametrize("base", [il.MatrixAlgebra(1), il.MatrixAlgebra(4), il.ConvolutionAlgebra(6)])
+def test_series_spectrum_in_one_call_is_the_per_sample_spectrum(base) -> None:
+    alg = il.WienerAlgebra(base, 3)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        x = alg.random_element(rng) + (alg.one() if alg.is_unital else alg.zero())
+        rep = x.spectrum()
+        assert rep.points == _sampled_spectrum_one_sample_at_a_time(alg, x)
+        assert not rep.exact

@@ -18,6 +18,7 @@ from idemlift.algebra import (
     ConvolutionAlgebra,
     DualAlgebra,
     MatrixAlgebra,
+    ProductAlgebra,
     UnitizationAlgebra,
     WienerAlgebra,
 )
@@ -479,3 +480,22 @@ def test_kinds_without_a_resolvent_kernel_are_refused_by_name() -> None:
     y = conv.random_element(np.random.default_rng(47), 0.3)
     with pytest.raises(ParameterError, match="convolution-discrete algebra has no resolvent"):
         funcalc.riesz_projection(y, cd)
+
+
+def test_a_product_integral_converges_in_every_factor() -> None:
+    """The series factor's tail used to be credited to the matrix factor's
+    quadrature gap, so the integral stopped one doubling early there."""
+    conv = ConvolutionAlgebra(8)
+    series = WienerAlgebra(conv, 2)
+    up, mats = UnitizationAlgebra(series), MatrixAlgebra(2)
+    f = np.zeros(conv.shape, dtype=complex)
+    f[0] = 0.1
+    tailed = up.from_parts(series.from_coeffs([conv.wrap(f)], tail=1e-6), 0.0)
+    m = mats.wrap(np.array([[0.3, 0.2], [0.0, -0.25]]))
+    prod = ProductAlgebra((up, mats))
+    got_audit, ref_audit = [], []
+    got = funcalc.sqrt_near_one(prod.from_components(tailed, m), audit_sink=got_audit)
+    ref = funcalc.sqrt_near_one(m, audit_sink=ref_audit)
+    assert [(a.nodes_per_edge, a.refinements) for a in got_audit] == [(128, 2)]
+    assert [(a.nodes_per_edge, a.refinements) for a in ref_audit] == [(128, 2)]
+    assert np.array_equal(prod.component(got, 1).payload, ref.payload)

@@ -9,9 +9,11 @@ import pytest
 from idemlift import lifting
 from idemlift.algebra import (
     BlockTriangularAlgebra,
+    ConvolutionAlgebra,
     DualAlgebra,
     MatrixAlgebra,
     ProductAlgebra,
+    WienerAlgebra,
     alg_exp,
 )
 from idemlift.errors import (
@@ -81,19 +83,55 @@ def messy_section(pi: HomFamily, q: ElementFamily, seed: int, amp=0.3) -> Sectio
 
 def test_lift_trivial_zero_family():
     q = ElementFamily(M4, lambda lam: M4.zero())
-    out = lift_trivial(q, into=DUAL4)
-    assert out is not None and out(0.37).norm() == 0.0
+    trace = lift_trivial(dual_pi(), q, (0.0, 0.37))
+    assert trace.label == "trivial" and all(pt.valid for pt in trace.points)
+    assert trace.point(0.37).p.norm() == 0.0
+    assert trace.worst("idempotency") == trace.worst("lift") == 0.0
 
 
 def test_lift_trivial_unit_family():
     q = ElementFamily(M4, lambda lam: M4.one())
-    out = lift_trivial(q, into=DUAL4)
-    assert out is not None and (out(-0.2) - DUAL4.one()).norm() == 0.0
+    trace = lift_trivial(dual_pi(), q, (-0.2, 0.0))
+    assert (trace.point(-0.2).p - DUAL4.one()).norm() == 0.0
+    assert trace.worst("idempotency") == trace.worst("lift") == 0.0
 
 
 def test_lift_trivial_declines_genuine_projections():
     q = ElementFamily(M4, rotated_projection)
-    assert lift_trivial(q, into=DUAL4) is None
+    assert lift_trivial(dual_pi(), q, GRID) is None
+
+
+# ---------------------------------------------------------------------------
+# points: the one per-lambda routine
+
+
+def _series_defect(stored: float, tail: float):
+    """A series of stored norm ``stored`` carrying the tail ``tail``."""
+    conv = ConvolutionAlgebra(8)
+    f = np.zeros(conv.shape, dtype=complex)
+    f[0] = 8 * stored
+    return WienerAlgebra(conv, 2).from_coeffs([conv.wrap(f)], tail=tail)
+
+
+def test_point_keeps_the_candidate_with_the_largest_certified_value():
+    loud = _series_defect(0.125, 1.0)  # raw 1.125, certified 0.125
+    quiet = _series_defect(0.5, 0.0)  # raw 0.5, certified 0.5
+    checks = lambda lam, els: {"pair": [loud, quiet], "swapped": [quiet, loud], "one": loud, "none": []}
+    pt = lifting._point(0.0, lambda lam: {"p": loud}, checks)
+    assert pt.valid
+    assert pt.defects == {"pair": 0.5, "swapped": 0.5, "one": 1.125, "none": 0.0}
+    # p's tail is slack on a lift defect only, and there is none here
+    assert pt.allowances == {"pair": 0.0, "swapped": 0.0, "one": 1.0, "none": 0.0}
+    assert pt.certified("one") == 0.125
+
+    lift = lifting._point(0.0, lambda lam: {"p": loud}, lambda lam, els: {"lift": quiet})
+    assert lift.defects == {"lift": 0.5} and lift.allowances == {"lift": 1.0}
+
+
+def test_point_keeps_a_candidate_that_certifies_nothing():
+    nan = _series_defect(math.nan, 0.0)
+    pt = lifting._point(0.0, lambda lam: {}, lambda lam, els: {"d": [_series_defect(0.5, 0.0), nan]})
+    assert math.isnan(pt.defects["d"]) and math.isnan(pt.certified("d"))
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +697,7 @@ def test_family_orthogonality_record_fails_on_invalid_rows():
     runs = {run["name"]: run for run in report["runs"]}
     ortho = runs["family-orthogonality"]
     assert [row["valid"] for row in ortho["rows"]] == [True, True, True, False]
+    assert ortho["rows"][-1]["defects"] == {"predecessor": None}  # the lifted families have no value
     failed = {c["name"]: c["value"] for c in ortho["checks"] if not c["passed"]}
     assert failed == {"validity-covers-grid": 1.0}
     assert not ortho["passed"]

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from idemlift import families, scenarios
+from idemlift import families, lifting, scenarios
 from idemlift.algebra import alg_exp
 from idemlift.errors import EnclosureFailed, ParameterError, UnknownScenario
 from idemlift.families import ElementFamily, Section
@@ -182,11 +182,14 @@ def test_the_kernel_condition_is_required_exactly_where_a_section_is_lifted(sid)
     [
         ({"tol_idem": np.inf}, "tol_idem must be finite and nonnegative"),
         ({"tol_lift": np.nan}, "tol_lift must be finite and nonnegative"),
-        ({"tol_orth": -1.0}, "tol_orth must be finite and nonnegative"),
-        ({"tol_comm": True}, "tol_comm must be finite and nonnegative"),
+        ({"tol_lift": -1.0}, "tol_lift must be finite and nonnegative"),
+        ({"tol_idem": True}, "tol_idem must be finite and nonnegative"),
         ({"tol_idm": 1.0}, "unknown tolerance 'tol_idm'"),
+        # commutation is judged by tol_idem and orthogonality by tol_lift
+        ({"tol_comm": 1e-9}, "unknown tolerance 'tol_comm'; valid keys: tol_idem, tol_lift"),
+        ({"tol_orth": 1e-8}, "unknown tolerance 'tol_orth'; valid keys: tol_idem, tol_lift"),
     ],
-    ids=["inf", "nan", "negative", "bool", "unknown-key"],
+    ids=["inf", "nan", "negative", "bool", "unknown-key", "old-key-comm", "old-key-orth"],
 )
 def test_bad_tolerance_is_refused_before_any_check(tolerances, match, monkeypatch):
     def no_checks(*args):
@@ -316,7 +319,7 @@ def test_tolerance_overrides_flow_into_judgement():
     rep = run_verification(
         build_scenario("example2"),
         grid=SMALL_GRID,
-        tolerances={"tol_orth": 1e-30},
+        tolerances={"tol_lift": 1e-30},
         seed=0,
     )
     assert not report_passed(rep)
@@ -344,9 +347,10 @@ def test_every_report_row_has_one_schema():
                     assert set(row["allowances"]) == set(row["defects"])
                 else:
                     invalid.append(run["name"])
-                    # an invalid row keeps no allowance; its defects, if
-                    # any, only name why the point failed
+                    # an invalid row keeps no allowance; its one defect
+                    # only names why the point failed
                     assert row["allowances"] == {}
+                    assert len(row["defects"]) == 1
                     assert all(v is None for v in row["defects"].values())
             if run["kind"] == "lift" and run["error"] is None:
                 assert "validity-covers-grid" in {c["name"] for c in run["checks"]}
@@ -458,3 +462,83 @@ def test_each_value_is_computed_once_per_run_and_never_kept():
     scn.local_section.target(0.4)
     scn.local_section.target(0.4)  # outside a run nothing is stored
     assert calls["target", 0.4] == before + 2
+
+
+def test_a_product_factor_tail_is_no_slack_on_another_factor(monkeypatch):
+    # a 3e-8 I bump on the matrix block of example3's second lift: the
+    # series factor's tail, from about 6e-8 at lambda = 0 up, used to hide
+    # it, and the whole report passed
+    scn = build_scenario("example3")
+    src, kernel = scn.pi.source, lifting._ortho_point
+    bump = src.from_components(src.factors[0].zero(), 3e-8 * src.factors[1].one())
+
+    def bumped(e_fam, sec_v, lam, audit_sink=None):
+        els = kernel(e_fam, sec_v, lam, audit_sink=audit_sink)
+        return {**els, "p": els["p"] + bump} if sec_v is scn.family_sections[1] else els
+
+    monkeypatch.setattr(lifting, "_ortho_point", bumped)
+    rep = run_verification(scn, grid=(0.0, 0.5), seed=0)
+    assert rep["failures"] == ["family-orthogonality", "family-step-1"]
+
+
+# the defect key of each check that reads the rows, by check name
+_ROW_CHECKS = {check: key for rows in scenarios._CHECKS.values() for check, key, _ in rows if key}
+
+
+@pytest.mark.parametrize("sid", list_scenarios())
+def test_every_row_check_is_the_worst_certified_value_of_the_valid_rows(sid):
+    """One rule for every record: a check is the worst max(0, defect -
+    allowance) over the valid rows, whichever path wrote them."""
+    rep = run_verification(build_scenario(sid), grid=SMALL_GRID, seed=0)
+    labels = set()
+    for run in rep["runs"]:
+        for check in run["checks"]:
+            key = _ROW_CHECKS.get(check["name"])
+            if key is None:  # an oracle, or the count of invalid points
+                continue
+            vals = [
+                max(0.0, row["defects"][key] - row["allowances"][key])
+                for row in run["rows"]
+                if row["valid"]
+            ]
+            assert vals and check["value"] == max(vals), (run["name"], check["name"])
+            labels.add(run["name"].split("-step-")[0] + ("-step" if "-step-" in run["name"] else ""))
+    assert labels == {
+        "block-testbed": {"local", "family-step", "family-orthogonality"},
+        "dual-testbed": {
+            "local", "self-adjoint", "family-step", "family-orthogonality",
+            "family-sa-step", "family-sa-orthogonality",
+        },
+        "example1": {"trivial-0", "trivial-1"},
+        "example2": {"trivial-0", "trivial-1", "family-step", "family-orthogonality"},
+        "example3": {"family-step", "family-orthogonality"},
+        "remark3-probe": set(),
+    }[sid]
+
+
+def test_a_pinned_local_target_takes_the_trivial_lift_and_checks_it():
+    scn = build_scenario("dual-testbed")
+    one = ElementFamily(scn.pi.target, lambda lam: scn.pi.target.one())
+    sec = Section(scn.pi, one, lambda lam: scn.pi.source.one())
+    rep = run_verification(scn.replace(local_section=sec, theorem_paths=(1,)), grid=SMALL_GRID, seed=0)
+    (local,) = rep["runs"]
+    assert local["name"] == "local" and local["kind"] == "trivial" and local["passed"]
+    assert "trivial shortcut" in local["notes"]
+    assert len(local["rows"]) == len(SMALL_GRID) and all(row["valid"] for row in local["rows"])
+    assert [c["name"] for c in local["checks"]] == ["idempotency", "lift"]
+
+
+def test_tol_idem_and_tol_lift_judge_their_checks():
+    # commutation, self-adjointness and the residuals by tol_idem; the lift
+    # and every orthogonality check by tol_lift
+    by_lift = {
+        "lift", "orthogonal-to-predecessors-left", "orthogonal-to-predecessors-right",
+        "pairwise-orthogonality", "partial-sum-idempotency", "input-orthogonality",
+    }
+    tol = {"tol_idem": 1e-3, "tol_lift": 2e-3}
+    rep = run_verification(build_scenario("dual-testbed"), grid=(0.0,), tolerances=tol, seed=0)
+    assert rep["tolerances"] == tol
+    judged = {c["name"]: c["bound"] for r in rep["runs"] for c in r["checks"] if c["name"] in _ROW_CHECKS}
+    judged["input-orthogonality"] = next(h["bound"] for h in rep["hypotheses"] if h["name"] == "input-orthogonality")
+    assert set(judged) == set(_ROW_CHECKS) | {"input-orthogonality"}
+    assert judged == {name: 2e-3 if name in by_lift else 1e-3 for name in judged}
