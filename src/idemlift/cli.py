@@ -94,7 +94,7 @@ def _parse_path(text: str, _name: str) -> str:
 # flag's help.
 _RUN_OPTIONS = (
     ("grid", _parse_grid, "parameter grid as center,halfwidth,count (e.g. 0,0.5,21)"),
-    ("tol-idem", _parse_tolerance, "tolerance of idempotency, commutation and the residuals"),
+    ("tol-idem", _parse_tolerance, "tolerance of idempotency, commutation, self-adjointness and the residuals"),
     ("tol-lift", _parse_tolerance, "tolerance of the lift and of orthogonality"),
     ("out", _parse_path, "JSON report path (default: <scenario>-report.json)"),
     ("csv", _parse_path, "also write per-grid-point defect rows as CSV"),

@@ -209,14 +209,6 @@ class JordanPolygon(Frozen):
                 return False
         return True
 
-    def mirror_symmetric(self, tol: float = 1e-12) -> bool:
-        """True when the vertex set is invariant under complex conjugation."""
-        pts = np.asarray(self.vertices)
-        for v in pts:
-            if np.min(np.abs(pts - np.conj(v))) > tol:
-                return False
-        return True
-
     def describe(self) -> dict:
         return {"vertices": [[v.real, v.imag] for v in self.vertices]}
 

@@ -25,7 +25,7 @@ import cmath
 import functools
 import itertools
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import Element, SpectrumReport
 from .contours import build_escape_arc, build_gamma_pair, square_polygon
@@ -137,9 +137,11 @@ def _rank(pair: tuple[float, float]) -> tuple[bool, float]:
     return math.isnan(_certified(*pair)), _certified(*pair)
 
 
-def _worst(vals: list[float]) -> float:
+def _worst(vals: Iterable[float]) -> float:
     """The largest of ``vals``; NaN when there is none or any is NaN, in
-    any order (``max`` alone keeps a NaN only where it comes first)."""
+    any order (``max`` alone keeps a NaN only where it comes first).  Every
+    check value that is the worst of several is taken by this one rule."""
+    vals = list(vals)
     if not vals or any(math.isnan(v) for v in vals):
         return math.nan
     return max(vals)
@@ -160,10 +162,10 @@ class LiftTrace(Frozen):
         raise KeyError(f"no record at lambda = {lam}")
 
     def worst(self, key: str) -> float:
-        return _worst([pt.defects[key] for pt in self.points if pt.valid and key in pt.defects])
+        return _worst(pt.defects[key] for pt in self.points if pt.valid and key in pt.defects)
 
     def worst_certified(self, key: str) -> float:
-        return _worst([pt.certified(key) for pt in self.points if pt.valid and key in pt.defects])
+        return _worst(pt.certified(key) for pt in self.points if pt.valid and key in pt.defects)
 
     def valid_points(self) -> tuple[LiftPoint, ...]:
         return tuple(pt for pt in self.points if pt.valid)
@@ -378,8 +380,6 @@ def lift_local_sa(sec: Section, grid: Sequence[complex]) -> LiftTrace:
     gamma1 = square_polygon(1 + 0j, 1.0 / 3.0)
     cd0 = ContourData(gamma0, eps=1.0 / 3.0, label="sa-around-0")
     cd1 = ContourData(gamma1, eps=1.0 / 3.0, label="sa-around-1")
-    if not gamma1.mirror_symmetric():
-        raise EnclosureFailed("loop around 1 lost its mirror symmetry")
 
     def covered(rep: SpectrumReport) -> bool:
         return all(
@@ -520,9 +520,9 @@ def lift_ortho_step(
         group = [els[k] for k in ("a", "z", "w", "x", "r", "p")]
         return {
             "idempotency": f * f - f,
+            "lift": pi.apply(lam, f) - v_fam(lam),
             "ef": e * f,
             "fe": f * e,
-            "lift": pi.apply(lam, f) - v_fam(lam),
             "eq17": w * w + w + z * els["m2inv"],
             "quadratic": r * r + m * r + z,
             "commutation": [g * h - h * g for g, h in itertools.combinations(group, 2)],
@@ -543,17 +543,16 @@ def _sum_family(x: ElementFamily, y: ElementFamily) -> ElementFamily:
 
 
 def _lifted_family(k: int, e_fam: ElementFamily, sec: Section, trace: LiftTrace) -> ElementFamily:
-    """The lift of step k: its trace's idempotents on the grid, and the
-    step's kernel through ``_point`` elsewhere.  Raises EnclosureFailed
-    (an _Invalid that a later step reads as "predecessor") where the
-    point is invalid."""
+    """The lift of step k: its trace's idempotents on the grid, and
+    elsewhere the step's kernel through ``_point``, whose point is not
+    kept (within ``memoised_evaluations`` the family memo keeps its value).
+    Raises EnclosureFailed (an _Invalid that a later step reads as
+    "predecessor") where the point is invalid."""
     kernel = functools.partial(_ortho_point, e_fam, sec)
-    cache = {pt.lam: pt for pt in trace.points}
+    on_grid = {pt.lam: pt for pt in trace.points}
 
     def run(lam: complex) -> Element:
-        pt = cache.get(lam)
-        if pt is None:
-            pt = cache[lam] = _point(lam, kernel, None)
+        pt = on_grid[lam] if lam in on_grid else _point(lam, kernel, None)
         if not pt.valid:
             reasons = ", ".join(pt.defects)
             raise _Invalid("predecessor", f"family {k}: no lift at lambda = {lam} ({reasons})")
@@ -625,4 +624,4 @@ def family_orthogonality(
         }
 
     points = tuple(_point(lam, kernel, checks) for lam in _grid_tuple(grid))
-    return LiftTrace(points, (), label="orthogonality-sa" if sa else "orthogonality")
+    return LiftTrace(points, (), label="orthogonality")

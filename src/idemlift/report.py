@@ -12,7 +12,7 @@ import json
 import math
 from typing import Any, Sequence
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 __all__ = [
     "REPORT_VERSION",
@@ -41,19 +41,23 @@ def check_record(
     value: float,
     bound: float,
     *,
-    passed: bool | None = None,
+    lower_bound: bool = False,
     required: bool = True,
     note: str = "",
 ) -> dict[str, Any]:
-    """One named scalar check: value against an upper bound."""
-    ok = (value <= bound) if passed is None else bool(passed)
+    """One named scalar check, whose verdict follows from its value and
+    bound alone: it passes where ``value`` is at most ``bound`` or, with
+    ``lower_bound``, above it, so a NaN value fails either way.  The
+    record holds ``"lower_bound": true`` only where that is set."""
     rec = {
         "name": name,
         "value": _num(value),
         "bound": _num(bound),
-        "passed": ok,
+        "passed": bool(value > bound if lower_bound else value <= bound),
         "required": required,
     }
+    if lower_bound:
+        rec["lower_bound"] = True
     if note:
         rec["note"] = note
     return rec

@@ -312,6 +312,18 @@ def test_summary_prints_non_finite_values_as_null():
     assert "worst check null" in text
 
 
+def test_a_check_verdict_follows_from_its_value_and_bound():
+    assert check_record("c", 1.0, 1.0)["passed"] and not check_record("c", 1.5, 1.0)["passed"]
+    above = check_record("c", 0.4, 0.1, lower_bound=True)
+    assert above["passed"] and above["lower_bound"] is True
+    assert not check_record("c", 0.1, 0.1, lower_bound=True)["passed"]
+    assert "lower_bound" not in check_record("c", 0.0, 0.1)  # written only where set
+    for lower_bound in (False, True):  # NaN fails either way
+        assert not check_record("c", math.nan, 0.0, lower_bound=lower_bound)["passed"]
+    with pytest.raises(TypeError):  # no free verdict that contradicts value and bound
+        check_record("c", 1.0, 0.0, passed=True)
+
+
 @pytest.mark.parametrize("bad", ["out-dir-missing", "csv-dir-missing", "out-is-a-directory"])
 def test_an_unwritable_output_path_exits_two_before_the_run(tmp_path, monkeypatch, capsys, bad):
     """Such a path used to fail only after the whole run, and a bad --csv

@@ -53,6 +53,15 @@ def test_a_differing_non_float_field_exits_1(tmp_path):
     assert "demo.json: non-float fields match" in proc.stdout
 
 
+def test_the_count_of_differing_non_float_fields_is_printed(tmp_path):
+    """Only the first three paths are listed; the count says how many differ."""
+    old, new = ({**_REPORT, "runs": [{"name": f"{tag}-{k}"} for k in range(5)]} for tag in ("old", "new"))
+    proc = _compare(_write(tmp_path / "a", report=old), _write(tmp_path / "b", report=new))
+    assert proc.returncode == 1
+    paths = "['/runs/0/name', '/runs/1/name', '/runs/2/name']"
+    assert f"demo.json: non-float fields differ at {paths} (5 in all);" in proc.stdout
+
+
 def test_an_unpaired_file_exits_1(tmp_path):
     new = _write(tmp_path / "b")
     (new / "extra.json").write_text("{}")

@@ -684,6 +684,20 @@ def test_a_lifted_family_raises_enclosure_failed_where_a_kernel_error_struck(mon
     assert fams[0](0.2) is traces[0].point(0.2).p
 
 
+def test_a_lifted_family_keeps_no_point_off_the_grid(monkeypatch):
+    """Outside a run nothing is stored: each off-grid call runs the step's
+    kernel again, and a grid point is read off the trace."""
+    pi = dual_pi()
+    q = ElementFamily(M4, rotated_projection)
+    sec = messy_section(pi, q, seed=31)
+    fams, traces = lift_family([sec], (0.0, 0.2))
+    real, calls = lifting.sqrt_near_one, []
+    monkeypatch.setattr(lifting, "sqrt_near_one", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    first, second = fams[0](0.3), fams[0](0.3)
+    assert len(calls) == 2 and (first - second).norm() == 0.0
+    assert fams[0](0.2) is traces[0].point(0.2).p and len(calls) == 2
+
+
 def test_family_orthogonality_record_fails_on_invalid_rows():
     pi, targets, secs = product_family_data()
     scn = Scenario(

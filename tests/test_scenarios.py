@@ -2,17 +2,19 @@
 
 import collections
 import json
+import math
 
 import numpy as np
 import pytest
 
 from idemlift import families, lifting, scenarios
-from idemlift.algebra import alg_exp
+from idemlift.algebra import ConvolutionAlgebra, UnitizationAlgebra, alg_exp
 from idemlift.errors import EnclosureFailed, ParameterError, UnknownScenario
-from idemlift.families import ElementFamily, Section
-from idemlift.lifting import lift_family
+from idemlift.families import ElementFamily, HomFamily, Section
+from idemlift.lifting import LiftPoint, LiftTrace, lift_family
 from idemlift.report import report_passed
 from idemlift.scenarios import (
+    Scenario,
     build_block_testbed,
     build_dual_testbed,
     build_scenario,
@@ -482,7 +484,7 @@ def test_a_product_factor_tail_is_no_slack_on_another_factor(monkeypatch):
 
 
 # the defect key of each check that reads the rows, by check name
-_ROW_CHECKS = {check: key for rows in scenarios._CHECKS.values() for check, key, _ in rows if key}
+_ROW_CHECKS = {check: key for key, (check, _) in scenarios._DEFECTS.items()}
 
 
 @pytest.mark.parametrize("sid", list_scenarios())
@@ -542,3 +544,145 @@ def test_tol_idem_and_tol_lift_judge_their_checks():
     judged["input-orthogonality"] = next(h["bound"] for h in rep["hypotheses"] if h["name"] == "input-orthogonality")
     assert set(judged) == set(_ROW_CHECKS) | {"input-orthogonality"}
     assert judged == {name: 2e-3 if name in by_lift else 1e-3 for name in judged}
+
+
+_TOLERANCES = {"tol_idem": 1e-9, "tol_lift": 1e-8}
+
+
+def test_each_record_judges_exactly_the_defects_of_its_valid_rows():
+    """A record is judged once per defect key its valid rows hold, by the
+    check name and tolerance of that key's row of ``_DEFECTS``; a record
+    that judged a key its rows hold without it, or another key, fails
+    here, and so does a table missing a row (the run raises KeyError)."""
+    cases = [(sid, SMALL_GRID) for sid in list_scenarios()] + [("example2", (0.0, 2.0))]
+    judged_keys = set()
+    for sid, grid in cases:
+        rep = run_verification(build_scenario(sid), grid=grid, seed=0)
+        assert rep["tolerances"] == _TOLERANCES
+        for run in rep["runs"]:
+            keys = {key for row in run["rows"] if row["valid"] for key in row["defects"]}
+            judged = [c for c in run["checks"] if c["name"] in _ROW_CHECKS]
+            assert sorted(_ROW_CHECKS[c["name"]] for c in judged) == sorted(keys), (sid, run["name"])
+            for check in judged:
+                tol_key = scenarios._DEFECTS[_ROW_CHECKS[check["name"]]][1]
+                assert check["bound"] == _TOLERANCES[tol_key], (sid, run["name"], check["name"])
+            judged_keys |= keys
+    assert judged_keys == set(scenarios._DEFECTS)  # no row of the table is dead
+
+
+def test_the_checks_of_each_record_come_in_path_order():
+    rep = run_verification(build_scenario("dual-testbed"), grid=SMALL_GRID, seed=0)
+    names = {run["name"]: [c["name"] for c in run["checks"]] for run in rep["runs"]}
+    step = [
+        "idempotency", "lift", "orthogonal-to-predecessors-left", "orthogonal-to-predecessors-right",
+        "eq17-residual", "quadratic-residual", "commutation", "validity-covers-grid",
+    ]
+    joint = ["pairwise-orthogonality", "partial-sum-idempotency"]
+    assert names == {
+        "local": [
+            "idempotency", "lift", "commutation", "eq2-residual", "eq5-residual",
+            "validity-covers-grid", "dense-projection-oracle",
+        ],
+        "self-adjoint": [
+            "idempotency", "lift", "commutation", "self-adjointness", "factorisation", "validity-covers-grid",
+        ],
+        **{f"family-step-{k}": step for k in range(3)},
+        "family-orthogonality": [*joint, "validity-covers-grid"],
+        **{f"family-sa-step-{k}": step for k in range(3)},
+        "family-sa-orthogonality": [*joint, "self-adjointness", "validity-covers-grid"],
+    }
+
+
+def test_a_defect_with_no_row_in_the_table_raises():
+    trace = LiftTrace((LiftPoint(0j, True, {"no-such-defect": 0.0}),), (), label="local")
+    with pytest.raises(KeyError, match="no-such-defect"):
+        scenarios._lift_record("local", 1, trace, (0j,), _TOLERANCES)
+
+
+@pytest.mark.parametrize("label", ["trivial", "local"])
+def test_a_record_with_no_valid_row_is_judged_by_its_grid_cover_alone(label):
+    trace = LiftTrace((LiftPoint(0j, False, {"enclosure": math.inf}),), (), label=label)
+    rec = scenarios._lift_record("r", 1, trace, (0j,), _TOLERANCES)
+    assert [(c["name"], c["value"], c["passed"]) for c in rec["checks"]] == [("validity-covers-grid", 1.0, False)]
+    assert not rec["passed"]
+
+
+def test_a_family_with_no_valid_point_fails_only_its_grid_cover():
+    rep = run_verification(build_scenario("example2"), grid=(2.0,), seed=0)
+    for name in ("family-step-0", "family-orthogonality"):
+        run = next(r for r in rep["runs"] if r["name"] == name)
+        assert not any(row["valid"] for row in run["rows"])
+        assert [(c["name"], c["value"], c["passed"]) for c in run["checks"]] == [
+            ("validity-covers-grid", 1.0, False)
+        ]
+    assert "family-step-0" in rep["failures"]
+
+
+def _nan_embed_scenario() -> Scenario:
+    """The identity on the unitized 4-point convolution algebra, whose
+    embedding returns NaN for the second probe-basis element only."""
+    alg = UnitizationAlgebra(ConvolutionAlgebra(4))
+    second = alg.matrix_representation(alg.probe_basis()[1])
+
+    def embed(lam, y):
+        return math.nan * y if np.array_equal(alg.matrix_representation(y), second) else y
+
+    pi = HomFamily(alg, alg, lambda lam, x: x, embed=embed)
+    return Scenario(id="nan-embed", pi=pi, grid=(0.0,), theorem_paths=())
+
+
+def test_a_nan_after_a_finite_value_fails_its_hypothesis():
+    """``max`` keeps a NaN only where it comes first, so this read 0.0 and
+    the report passed."""
+    rep = run_verification(_nan_embed_scenario())
+    surj = next(h for h in rep["hypotheses"] if h["name"] == "surjectivity-at-base")
+    assert surj["value"] is None and not surj["passed"]
+    assert rep["failures"] == ["surjectivity-at-base"] and not rep["passed"]
+
+
+def test_a_nan_after_a_finite_value_fails_its_probe(monkeypatch):
+    # the second of the three sampled elements is NaN; the first reads 0
+    real, drawn = ConvolutionAlgebra.random_element, []
+
+    def draw(self, rng, scale=1.0):
+        drawn.append(real(self, rng, scale))
+        return math.nan * drawn[-1] if len(drawn) == 2 else drawn[-1]
+
+    probe = dict(build_scenario("example2").probes)["nilpotency"]
+    monkeypatch.setattr(ConvolutionAlgebra, "random_element", draw)
+    (rec,) = probe(np.random.default_rng(0))
+    assert len(drawn) == 3
+    assert rec["name"] == "nilpotency-at-grid-size" and rec["value"] is None and not rec["passed"]
+
+
+def test_an_oracle_reads_nan_where_it_has_nothing_or_a_nan_to_compare():
+    eye = np.eye(2)
+    ok = scenarios._oracle_check("oracle", [(eye, eye)])
+    assert ok["passed"] and ok["value"] < 1e-12
+    # a NaN lift after a good one: the oracle cannot split it and says why
+    nan = scenarios._oracle_check("oracle", [(eye, eye), (eye, np.full((2, 2), math.nan))])
+    assert nan["value"] is None and not nan["passed"] and nan["note"].startswith("oracle failed")
+    # no valid point: nothing was compared, which used to read 0.0 and pass
+    empty = scenarios._oracle_check("oracle", [])
+    assert empty["value"] is None and not empty["passed"]
+
+
+@pytest.mark.parametrize("sid", list_scenarios())
+def test_every_verdict_follows_from_its_value_and_bound(sid):
+    """A check passes iff its value is at most its bound or, for a lower
+    bound, above it; no record writes a bound that is not the one it tests."""
+    rep = run_verification(build_scenario(sid), grid=SMALL_GRID, seed=0)
+    checks = [*rep["hypotheses"], *(c for rec in (*rep["runs"], *rep["probes"]) for c in rec["checks"])]
+    lower = set()
+    for check in checks:
+        value, bound = check["value"], check["bound"]
+        if check.get("lower_bound"):
+            lower.add(check["name"])
+            assert check["lower_bound"] is True
+        holds = value is not None and (value > bound if check.get("lower_bound") else value <= bound)
+        assert check["passed"] == holds, check
+    assert lower == {
+        "block-testbed": {"family-genuinely-moves"},
+        "example3": {"orbit-moves"},
+        "remark3-probe": {"kernel-spectrum-escapes"},
+    }.get(sid, set())

@@ -6,8 +6,9 @@ Every ``.json`` and ``.csv`` file of OLD_DIR is paired with the file of
 the same name in NEW_DIR.  A JSON report loses its ``timings`` block (the
 only part of a report that is not deterministic); a CSV cell counts as a
 float when it parses as one and is not an integer.  For each pair the
-script prints whether every non-float field matches, how many floats
-moved, and the worst relative move among the floats with |old| > 1e-12.
+script prints whether every non-float field matches (else the first three
+paths that differ and how many differ), how many floats moved, and the
+worst relative move among the floats with |old| > 1e-12.
 The exit code is 1 when a non-float field differs or a file has no
 partner, else 0.  It is 2, with a one-line message, when an argument is
 not a directory or neither directory holds a ``.json`` or ``.csv`` file.
@@ -107,7 +108,9 @@ def main(argv: list[str] | None = None) -> int:
             status = 1
             continue
         differ, moved, total, worst = compare(load(old), load(new))
-        fields = f"non-float fields differ at {differ[:3]}" if differ else "non-float fields match"
+        fields = "non-float fields match"
+        if differ:
+            fields = f"non-float fields differ at {differ[:3]} ({len(differ)} in all)"
         print(f"{name}: {fields}; {moved} of {total} floats moved; worst relative move {worst:.2g}")
         status |= bool(differ)
     return status
