@@ -8,7 +8,10 @@ principal-value convention at the cut ever enters; a loop-closure check
 guards against a contour that sneaks across the cut.
 
 Quadrature doubles its node count until two passes agree.  Polygons
-use composite Gauss-Legendre per edge, and each doubling starts over.
+use composite Gauss-Legendre per edge.  Each edge starts at the order
+that the Bernstein-ellipse bound asks for at its nearest spectrum point,
+so a short edge far from the spectrum takes few nodes; every edge
+doubles on each pass, and each pass starts over.
 The fixed circle |z| = 1/2 of ``sqrt_near_one`` uses the periodic
 trapezoid rule, which converges geometrically; each doubling keeps half
 of the previous sum and evaluates only the new midpoint nodes.  The
@@ -21,9 +24,10 @@ for a fixed version.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,6 +57,9 @@ __all__ = [
 QUAD_TOL = 1e-11
 QUAD_START_NODES = 16
 QUAD_MAX_NODES = 2**14
+# the fewest Gauss nodes an edge starts with; every node count an edge
+# takes is a power of two from here to QUAD_MAX_NODES
+_MIN_START_NODES = 4
 _NEAR_ONE_RADIUS = 0.5
 _NEAR_ONE_START_NODES = 32
 
@@ -67,7 +74,8 @@ class ContourData(Frozen):
     from the trace.  ``branch`` describes how square roots on the trace
     are to be evaluated: not at all, or relative to the cut ray ``cut``
     on ``sheet`` (-1 negates the principal sheet).
-    Quadrature starts at ``QUAD_START_NODES`` per edge.
+    Quadrature starts each edge at the order the spectrum it is used
+    against asks for, at most ``QUAD_START_NODES``.
     """
 
     __slots__ = ("polygon", "eps", "branch", "cut", "sheet", "label")
@@ -101,16 +109,16 @@ class ContourData(Frozen):
 class QuadratureAudit(Frozen):
     """Convergence record of one adaptive contour integration.
 
-    ``nodes_per_edge`` is the final node count per polygon edge; on the
-    circle of ``sqrt_near_one`` it is the node count of its one closed
-    edge, i.e. every node evaluated.
+    ``nodes`` is the node count of the accepted pass over the whole loop;
+    on the circle of ``sqrt_near_one`` that is every node evaluated, as
+    each pass keeps the previous one's nodes.
     """
 
-    __slots__ = ("nodes_per_edge", "delta", "refinements")
+    __slots__ = ("nodes", "delta", "refinements")
 
     def describe(self) -> dict:
         return {
-            "nodes_per_edge": self.nodes_per_edge,
+            "nodes": self.nodes,
             "delta": self.delta,
             "refinements": self.refinements,
         }
@@ -119,12 +127,13 @@ class QuadratureAudit(Frozen):
 _PANEL_ORDER = 16
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=QUAD_MAX_NODES.bit_length() - _MIN_START_NODES.bit_length() + 1)
 def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for n points on [-1, 1]: a single Gauss-Legendre
     rule up to the panel order, composite equal panels of that order
     beyond it.  Composite panels keep the cost linear in n, where raising
-    the polynomial order would cost leggauss its cubic eigensolve."""
+    the polynomial order would cost leggauss its cubic eigensolve.  The
+    cache holds the whole power-of-two ladder, so no rule is rebuilt."""
     if n <= _PANEL_ORDER:
         return np.polynomial.legendre.leggauss(n)
     panels, rem = divmod(n, _PANEL_ORDER)
@@ -138,18 +147,31 @@ def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, ws
 
 
-def _loop_nodes(polygon: JordanPolygon, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All quadrature nodes along the loop, in traversal order, with the
-    combined weight*dz/2 coefficient for each node."""
-    x, w = _panel_rule(n)
-    zs = []
-    coeffs = []
-    for a, b in polygon.edges():
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        zs.append(mid + half * x)
-        coeffs.append(w * half)
-    return np.concatenate(zs), np.concatenate(coeffs)
+def _edge_starts(edges: list[tuple[complex, complex]], points: Sequence[complex]) -> np.ndarray:
+    """The Gauss node count each edge [a, b] starts with.
+
+    A pole s off the edge bounds the n-point Gauss error by rho**(-2n)
+    (Trefethen, Approximation Theory and Approximation Practice, Thm
+    19.3), where rho > 1 names the Bernstein ellipse of the edge through
+    s: foci a and b, semi-axes summing to rho |b - a| / 2.  So rho is the
+    root >= 1 of rho + 1/rho = 2c, c = (|s - a| + |s - b|) / |b - a|.
+    That equals |w + sqrt(w - 1) sqrt(w + 1)| for w = (2s - a - b) / (b - a),
+    but has no branch to choose: on the edge's own line a signed zero in
+    w flips that form to the root < 1.  An edge starts at the smallest
+    power of two in [_MIN_START_NODES, QUAD_START_NODES] at which its
+    nearest point of ``points`` gives rho**(-2n) <= QUAD_TOL, else at
+    QUAD_START_NODES; with no points, at the fewest."""
+    a, b = np.array(edges, dtype=complex).T
+    s = np.asarray(points, dtype=complex)[None, :]
+    c = (np.abs(s - a[:, None]) + np.abs(s - b[:, None])) / np.abs(b - a)[:, None]
+    c = c.min(axis=1, initial=math.inf)
+    rho = c + np.sqrt(np.maximum(c * c - 1.0, 0.0))
+    starts = np.full(len(edges), QUAD_START_NODES)
+    n = QUAD_START_NODES // 2
+    while n >= _MIN_START_NODES:
+        starts[rho ** (-2.0 * n) <= QUAD_TOL] = n
+        n //= 2
+    return starts
 
 
 def _tracked_angles(zs: np.ndarray, cut_angle: float) -> np.ndarray:
@@ -172,47 +194,65 @@ def _tracked_angles(zs: np.ndarray, cut_angle: float) -> np.ndarray:
     return tracked
 
 
-# a node rule maps (n, refining) to the nodes of the pass with n nodes per
-# edge, their dz coefficients, and the share of the previous total the
-# pass carries over (0 when it starts over)
-_NodeRule = Callable[[int, bool], tuple[np.ndarray, np.ndarray, float]]
+# a node rule maps pass k (0 first) to the nodes that pass evaluates, their
+# dz coefficients, the share of the previous total the pass carries over (0
+# when it starts over) and the most nodes the pass puts on one edge
+_NodeRule = Callable[[int], tuple[np.ndarray, np.ndarray, float, int]]
 
 
-def _polygon_rule(polygon: JordanPolygon) -> _NodeRule:
-    def rule(n: int, refining: bool) -> tuple[np.ndarray, np.ndarray, float]:
-        return (*_loop_nodes(polygon, n), 0.0)
+def _polygon_rule(polygon: JordanPolygon, points: Sequence[complex]) -> _NodeRule:
+    """Composite Gauss-Legendre along the loop, in traversal order: pass k
+    puts start * 2**k nodes on each edge, the start from the spectrum
+    ``points`` (``_edge_starts``), and starts over."""
+    edges = polygon.edges()
+    starts = _edge_starts(edges, points).tolist()
+    mids = [0.5 * (a + b) for a, b in edges]
+    halves = [0.5 * (b - a) for a, b in edges]
+
+    def rule(k: int) -> tuple[np.ndarray, np.ndarray, float, int]:
+        zs = []
+        coeffs = []
+        for mid, half, start in zip(mids, halves, starts):
+            x, w = _panel_rule(start << k)
+            zs.append(mid + half * x)
+            coeffs.append(w * half)
+        return np.concatenate(zs), np.concatenate(coeffs), 0.0, max(starts) << k
 
     return rule
 
 
-def _circle_rule(n: int, refining: bool) -> tuple[np.ndarray, np.ndarray, float]:
-    """Periodic trapezoid rule with n nodes on |z| = 1/2; a refining
-    pass holds only the odd nodes, the previous pass's midpoints."""
-    k = np.arange(1, n, 2) if refining else np.arange(n)
-    zs = _NEAR_ONE_RADIUS * np.exp(2j * math.pi * k / n)
-    return zs, (2j * math.pi / n) * zs, 0.5 if refining else 0.0
+def _circle_rule(k: int) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Periodic trapezoid rule with n = 32 * 2**k nodes on |z| = 1/2, its
+    one closed edge; a refining pass holds only the odd nodes, the
+    previous pass's midpoints."""
+    n = _NEAR_ONE_START_NODES << k
+    j = np.arange(1, n, 2) if k else np.arange(n)
+    zs = _NEAR_ONE_RADIUS * np.exp(2j * math.pi * j / n)
+    return zs, (2j * math.pi / n) * zs, 0.5 if k else 0.0, n
 
 
 def _integrate(
     scalar_fn: Callable[[np.ndarray], np.ndarray],
     a: Element,
     rule: _NodeRule,
-    n: int,
     audit_sink: list[QuadratureAudit] | None,
 ) -> Element:
     """(1/2pi i) * integral of scalar_fn(z) (z - a)^(-1) dz over the loop
-    of ``rule``, starting at n nodes per edge, with adaptive doubling;
-    the convergence record goes to ``audit_sink``.  The algebra's resolvent
-    kernel for ``a`` is built once and called once per pass."""
+    of ``rule``, doubling the nodes of every edge each pass until two
+    passes agree; the convergence record goes to ``audit_sink``.  The
+    algebra's resolvent kernel for ``a`` is built once and called once
+    per pass."""
     alg: BanachAlgebra = a.algebra
     kernel = alg.resolvent_kernel(a)
     prev: Element | None = None
-    refinements = 0
-    while True:
-        zs, coeffs, carry = rule(n, prev is not None)
+    nodes = 0
+    for k in itertools.count():
+        zs, coeffs, carry, densest = rule(k)
         gv = np.asarray(scalar_fn(zs), dtype=complex)
         weights = gv * coeffs / (2j * math.pi)
         total = kernel(zs, weights)
+        # the nodes of the whole pass, the carried ones included
+        nodes = len(zs) + (nodes if carry else 0)
         if carry:
             total = carry * prev + total
         if prev is not None:
@@ -222,16 +262,14 @@ def _integrate(
             delta = alg.norm_parts(gap)[1]
             if not delta >= QUAD_TOL:
                 if audit_sink is not None:
-                    audit_sink.append(QuadratureAudit(n, delta, refinements))
+                    audit_sink.append(QuadratureAudit(nodes, delta, k))
                 return total
-        if 2 * n > QUAD_MAX_NODES:
+        if 2 * densest > QUAD_MAX_NODES:
             raise QuadratureNotConverged(
                 f"contour integral did not stabilise below {QUAD_TOL} "
-                f"at {n} nodes per edge"
+                f"at {densest} nodes on its densest edge"
             )
         prev = total
-        n *= 2
-        refinements += 1
 
 
 def _vectorise(g: Callable) -> Callable[[np.ndarray], np.ndarray]:
@@ -268,8 +306,9 @@ def contour_apply(
     ``g`` must be holomorphic inside the loop and continuous on it; the
     whole spectrum of ``a`` must be strictly inside with clearance eps/2.
     """
-    _check_enclosure(a.spectrum(), cd, require_inside=True)
-    return _integrate(_vectorise(g), a, _polygon_rule(cd.polygon), QUAD_START_NODES, audit_sink)
+    rep = a.spectrum()
+    _check_enclosure(rep, cd, require_inside=True)
+    return _integrate(_vectorise(g), a, _polygon_rule(cd.polygon, rep.points), audit_sink)
 
 
 def spectral_component_apply(
@@ -281,8 +320,9 @@ def spectral_component_apply(
     """Like :func:`contour_apply`, but the loop may enclose only part of
     the spectrum (the rest must stay clear of the trace): the integral
     picks out g applied to the enclosed spectral component."""
-    _check_enclosure(a.spectrum(), cd, require_inside=False)
-    return _integrate(_vectorise(g), a, _polygon_rule(cd.polygon), QUAD_START_NODES, audit_sink)
+    rep = a.spectrum()
+    _check_enclosure(rep, cd, require_inside=False)
+    return _integrate(_vectorise(g), a, _polygon_rule(cd.polygon, rep.points), audit_sink)
 
 
 def riesz_projection(
@@ -293,8 +333,9 @@ def riesz_projection(
     """Spectral projection of ``a`` onto the part of the spectrum inside
     the loop.  The contour must separate the spectrum: every point stays
     at distance >= eps/2, inside or outside."""
-    _check_enclosure(a.spectrum(), cd, require_inside=False)
-    return _integrate(np.ones_like, a, _polygon_rule(cd.polygon), QUAD_START_NODES, audit_sink)
+    rep = a.spectrum()
+    _check_enclosure(rep, cd, require_inside=False)
+    return _integrate(np.ones_like, a, _polygon_rule(cd.polygon, rep.points), audit_sink)
 
 
 def sqrt_cut(
@@ -331,7 +372,7 @@ def sqrt_cut(
         theta = _tracked_angles(zs, alpha)
         return cd.sheet * np.sqrt(np.abs(zs)) * np.exp(0.5j * theta)
 
-    return _integrate(branch_sqrt, x, _polygon_rule(cd.polygon), QUAD_START_NODES, audit_sink)
+    return _integrate(branch_sqrt, x, _polygon_rule(cd.polygon, rep.points), audit_sink)
 
 
 def sqrt_near_one(
@@ -354,7 +395,5 @@ def sqrt_near_one(
         raise SpectrumTooLarge(
             f"spectral radius {rep.radius:.6g} is not inside the disc of radius 1/3"
         )
-    result = _integrate(
-        lambda zs: np.sqrt(1.0 - zs), y, _circle_rule, _NEAR_ONE_START_NODES, audit_sink
-    )
+    result = _integrate(lambda zs: np.sqrt(1.0 - zs), y, _circle_rule, audit_sink)
     return 0.5 * result - 0.5 * alg.one()

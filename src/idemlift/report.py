@@ -12,7 +12,7 @@ import json
 import math
 from typing import Any, Sequence
 
-REPORT_VERSION = 3
+REPORT_VERSION = 4
 
 __all__ = [
     "REPORT_VERSION",

@@ -255,7 +255,8 @@ def test_zero_tolerance_is_allowed(tmp_path):
 def test_raising_hypothesis_check_becomes_a_failed_record(tmp_path, capsys):
     # conj_in overflows at lambda = 1e200, so pi leaves the block algebra
     out = tmp_path / "r.json"
-    assert main(["run", "block-testbed", "--grid", "1e200,0,1", "--out", str(out)]) == 1
+    with pytest.warns(RuntimeWarning):
+        assert main(["run", "block-testbed", "--grid", "1e200,0,1", "--out", str(out)]) == 1
     report = json.loads(out.read_text())
     *held, err = report["hypotheses"]
     assert [h["name"] for h in held] == ["surjectivity-at-base"] and held[0]["passed"]
@@ -269,7 +270,8 @@ def test_raising_hypothesis_check_becomes_a_failed_record(tmp_path, capsys):
 def test_linalg_failures_become_typed_errors(tmp_path):
     # non-finite matrices reach the spectral norm and the eigenvalues
     out = tmp_path / "r.json"
-    assert main(["run", "dual-testbed", "--grid", "1e200,0,1", "--out", str(out)]) == 1
+    with pytest.warns(RuntimeWarning):
+        assert main(["run", "dual-testbed", "--grid", "1e200,0,1", "--out", str(out)]) == 1
     report = json.loads(out.read_text())
     assert report["hypotheses"][-1]["note"].startswith("ParameterError: spectral norm failed")
     errors = [r["error"] for r in report["runs"] if r.get("error")]
@@ -280,7 +282,8 @@ def test_nan_evidence_fails_its_run(tmp_path):
     # the section noise overflows at lambda = 1e200: every defect of the
     # family step is NaN, which no check may certify as 0
     out = tmp_path / "r.json"
-    assert main(["run", "example2", "--grid", "1e200,0,1", "--out", str(out)]) == 1
+    with pytest.warns(RuntimeWarning):
+        assert main(["run", "example2", "--grid", "1e200,0,1", "--out", str(out)]) == 1
     report = json.loads(out.read_text())
     step = next(r for r in report["runs"] if r["name"] == "family-step-0")
     assert step["rows"][0]["valid"] and step["rows"][0]["defects"]["idempotency"] is None
@@ -310,6 +313,42 @@ def test_summary_prints_non_finite_values_as_null():
     assert "input-idempotency            null <= 1.0e-09  FAIL" in text
     assert "failed idempotency: null > 1.0e-09" in text
     assert "worst check null" in text
+
+
+def test_the_worst_check_of_a_run_is_its_worst_row_defect(tmp_path, capsys):
+    """The summary took the largest of all check values, so family-step-0
+    showed its one invalid point (validity-covers-grid, 1.000e+00) as its
+    worst check while its row defects sit at rounding level."""
+    out = tmp_path / "r.json"
+    assert main(["run", "example2", "--grid", "1,1,3", "--out", str(out)]) == 1
+    lines = {
+        line.split()[1]: line for line in capsys.readouterr().out.splitlines() if line.startswith("  run ")
+    }
+    report = json.loads(out.read_text())
+    step = next(r for r in report["runs"] if r["name"] == "family-step-0")
+    checks = {c["name"]: c["value"] for c in step["checks"]}
+    assert checks.pop("validity-covers-grid") == 1.0
+    worst = max(checks.values())
+    assert worst <= 1e-15
+    assert lines["family-step-0"].endswith(f"FAIL   worst check {worst:.3e}")
+    assert "worst check 1.000e+00" not in "".join(lines.values())
+
+
+def test_a_run_with_no_valid_row_has_a_null_worst_check():
+    run = run_record("local", 1, "lift", checks=[check_record("validity-covers-grid", 3.0, 0.0)])
+    report = build_report(
+        "dual-testbed",
+        expected="lift-succeeds",
+        theorem_paths=(1,),
+        grid=(0.0,),
+        tolerances={},
+        hypotheses=[],
+        runs=[run],
+        probes=[],
+        seed=0,
+        timings={},
+    )
+    assert "FAIL   worst check null" in _summarise(report, "r.json", None)
 
 
 def test_a_check_verdict_follows_from_its_value_and_bound():

@@ -130,7 +130,7 @@ _SIGNATURES = {
     "HomFamily": "source, target, evaluator, embed=None, radius=inf, star_on_real=False, label=''",
     "Section": "pi, target, evaluator, radius=inf, label=''",
     "ContourData": "polygon, eps, branch='none', cut=None, sheet=1, label=''",
-    "QuadratureAudit": "nodes_per_edge, delta, refinements",
+    "QuadratureAudit": "nodes, delta, refinements",
     "LiftPoint": "lam, valid, defects=None, elements=None, allowances=None",
     "LiftTrace": "points, audits, contours=(), eps0=None, label=''",
     "Scenario": (

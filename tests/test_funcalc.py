@@ -362,7 +362,7 @@ def test_sqrt_near_one_matches_dense_reference_up_to_radius_one_third() -> None:
         audits = []
         w = sqrt_near_one(MatrixAlgebra(mat.shape[0]).wrap(mat), audit_sink=audits)
         assert np.max(np.abs(w.payload - ref)) <= 1e-12
-        assert audits[0].nodes_per_edge <= 256
+        assert audits[0].nodes <= 256
 
 
 def test_sqrt_near_one_evaluates_each_circle_node_once(monkeypatch) -> None:
@@ -385,7 +385,7 @@ def test_sqrt_near_one_evaluates_each_circle_node_once(monkeypatch) -> None:
         audits = []
         sqrt_near_one(MatrixAlgebra(4).wrap(_with_radius(rng, 4, radius)), audit_sink=audits)
         nodes = np.concatenate(seen)
-        n = audits[0].nodes_per_edge
+        n = audits[0].nodes
         assert len(nodes) == n and len(seen) == audits[0].refinements + 1
         # all of the n-point grid on |z| = 1/2, each point once
         k = np.sort(np.round(np.angle(nodes) / (2 * np.pi) * n) % n)
@@ -398,7 +398,7 @@ def test_sqrt_near_one_gives_up_at_the_node_cap(monkeypatch) -> None:
     y = MatrixAlgebra(4).wrap(_with_radius(np.random.default_rng(41), 4, 0.3))
     audits = []
     sqrt_near_one(y, audit_sink=audits)
-    assert audits[0].nodes_per_edge == 128
+    assert audits[0].nodes == 128
     monkeypatch.setattr(funcalc, "QUAD_MAX_NODES", 64)
     with pytest.raises(QuadratureNotConverged, match="at 64 nodes"):
         sqrt_near_one(y)
@@ -413,7 +413,7 @@ def test_sqrt_near_one_nested_sum_keeps_the_certified_tail() -> None:
         x = up.from_parts(f, c)
         audits = []
         w = sqrt_near_one(x, audit_sink=audits)
-        n = audits[0].nodes_per_edge
+        n = audits[0].nodes
         zs = 0.5 * np.exp(2j * np.pi * np.arange(n) / n)
         ws = np.sqrt(1.0 - zs) * zs / n
         # one-shot sums over the same n nodes: node by node, and fused
@@ -496,6 +496,167 @@ def test_a_product_integral_converges_in_every_factor() -> None:
     got_audit, ref_audit = [], []
     got = funcalc.sqrt_near_one(prod.from_components(tailed, m), audit_sink=got_audit)
     ref = funcalc.sqrt_near_one(m, audit_sink=ref_audit)
-    assert [(a.nodes_per_edge, a.refinements) for a in got_audit] == [(128, 2)]
-    assert [(a.nodes_per_edge, a.refinements) for a in ref_audit] == [(128, 2)]
+    assert [(a.nodes, a.refinements) for a in got_audit] == [(128, 2)]
+    assert [(a.nodes, a.refinements) for a in ref_audit] == [(128, 2)]
     assert np.array_equal(prod.component(got, 1).payload, ref.payload)
+
+
+# -- the start rule: each polygon edge starts at the Gauss order its
+# nearest spectrum point asks for
+
+
+def _start_for(rho: float) -> int:
+    """The start the rule asks for at Bernstein parameter ``rho``."""
+    for n in (4, 8, 16):
+        if rho ** (-2 * n) <= funcalc.QUAD_TOL:
+            return n
+    return funcalc.QUAD_START_NODES
+
+
+def _rho_at_start(n: int) -> float:
+    """The Bernstein parameter at which n nodes just meet QUAD_TOL."""
+    return funcalc.QUAD_TOL ** (-1.0 / (2 * n))
+
+
+@pytest.mark.parametrize("a, b", [(0j, 1 + 0j), (1 + 2j, -0.5 + 1j), (3j, 3j - 1e-3)])
+def test_an_edge_starts_where_its_bernstein_ellipse_meets_the_tolerance(a, b) -> None:
+    """For a point on the perpendicular bisector at distance d from an
+    edge of length L, rho = 2d/L + sqrt(1 + (2d/L)**2); for one on the
+    edge's line at distance t beyond an endpoint, rho = w + sqrt(w**2 - 1)
+    with w = 1 + 2t/L.  Each threshold is met just inside and missed just
+    outside, on either side of the edge and beyond either end."""
+    L, mid, unit = abs(b - a), 0.5 * (a + b), (b - a) / abs(b - a)
+    for n in (4, 8, 16):
+        for rho in (1.02 * _rho_at_start(n), 0.98 * _rho_at_start(n)):
+            t = 0.5 * (rho - 1.0 / rho)  # 2d/L
+            assert abs(t + math.sqrt(1.0 + t * t) - rho) <= 1e-12 * rho
+            w = 0.5 * (rho + 1.0 / rho)  # 1 + 2t/L beyond an endpoint
+            points = [
+                mid + 1j * unit * 0.5 * L * t,
+                mid - 1j * unit * 0.5 * L * t,
+                b + unit * 0.5 * L * (w - 1.0),
+                a - unit * 0.5 * L * (w - 1.0),
+            ]
+            for s in points:
+                assert funcalc._edge_starts([(a, b)], [s]).tolist() == [_start_for(rho)]
+    # the nearest point decides; no point asks for the fewest nodes; a
+    # point on the edge asks for the most
+    far, near = mid + 1j * unit * 100.0 * L, mid + 1j * unit * 0.3 * L
+    assert funcalc._edge_starts([(a, b)], [far, near]).tolist() == [16]
+    assert funcalc._edge_starts([(a, b)], [far]).tolist() == [4]
+    assert funcalc._edge_starts([(a, b)], []).tolist() == [4]
+    assert funcalc._edge_starts([(a, b)], [mid]).tolist() == [16]
+    assert funcalc._edge_starts([(a, b), (b, a)], [far]).tolist() == [4, 4]
+
+
+def _basis(rng, n):
+    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return v + 2.0 * math.sqrt(n) * np.eye(n)
+
+
+def _eig_apply(mat, f):
+    """f(mat) through ``eig``, f acting on the eigenvalue array."""
+    w, v = np.linalg.eig(mat)
+    return v @ np.diag(f(w)) @ np.linalg.inv(v)
+
+
+def _start_rule_cases(n, seed):
+    """(name, call, eig reference) for the four polygon entry points on a
+    random n x n matrix."""
+    rng = np.random.default_rng(seed)
+    alg = MatrixAlgebra(n)
+    k = n // 2
+    split = np.concatenate((np.zeros(k), np.ones(n - k))) + 0.28 * np.sqrt(
+        rng.uniform(0, 1, n)
+    ) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+    v = _basis(rng, n)
+    a = alg.wrap(v @ np.diag(split) @ np.linalg.inv(v))
+    sector = rng.uniform(0.5, 4.0, n) * np.exp(1j * rng.uniform(-np.pi / 3, np.pi / 3, n))
+    v = _basis(rng, n)
+    x = alg.wrap(v @ np.diag(sector) @ np.linalg.inv(v))
+    P, gamma = _gamma_for(x)
+    around_one = ContourData(circle_polygon(1 + 0j, 0.45), eps=0.1)
+    around_all = ContourData(circle_polygon(0.5 + 0j, 1.2), eps=0.1)
+    inside = lambda w: (np.abs(w - 1.0) < 0.45).astype(complex)  # noqa: E731
+
+    def cut_sqrt(w):
+        theta = P.angle - 2.0 * np.pi + (np.angle(w) - P.angle) % (2.0 * np.pi)
+        return np.sqrt(np.abs(w)) * np.exp(0.5j * theta)
+
+    return [
+        ("riesz_projection", lambda s: riesz_projection(a, around_one, s), _eig_apply(a.payload, inside)),
+        (
+            "spectral_component_apply",
+            lambda s: funcalc.spectral_component_apply(lambda z: z * z, a, around_one, s),
+            _eig_apply(a.payload, lambda w: w * w * inside(w)),
+        ),
+        (
+            "contour_apply",
+            lambda s: contour_apply(np.exp, a, around_all, s),
+            _eig_apply(a.payload, np.exp),
+        ),
+        ("sqrt_cut", lambda s: sqrt_cut(x, P, gamma, audit_sink=s), _eig_apply(x.payload, cut_sqrt)),
+    ]
+
+
+@pytest.mark.parametrize("n, seed", [(4, 59), (4, 61), (16, 67)])
+def test_the_start_rule_agrees_with_the_uniform_rule_on_fewer_resolvents(monkeypatch, n, seed) -> None:
+    """Each polygon call matches the uniform start (every edge at
+    QUAD_START_NODES, as before the start rule) and the eig reference to
+    1e-12, and evaluates no more resolvents than the uniform start."""
+    from idemlift import algebra
+
+    evaluated = []
+    resolvents = algebra._resolvents
+
+    def counting(p, zs):
+        evaluated.append(len(zs))
+        return resolvents(p, zs)
+
+    monkeypatch.setattr(algebra, "_resolvents", counting)
+
+    def run(call):
+        evaluated.clear()
+        audits = []
+        result = call(audits).payload
+        (audit,) = audits
+        return result, sum(evaluated), audit
+
+    def uniform_starts(edges, points):
+        return np.full(len(edges), funcalc.QUAD_START_NODES)
+
+    saved = 0
+    for name, call, ref in _start_rule_cases(n, seed):
+        got, nodes, audit = run(call)
+        with monkeypatch.context() as m:
+            m.setattr(funcalc, "_edge_starts", uniform_starts)
+            uniform, uniform_nodes, _ = run(call)
+        assert np.max(np.abs(got - ref)) <= 1e-12, name
+        assert np.max(np.abs(got - uniform)) <= 1e-12, name
+        assert nodes <= uniform_nodes, name
+        # every pass starts over and doubles: all k + 1 passes hold
+        # (2**(k + 1) - 1) / 2**k times the nodes of the accepted one
+        k = audit.refinements
+        assert nodes == audit.nodes * (2 ** (k + 1) - 1) // 2**k, name
+        saved += uniform_nodes - nodes
+    assert saved > 0
+
+
+def test_a_polygon_integral_gives_up_at_the_node_cap_on_its_densest_edge(monkeypatch) -> None:
+    """QUAD_MAX_NODES bounds the nodes of any one edge: a call that
+    accepts with d nodes on its densest edge still converges under a cap
+    of d and gives up under a cap of d / 2."""
+    rng = np.random.default_rng(59)
+    v = _basis(rng, 4)
+    a = MatrixAlgebra(4).wrap(v @ np.diag([0.1, 0.2j, 1.3, 0.9 - 0.1j]) @ np.linalg.inv(v))
+    cd = ContourData(circle_polygon(1 + 0j, 0.45), eps=0.1)
+    audits = []
+    riesz_projection(a, cd, audits)
+    starts = funcalc._edge_starts(cd.polygon.edges(), a.spectrum().points)
+    assert starts.min() < starts.max()  # the edges start apart
+    densest = int(starts.max()) << audits[0].refinements
+    monkeypatch.setattr(funcalc, "QUAD_MAX_NODES", densest)
+    riesz_projection(a, cd)
+    monkeypatch.setattr(funcalc, "QUAD_MAX_NODES", densest // 2)
+    with pytest.raises(QuadratureNotConverged, match=f"at {densest // 2} nodes on its densest edge"):
+        riesz_projection(a, cd)
