@@ -22,9 +22,8 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, UnknownScenario
-from .lifting import _worst
 from .report import report_passed, write_csv, write_json
-from .scenarios import _DEFECTS, build_scenario, list_scenarios, run_verification
+from .scenarios import build_scenario, list_scenarios, run_verification, worst_row_check
 
 __all__ = ["main"]
 
@@ -145,11 +144,6 @@ def _check_writable(path: str) -> None:
         raise ConfigError(f"cannot write report: {path!r} is not a file in a writable directory")
 
 
-# the checks a record's rows are judged by: its "worst check" is the worst
-# of these, not of a grid-cover count or an oracle's distance
-_ROW_CHECKS = frozenset(name for name, _ in _DEFECTS.values())
-
-
 def _fmt(value: float | None, spec: str) -> str:
     """``value`` formatted by ``spec``; reports store non-finite values as
     null, and a NaN prints as one."""
@@ -175,13 +169,8 @@ def _summarise(report: dict, out_path: str, csv_path: str | None) -> str:
         if r.get("error"):
             lines.append(f"  run {r['name']:<24} {path}  ERROR  {r['error']}")
             continue
-        # a null value is non-finite, so it is the worst; with no row check
-        # (no valid row) nothing is certified, and the worst is null too
-        worst = _worst(
-            math.nan if c["value"] is None else c["value"]
-            for c in r["checks"]
-            if c["name"] in _ROW_CHECKS
-        )
+        # with no row check (no valid row) nothing is certified: null
+        worst = worst_row_check(r)
         mark = "PASS" if r["passed"] else "FAIL"
         lines.append(f"  run {r['name']:<24} {path}  {mark}   worst check {_fmt(worst, '.3e')}")
         if not r["passed"]:

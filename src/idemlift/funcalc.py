@@ -127,13 +127,13 @@ class QuadratureAudit(Frozen):
 _PANEL_ORDER = 16
 
 
-@lru_cache(maxsize=QUAD_MAX_NODES.bit_length() - _MIN_START_NODES.bit_length() + 1)
+@lru_cache(maxsize=None)
 def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for n points on [-1, 1]: a single Gauss-Legendre
     rule up to the panel order, composite equal panels of that order
     beyond it.  Composite panels keep the cost linear in n, where raising
-    the polynomial order would cost leggauss its cubic eigensolve.  The
-    cache holds the whole power-of-two ladder, so no rule is rebuilt."""
+    the polynomial order would cost leggauss its cubic eigensolve.  Node
+    counts are powers of two up to QUAD_MAX_NODES, so the cache is small."""
     if n <= _PANEL_ORDER:
         return np.polynomial.legendre.leggauss(n)
     panels, rem = divmod(n, _PANEL_ORDER)

@@ -71,6 +71,7 @@ __all__ = [
     "build_scenario",
     "list_scenarios",
     "run_verification",
+    "worst_row_check",
 ]
 
 ORACLE_TOL = 1e-7
@@ -779,6 +780,20 @@ _DEFECTS: dict[str, tuple[str, str]] = {
     "pairwise-orthogonality": ("pairwise-orthogonality", "tol_lift"),
     "partial-sum-idempotency": ("partial-sum-idempotency", "tol_lift"),
 }
+
+
+_ROW_CHECKS = frozenset(name for name, _ in _DEFECTS.values())
+
+
+def worst_row_check(record: dict) -> float:
+    """The worst value of the checks a report record's rows are judged by,
+    a stored null read as NaN; NaN when it has none.  A grid-cover count
+    or an oracle's distance is not one of them."""
+    return _worst(
+        math.nan if c["value"] is None else c["value"]
+        for c in record["checks"]
+        if c["name"] in _ROW_CHECKS
+    )
 
 
 def _lift_record(

@@ -40,3 +40,30 @@ def test_reimported_copies_of_the_library_are_freed():
         sys.modules.update(original)
     gc.collect()
     assert copies[-1]() is None
+
+
+def test_the_package_loads_a_layer_when_one_of_its_names_is_asked_for():
+    """``import idemlift`` loads only the errors; a functional-calculus
+    name loads the layers below it and not families, lifting, report or
+    scenarios, so a fresh import for funcalc alone leaves less behind."""
+    original = _library_modules()
+    try:
+        for name in _library_modules():
+            del sys.modules[name]
+        package = importlib.import_module("idemlift")
+        assert set(_library_modules()) == {"idemlift", "idemlift.errors"}
+        assert package.riesz_projection is sys.modules["idemlift.funcalc"].riesz_projection
+        assert set(_library_modules()) == {
+            "idemlift",
+            "idemlift.errors",
+            "idemlift.frozen",
+            "idemlift.algebra",
+            "idemlift.contours",
+            "idemlift.funcalc",
+        }
+        assert package.run_verification is sys.modules["idemlift.scenarios"].run_verification
+        assert not hasattr(package, "no_such_name")
+    finally:
+        for name in _library_modules():
+            del sys.modules[name]
+        sys.modules.update(original)
