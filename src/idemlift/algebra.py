@@ -41,7 +41,8 @@ payloads, the spectral norm and the payload as its representation.  They
 take norms of whole payload stacks with one kernel, ``_norms``.  The series
 kind's product takes every coefficient product from one ``_products`` call
 of its base.  Contour sums go through ``resolvent_kernel(x)``, built once per
-integral, so that what does not depend on the nodes is done once.
+integral, so that what does not depend on the nodes is done once; a call
+sums each run of its nodes (a quadrature's edges) apart.
 """
 
 from __future__ import annotations
@@ -110,6 +111,13 @@ def _checked_inv(stack: np.ndarray, message: str) -> np.ndarray:
             f"{message}: condition bound {bound.max():.3e} exceeds {CONDITION_LIMIT:.1e}"
         )
     return inv.reshape(stack.shape)
+
+
+def _runs(starts: Sequence[int], count: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` of each run of ``count`` nodes: run ``i`` holds the
+    nodes from ``starts[i]`` up to the next start, the last up to the end."""
+    starts = [int(s) for s in starts]
+    return list(zip(starts, starts[1:] + [count]))
 
 
 def _resolvents(p: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -357,6 +365,11 @@ class BanachAlgebra(Frozen):
     def neg(self, x: Element) -> Element:
         return self.wrap(self._neg(self._own(x)))
 
+    def sum(self, xs: Sequence[Element]) -> Element:
+        """``xs[0] + xs[1] + ...``, added left to right as ``+`` adds, with
+        one element built: a quadrature's sum over its edges."""
+        return self.wrap(functools.reduce(self._add, [self._own(x) for x in xs]))
+
     def scale(self, c: complex, x: Element) -> Element:
         return self.wrap(self._scale(complex(c), self._own(x)))
 
@@ -388,36 +401,43 @@ class BanachAlgebra(Frozen):
 
     def resolvent_kernel(
         self, x: Element
-    ) -> Callable[[Sequence[complex], Sequence[complex]], Element]:
-        """The contour sums of ``x``: a function of ``(zs, weights)`` that
-        gives ``sum_k weights[k] * (zs[k] - x)^-1``.  What does not depend
-        on the nodes is done here, once, so that a quadrature which calls
-        the kernel once per pass does it once per integral.
+    ) -> Callable[[Sequence[complex], Sequence[complex], Sequence[int]], list[Element]]:
+        """The contour sums of ``x``: a function of ``(zs, weights, starts)``
+        that gives one element per run of nodes, ``sum_k weights[k] *
+        (zs[k] - x)^-1`` over the nodes from ``starts[i]`` up to the next
+        start (the last run up to the end).  ``starts`` begins at 0 and
+        rises.  A run's sum does not depend on the other runs of the call.
+        What does not depend on the nodes is done here, once, so that a
+        quadrature which calls the kernel once per pass does it once per
+        integral.
 
-        Generic: each call weights the resolvent batch and sums it pairwise
-        in node order.  Kinds that can contract the weights before building
-        any element, or that have node-independent work, override this."""
+        Generic: each call builds one resolvent batch for all of its nodes,
+        weights it and sums each run pairwise in node order.  Kinds that can
+        contract the weights before building any element, or that have
+        node-independent work, override this."""
 
-        def integral(zs: Sequence[complex], weights: Sequence[complex]) -> Element:
+        def integral(zs, weights, starts) -> list[Element]:
             batch = self.resolvent_batch(x, zs)
             terms = [self._scale(complex(w), self._own(r)) for r, w in zip(batch, weights)]
-            if not terms:
-                return self.zero()
-            while len(terms) > 1:
-                terms = [
-                    self._add(terms[i], terms[i + 1]) if i + 1 < len(terms) else terms[i]
-                    for i in range(0, len(terms), 2)
-                ]
-            return self.wrap(terms[0])
+            sums = []
+            for lo, hi in _runs(starts, len(terms)):
+                run = terms[lo:hi] or [self._zero()]
+                while len(run) > 1:
+                    run = [
+                        self._add(run[i], run[i + 1]) if i + 1 < len(run) else run[i]
+                        for i in range(0, len(run), 2)
+                    ]
+                sums.append(self.wrap(run[0]))
+            return sums
 
         return integral
 
     def resolvent_integral(
         self, x: Element, zs: Sequence[complex], weights: Sequence[complex]
     ) -> Element:
-        """``sum_k weights[k] * (zs[k] - x)^-1``: one call of
+        """``sum_k weights[k] * (zs[k] - x)^-1``: the one-run call of
         ``resolvent_kernel(x)``."""
-        return self.resolvent_kernel(x)(zs, weights)
+        return self.resolvent_kernel(x)(zs, weights, [0])[0]
 
     def _powers(self, f, cap: int) -> tuple[list, bool, float]:
         """The powers ``f, f^2, ...`` before the first of norm 0, at most
@@ -578,19 +598,44 @@ class MatrixAlgebra(_ArrayAlgebra):
         return [self.wrap(r) for r in inv]
 
     def resolvent_kernel(self, x):
-        """Each call sums in blocks of RESOLVENT_BLOCK_BYTES, so memory does
-        not grow with the node count; each block is summed by numpy onto the
-        running total."""
+        """Each call inverts in blocks of RESOLVENT_BLOCK_BYTES, so memory
+        does not grow with the node count.  numpy sums a stack along its
+        first axis term by term, so each run is summed in node order, and
+        carried across blocks, whatever the blocks and the other runs are:
+        a run's sum equals a one-run call on its nodes.  The whole runs of
+        one length in a block are summed at once."""
         p = self._own(x)
+        step = max(1, RESOLVENT_BLOCK_BYTES // (16 * self.n * self.n))
 
-        def integral(zs, weights):
-            zs, ws = np.asarray(list(zs), dtype=complex), np.asarray(list(weights), dtype=complex)
-            step = max(1, RESOLVENT_BLOCK_BYTES // (16 * self.n * self.n))
-            total = np.zeros((0, self.n, self.n), dtype=complex)
+        def integral(zs, weights, starts) -> list[Element]:
+            zs, ws = np.asarray(zs, dtype=complex), np.asarray(weights, dtype=complex)
+            runs = _runs(starts, len(zs))
+            sums: list = [None] * len(runs)
+            r = 0
             for lo in range(0, len(zs), step):
-                terms = ws[lo : lo + step, None, None] * _resolvents(p, zs[lo : lo + step])
-                total = np.sum(np.concatenate((total, terms)), axis=0, keepdims=True)
-            return self.wrap(total[0] if len(total) else self._zero())
+                hi = min(lo + step, len(zs))
+                terms = ws[lo:hi, None, None] * _resolvents(p, zs[lo:hi])
+                at = lo
+                while at < hi:
+                    while runs[r][1] <= at:
+                        r += 1
+                    a, b = runs[r]
+                    if a == at and b <= hi:
+                        j, length = r + 1, b - a
+                        while j < len(runs) and runs[j][1] <= hi and runs[j][1] - runs[j][0] == length:
+                            j += 1
+                        end = runs[j - 1][1]
+                        group = terms[at - lo : end - lo].reshape(j - r, length, self.n, self.n)
+                        sums[r:j] = group.sum(axis=1)
+                    else:
+                        end = min(b, hi)
+                        part = terms[at - lo : end - lo]
+                        if sums[r] is not None:
+                            part = np.concatenate((sums[r][None], part))
+                        sums[r] = part.sum(axis=0)
+                    at = end
+            # every sum has the payload shape, so wrap's check is skipped
+            return [Element(self, self._zero() if t is None else t) for t in sums]
 
         return integral
 
@@ -1231,8 +1276,9 @@ class UnitizationAlgebra(BanachAlgebra):
         The table does not depend on the nodes, so the kernel builds it
         once (the base's ``_powers``): the powers, their tails and untailed
         parts, whether the series is exact, and the norms of ``f`` and of
-        the remainder ``f^{N+1}``.  Each call then does only the node sums,
-        with the same arithmetic as a table built for that call alone.
+        the remainder ``f^{N+1}``.  Each call then does only the node sums
+        of each run, with the same arithmetic as a table built for that run
+        alone, and each run carries its own certificate.
 
         Rounding (Higham, *Accuracy and Stability of Numerical Algorithms*,
         Lemma 3.1 and ch. 4; u = 2^-53, gamma_m = mu/(1 - mu); norms and
@@ -1247,8 +1293,8 @@ class UnitizationAlgebra(BanachAlgebra):
         Summing K nodes recursively would add up to gamma_{K-1} (ch. 4);
         their ``math.fsum`` rounds once and takes the same N-only round-up
         (one node's certificate is the tail as it stands).  So a tail
-        certified in one call or in several agrees up to the additions
-        between calls, and the factor's slack keeps it above a node-by-node
+        certified in one run or in several agrees up to the additions
+        between runs, and the factor's slack keeps it above a node-by-node
         floating sum of one-node certificates, whose rounding is of order
         sqrt(K) u.
         """
@@ -1261,9 +1307,8 @@ class UnitizationAlgebra(BanachAlgebra):
         f_norm = b._norm(f)
         up = 1.0 + (n + 4) * 2.0**-50
 
-        def integral(zs, weights):
-            ds = np.asarray(zs, dtype=complex) - c
-            ws = np.asarray(weights, dtype=complex)
+        def run(zs, ws):
+            ds = zs - c
             if np.any(np.abs(ds) < 1e-300):
                 raise NotInvertible("resolvent point hits the one-point spectrum")
             # row j holds (z_k - c)^-(j+1), the weight of f^j at node k
@@ -1286,6 +1331,10 @@ class UnitizationAlgebra(BanachAlgebra):
             if rad is None:
                 raise NotInvertible("no tail channel to carry the Neumann remainder")
             return self.wrap((b._own(rad), complex(ws @ inv[0])))
+
+        def integral(zs, weights, starts) -> list[Element]:
+            zs, ws = np.asarray(zs, dtype=complex), np.asarray(weights, dtype=complex)
+            return [run(zs[lo:hi], ws[lo:hi]) for lo, hi in _runs(starts, len(zs))]
 
         return integral
 
@@ -1400,8 +1449,11 @@ class ProductAlgebra(BanachAlgebra):
         """The factors' kernels, each built once, called componentwise."""
         kernels = [f.resolvent_kernel(f.wrap(a)) for f, a in zip(self.factors, self._own(x))]
 
-        def integral(zs, weights):
-            return self.wrap(tuple(f._own(k(zs, weights)) for f, k in zip(self.factors, kernels)))
+        def integral(zs, weights, starts) -> list[Element]:
+            parts = [k(zs, weights, starts) for k in kernels]
+            return [
+                self.wrap(tuple(f._own(e) for f, e in zip(self.factors, run))) for run in zip(*parts)
+            ]
 
         return integral
 

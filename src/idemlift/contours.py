@@ -7,12 +7,16 @@ orientation, so a point strictly inside always has winding number +1.
 The escape ray of a finite spectrum is found in closed form: it bisects
 the widest gap between the spectrum's directions, which is the ray that
 keeps the largest angle to every spectral point.  Every constructor
-refuses non-finite input with ``ParameterError``.
+refuses non-finite input with ``ParameterError``.  Point queries
+(distances, winding numbers, enclosure) take all points and edges at
+once, on edge arrays built once per polygon, with the scalar rules'
+arithmetic, so they give the same bits as a loop over edges would.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from typing import Iterable, Sequence
@@ -32,15 +36,51 @@ __all__ = [
 ]
 
 
-def _segment_distance(z: complex, a: complex, b: complex) -> float:
-    """Distance from ``z`` to the closed segment ``[a, b]``."""
-    d = b - a
-    L2 = abs(d) ** 2
-    if L2 == 0.0:
-        return abs(z - a)
-    t = ((z - a).real * d.real + (z - a).imag * d.imag) / L2
-    t = min(1.0, max(0.0, t))
-    return abs(z - (a + t * d))
+@functools.lru_cache(maxsize=256)
+def _edge_arrays(vertices: tuple[complex, ...]) -> tuple[np.ndarray, ...]:
+    """The edges of the closed loop through ``vertices``, edge ``i`` from
+    vertex ``a`` = ``i`` to ``b`` = ``i + 1``, as arrays: ``a.real``,
+    ``a.imag``, ``b.imag``, ``d.real``, ``d.imag`` for ``d = b - a``, and
+    ``abs(d) ** 2``, each formed as the scalar rules form it.  Built once
+    per polygon: the cache is keyed on its vertices."""
+    a = np.array(vertices, dtype=complex)
+    d = np.roll(a, -1) - a
+    length2 = np.array([abs(w) ** 2 for w in d.tolist()])
+    return a.real, a.imag, np.roll(a.imag, -1), d.real, d.imag, length2
+
+
+def _points(pts: Iterable[complex]) -> np.ndarray:
+    return np.array([complex(z) for z in pts], dtype=complex)
+
+
+def _segment_distances(zs: np.ndarray, vertices: tuple[complex, ...]) -> np.ndarray:
+    """Distance from each point of ``zs`` to each closed edge of the loop
+    through ``vertices``, points along the first axis.  Per pair it is the
+    scalar rule's arithmetic: the clamped projection parameter ``t`` of
+    ``z - a`` on ``d``, then ``abs(z - (a + t*d))`` as ``hypot``; a
+    zero-length edge gives ``abs(z - a)``."""
+    ar, ai, _, dr, di, length2 = _edge_arrays(vertices)
+    zr, zi = zs.real[:, None], zs.imag[:, None]
+    ur, ui = zr - ar, zi - ai
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (ur * dr + ui * di) / length2
+    t = np.where(t > 0.0, t, 0.0)  # max(0.0, t), NaN to 0.0 as max does
+    t = np.where(t < 1.0, t, 1.0)  # min(1.0, t)
+    dist = np.hypot(zr - (ar + t * dr), zi - (ai + t * di))
+    return np.where(length2 == 0.0, np.hypot(ur, ui), dist)
+
+
+def _winding_numbers(zs: np.ndarray, vertices: tuple[complex, ...]) -> np.ndarray:
+    """Winding number of the loop through ``vertices`` about each point of
+    ``zs``: an edge crossing the point's horizontal upwards with the point
+    on its left counts +1, downwards with the point on its right -1, the
+    sides decided by ``_cross(a, b, z)``'s arithmetic."""
+    ar, ai, bi, dr, di, _ = _edge_arrays(vertices)
+    zr, zi = zs.real[:, None], zs.imag[:, None]
+    cross = dr * (zi - ai) - di * (zr - ar)
+    up = (ai <= zi) & (bi > zi) & (cross > 0)
+    down = (ai > zi) & (bi <= zi) & (cross < 0)
+    return up.sum(axis=1) - down.sum(axis=1)
 
 
 def _ray_distance(z: complex, direction: complex) -> float:
@@ -110,12 +150,19 @@ class PolygonalArc(Frozen):
         """Angle of the ray in (-pi, pi]."""
         return cmath.phase(self.ray_direction)
 
+    def _distances(self, zs: np.ndarray) -> np.ndarray:
+        """``_ray_distance`` to each point of ``zs``, with its arithmetic."""
+        u = self.ray_direction / abs(self.ray_direction)
+        t = zs.real * u.real + zs.imag * u.imag
+        t = np.where(t > 0.0, t, 0.0)  # max(0.0, t)
+        return np.hypot(zs.real - t * u.real, zs.imag - t * u.imag)
+
     def distance_to_point(self, z: complex) -> float:
-        return _ray_distance(z, self.ray_direction)
+        return self.distance_to_points([z])
 
     def distance_to_points(self, pts: Iterable[complex]) -> float:
-        ds = [self.distance_to_point(z) for z in pts]
-        return min(ds) if ds else math.inf
+        zs = _points(pts)
+        return float(self._distances(zs).min()) if len(zs) else math.inf
 
     def describe(self) -> dict:
         return {"ray_direction": [self.ray_direction.real, self.ray_direction.imag]}
@@ -184,29 +231,23 @@ class JordanPolygon(Frozen):
 
     def winding_number(self, z: complex) -> int:
         """Integer winding number of the (counterclockwise) loop about z."""
-        wn = 0
-        for a, b in self.edges():
-            if a.imag <= z.imag:
-                if b.imag > z.imag and _cross(a, b, z) > 0:
-                    wn += 1
-            else:
-                if b.imag <= z.imag and _cross(a, b, z) < 0:
-                    wn -= 1
-        return wn
+        return int(_winding_numbers(_points([z]), self.vertices)[0])
 
     def distance_to_point(self, z: complex) -> float:
-        return min(_segment_distance(z, a, b) for a, b in self.edges())
+        return self.distance_to_points([z])
 
     def distance_to_points(self, pts: Iterable[complex]) -> float:
-        ds = [self.distance_to_point(z) for z in pts]
-        return min(ds) if ds else math.inf
+        zs = _points(pts)
+        return float(_segment_distances(zs, self.vertices).min()) if len(zs) else math.inf
 
     def encloses(self, pts: Iterable[complex], margin: float = 0.0) -> bool:
-        for z in pts:
-            if self.winding_number(z) != 1:
-                return False
-            if margin > 0.0 and self.distance_to_point(z) < margin:
-                return False
+        """Every point has winding number 1 and, for a positive margin, is
+        not nearer the loop than ``margin``."""
+        zs = _points(pts)
+        if not (_winding_numbers(zs, self.vertices) == 1).all():
+            return False
+        if margin > 0.0 and len(zs):
+            return not (_segment_distances(zs, self.vertices).min(axis=1) < margin).any()
         return True
 
     def describe(self) -> dict:

@@ -7,26 +7,28 @@ angles are tracked cumulatively along the integration loop, so no
 principal-value convention at the cut ever enters; a loop-closure check
 guards against a contour that sneaks across the cut.
 
-Quadrature doubles its node count until two passes agree.  Polygons
-use composite Gauss-Legendre per edge.  Each edge starts at the order
-that the Bernstein-ellipse bound asks for at its nearest spectrum point,
-so a short edge far from the spectrum takes few nodes; every edge
-doubles on each pass, and each pass starts over.
-The fixed circle |z| = 1/2 of ``sqrt_near_one`` uses the periodic
-trapezoid rule, which converges geometrically; each doubling keeps half
-of the previous sum and evaluates only the new midpoint nodes.  The
-weighted resolvent sum is formed by the algebra's resolvent kernel: an
-integral asks for it once (``resolvent_kernel``), so the work that does
-not depend on the nodes, such as the unitization's table of powers, is
-done once per integral and not once per pass.  Results are deterministic
-for a fixed version.
+Quadrature refines until two passes agree, edge by edge.  Polygons use
+composite Gauss-Legendre per edge.  Each edge starts at the order that
+the Bernstein-ellipse bound asks for at its nearest spectrum point, so a
+short edge far from the spectrum takes few nodes; after the second pass
+only the edges whose own last change is not yet small are doubled, and
+an edge left alone keeps its sum.  The fixed circle |z| = 1/2 of
+``sqrt_near_one`` is one edge under the periodic trapezoid rule, which
+converges geometrically; each doubling keeps half of the previous sum
+and evaluates only the new midpoint nodes.  The weighted resolvent sums
+are formed by the algebra's resolvent kernel: an integral asks for it
+once (``resolvent_kernel``), so the work that does not depend on the
+nodes, such as the unitization's table of powers, is done once per
+integral and not once per pass; each pass is one kernel call that sums
+every edge it refines apart.  Results are deterministic for a fixed
+version.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,37 +111,57 @@ class ContourData(Frozen):
 class QuadratureAudit(Frozen):
     """Convergence record of one adaptive contour integration.
 
-    ``nodes`` is the node count of the accepted pass over the whole loop;
-    on the circle of ``sqrt_near_one`` that is every node evaluated, as
-    each pass keeps the previous one's nodes.
+    ``nodes`` is the node count of the accepted estimate over the whole
+    loop, each edge at its last level; ``evaluated`` is the resolvents
+    spent over all passes.  On the circle of ``sqrt_near_one`` the two
+    agree, as each pass keeps the previous one's nodes.  ``delta`` is the
+    stored norm of the last summed change and ``refinements`` the passes
+    after the first.
     """
 
-    __slots__ = ("nodes", "delta", "refinements")
+    __slots__ = ("nodes", "delta", "refinements", "evaluated")
 
     def describe(self) -> dict:
         return {
             "nodes": self.nodes,
             "delta": self.delta,
             "refinements": self.refinements,
+            "evaluated": self.evaluated,
         }
 
 
 _PANEL_ORDER = 16
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1] by Golub-Welsch: the
+    nodes are the eigenvalues of the Jacobi matrix of the Legendre
+    recurrence, the weights twice the squared first components of its
+    eigenvectors (Golub & Welsch, Math. Comp. 23, 1969).  As in numpy's
+    ``leggauss``, the rule is then made symmetric about 0 and its weights
+    scaled to sum 2."""
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    x, v = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    w = 2.0 * v[0] ** 2
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    return x, w * (2.0 / w.sum())
+
+
+@functools.lru_cache(maxsize=None)
 def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for n points on [-1, 1]: a single Gauss-Legendre
     rule up to the panel order, composite equal panels of that order
     beyond it.  Composite panels keep the cost linear in n, where raising
-    the polynomial order would cost leggauss its cubic eigensolve.  Node
+    the polynomial order would cost the rule its cubic eigensolve.  Node
     counts are powers of two up to QUAD_MAX_NODES, so the cache is small."""
     if n <= _PANEL_ORDER:
-        return np.polynomial.legendre.leggauss(n)
+        return _gauss_legendre(n)
     panels, rem = divmod(n, _PANEL_ORDER)
     if rem:
         raise ParameterError("composite node count must be a multiple of the panel order")
-    x, w = np.polynomial.legendre.leggauss(_PANEL_ORDER)
+    x, w = _gauss_legendre(_PANEL_ORDER)
     h = 2.0 / panels
     starts = -1.0 + h * np.arange(panels)
     xs = (starts[:, None] + 0.5 * h * (x[None, :] + 1.0)).ravel()
@@ -160,7 +182,8 @@ def _edge_starts(edges: list[tuple[complex, complex]], points: Sequence[complex]
     w flips that form to the root < 1.  An edge starts at the smallest
     power of two in [_MIN_START_NODES, QUAD_START_NODES] at which its
     nearest point of ``points`` gives rho**(-2n) <= QUAD_TOL, else at
-    QUAD_START_NODES; with no points, at the fewest."""
+    QUAD_START_NODES; with no points, at the fewest.  The bound is the
+    edge's own, so ``_integrate`` also refines each edge on its own."""
     a, b = np.array(edges, dtype=complex).T
     s = np.asarray(points, dtype=complex)[None, :]
     c = (np.abs(s - a[:, None]) + np.abs(s - b[:, None])) / np.abs(b - a)[:, None]
@@ -194,82 +217,123 @@ def _tracked_angles(zs: np.ndarray, cut_angle: float) -> np.ndarray:
     return tracked
 
 
-# a node rule maps pass k (0 first) to the nodes that pass evaluates, their
-# dz coefficients, the share of the previous total the pass carries over (0
-# when it starts over) and the most nodes the pass puts on one edge
-_NodeRule = Callable[[int], tuple[np.ndarray, np.ndarray, float, int]]
+# an edge maps its level k (0 first) to the nodes it evaluates at that
+# level, their dz coefficients, the share of its previous sum it carries
+# over (0 when it starts over) and its node count at that level
+_Edge = Callable[[int], tuple[np.ndarray, np.ndarray, float, int]]
 
 
-def _polygon_rule(polygon: JordanPolygon, points: Sequence[complex]) -> _NodeRule:
-    """Composite Gauss-Legendre along the loop, in traversal order: pass k
-    puts start * 2**k nodes on each edge, the start from the spectrum
-    ``points`` (``_edge_starts``), and starts over."""
-    edges = polygon.edges()
-    starts = _edge_starts(edges, points).tolist()
-    mids = [0.5 * (a + b) for a, b in edges]
-    halves = [0.5 * (b - a) for a, b in edges]
+def _polygon_edges(polygon: JordanPolygon, points: Sequence[complex]) -> list[_Edge]:
+    """Composite Gauss-Legendre on each edge of the loop, in traversal
+    order: at level k an edge holds start * 2**k nodes, the start from the
+    spectrum ``points`` (``_edge_starts``), and each level starts over."""
 
-    def rule(k: int) -> tuple[np.ndarray, np.ndarray, float, int]:
-        zs = []
-        coeffs = []
-        for mid, half, start in zip(mids, halves, starts):
+    def edge(a: complex, b: complex, start: int) -> _Edge:
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+
+        def level(k: int) -> tuple[np.ndarray, np.ndarray, float, int]:
             x, w = _panel_rule(start << k)
-            zs.append(mid + half * x)
-            coeffs.append(w * half)
-        return np.concatenate(zs), np.concatenate(coeffs), 0.0, max(starts) << k
+            return mid + half * x, w * half, 0.0, start << k
 
-    return rule
+        return level
+
+    edges = polygon.edges()
+    return [edge(a, b, s) for (a, b), s in zip(edges, _edge_starts(edges, points).tolist())]
 
 
-def _circle_rule(k: int) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Periodic trapezoid rule with n = 32 * 2**k nodes on |z| = 1/2, its
-    one closed edge; a refining pass holds only the odd nodes, the
-    previous pass's midpoints."""
+def _circle_edge(k: int) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Periodic trapezoid rule with n = 32 * 2**k nodes on |z| = 1/2, one
+    closed edge; a refining level holds only the odd nodes, the previous
+    level's midpoints, and carries half of the previous sum."""
     n = _NEAR_ONE_START_NODES << k
     j = np.arange(1, n, 2) if k else np.arange(n)
     zs = _NEAR_ONE_RADIUS * np.exp(2j * math.pi * j / n)
     return zs, (2j * math.pi / n) * zs, 0.5 if k else 0.0, n
 
 
+def _unconverged(norms: list[float]) -> list[int]:
+    """The edges the next pass refines: those whose last gap has a stored
+    norm of at least QUAD_TOL / E, for E edges.  Once none has, the summed
+    gap is below QUAD_TOL by the triangle inequality; should rounding
+    leave it at or above, every edge is refined."""
+    bar = QUAD_TOL / len(norms)
+    return [e for e, g in enumerate(norms) if g >= bar] or list(range(len(norms)))
+
+
 def _integrate(
     scalar_fn: Callable[[np.ndarray], np.ndarray],
     a: Element,
-    rule: _NodeRule,
+    edges: list[_Edge],
     audit_sink: list[QuadratureAudit] | None,
 ) -> Element:
     """(1/2pi i) * integral of scalar_fn(z) (z - a)^(-1) dz over the loop
-    of ``rule``, doubling the nodes of every edge each pass until two
-    passes agree; the convergence record goes to ``audit_sink``.  The
-    algebra's resolvent kernel for ``a`` is built once and called once
-    per pass."""
+    of ``edges``, each edge refined on its own; the convergence record
+    goes to ``audit_sink``.
+
+    Pass 0 puts every edge at level 0 and pass 1 refines them all.  After
+    that a pass refines only the edges that ``_unconverged`` names, and
+    the estimate is accepted once the stored norm of the summed gaps,
+    each edge's change at its last refinement, is below QUAD_TOL.  A
+    refined edge brings its new gap, one left alone keeps its last, so
+    with every edge refined this is the whole sum's change.  Each pass
+    evaluates ``scalar_fn`` along the whole loop, so a branch tracked
+    along it sees a closed loop, and makes one call of the algebra's
+    resolvent kernel, built once for ``a``, with one run per refined
+    edge."""
     alg: BanachAlgebra = a.algebra
     kernel = alg.resolvent_kernel(a)
-    prev: Element | None = None
-    nodes = 0
+    count = len(edges)
+    levels = [0] * count  # the level each edge evaluates next
+    rules: list = [None] * count  # each edge's last (nodes, coeffs, carry, node count)
+    sums: list = [None] * count  # each edge's estimate
+    gaps: list = [None] * count  # each edge's change at its last refinement
+    norms = [math.inf] * count  # their stored norms
+    refine = list(range(count))
+    total: Element | None = None
+    evaluated = 0
     for k in itertools.count():
-        zs, coeffs, carry, densest = rule(k)
+        for e in refine:
+            rules[e] = edges[e](levels[e])
+            levels[e] += 1
+        zs = np.concatenate([r[0] for r in rules])
         gv = np.asarray(scalar_fn(zs), dtype=complex)
-        weights = gv * coeffs / (2j * math.pi)
-        total = kernel(zs, weights)
-        # the nodes of the whole pass, the carried ones included
-        nodes = len(zs) + (nodes if carry else 0)
-        if carry:
-            total = carry * prev + total
-        if prev is not None:
-            gap = total - prev
+        weights = gv * np.concatenate([r[1] for r in rules]) / (2j * math.pi)
+        if len(refine) < count:
+            bounds = list(itertools.accumulate((len(r[0]) for r in rules), initial=0))
+            take = np.concatenate([np.arange(bounds[e], bounds[e + 1]) for e in refine])
+            zs, weights = zs[take], weights[take]
+        starts = list(itertools.accumulate((len(rules[e][0]) for e in refine[:-1]), initial=0))
+        previous = {}
+        for e, run in zip(refine, kernel(zs, weights, starts)):
+            carry = rules[e][2]
+            previous[e] = sums[e]
+            sums[e] = carry * sums[e] + run if carry else run
+        evaluated += len(zs)
+        before, total = total, alg.sum(sums)
+        if k:
             # convergence concerns the stored data, as tails do not shrink with the
             # nodes; a NaN gap, which no node count mends, ends it and fails every check
+            stale = [gaps[e] for e in range(count) if e not in previous]
+            gap = total - before
+            if stale:
+                gap = gap + alg.sum(stale)
             delta = alg.norm_parts(gap)[1]
             if not delta >= QUAD_TOL:
                 if audit_sink is not None:
-                    audit_sink.append(QuadratureAudit(nodes, delta, k))
+                    nodes = sum(r[3] for r in rules)
+                    audit_sink.append(QuadratureAudit(nodes, delta, k, evaluated))
                 return total
+            if count > 1:  # one edge is refined until the sum settles
+                for e, old in previous.items():
+                    gaps[e] = sums[e] - old
+                    norms[e] = alg.norm_parts(gaps[e])[1]
+                refine = _unconverged(norms)
+        densest = max(rules[e][3] for e in refine)
         if 2 * densest > QUAD_MAX_NODES:
             raise QuadratureNotConverged(
                 f"contour integral did not stabilise below {QUAD_TOL} "
                 f"at {densest} nodes on its densest edge"
             )
-        prev = total
 
 
 def _vectorise(g: Callable) -> Callable[[np.ndarray], np.ndarray]:
@@ -287,11 +351,17 @@ def _vectorise(g: Callable) -> Callable[[np.ndarray], np.ndarray]:
 
 def _check_enclosure(rep: SpectrumReport, cd: ContourData, *, require_inside: bool) -> None:
     """Every spectrum point must keep eps/2 clear of the contour and,
-    with ``require_inside``, lie inside it."""
+    with ``require_inside``, lie inside it.  All points are tested at
+    once; where one fails, the first failure in point order is raised."""
+    polygon, margin = cd.polygon, 0.5 * cd.eps
+    if require_inside and polygon.encloses(rep.points, margin):
+        return
+    if not require_inside and polygon.distance_to_points(rep.points) >= margin:
+        return
     for z in rep.points:
-        if cd.polygon.distance_to_point(z) < 0.5 * cd.eps:
+        if polygon.distance_to_point(z) < margin:
             raise SpectrumOnContour(f"spectrum point {z:.6g} lies within eps/2 of the contour")
-        if require_inside and cd.polygon.winding_number(z) != 1:
+        if require_inside and polygon.winding_number(z) != 1:
             raise SpectrumNotEnclosed(f"spectrum point {z:.6g} is not enclosed")
 
 
@@ -308,7 +378,7 @@ def contour_apply(
     """
     rep = a.spectrum()
     _check_enclosure(rep, cd, require_inside=True)
-    return _integrate(_vectorise(g), a, _polygon_rule(cd.polygon, rep.points), audit_sink)
+    return _integrate(_vectorise(g), a, _polygon_edges(cd.polygon, rep.points), audit_sink)
 
 
 def spectral_component_apply(
@@ -322,7 +392,7 @@ def spectral_component_apply(
     picks out g applied to the enclosed spectral component."""
     rep = a.spectrum()
     _check_enclosure(rep, cd, require_inside=False)
-    return _integrate(_vectorise(g), a, _polygon_rule(cd.polygon, rep.points), audit_sink)
+    return _integrate(_vectorise(g), a, _polygon_edges(cd.polygon, rep.points), audit_sink)
 
 
 def riesz_projection(
@@ -335,7 +405,7 @@ def riesz_projection(
     at distance >= eps/2, inside or outside."""
     rep = a.spectrum()
     _check_enclosure(rep, cd, require_inside=False)
-    return _integrate(np.ones_like, a, _polygon_rule(cd.polygon, rep.points), audit_sink)
+    return _integrate(np.ones_like, a, _polygon_edges(cd.polygon, rep.points), audit_sink)
 
 
 def sqrt_cut(
@@ -360,7 +430,7 @@ def sqrt_cut(
     if sheet not in (None, cd.sheet):
         raise ParameterError(f"sheet {sheet} differs from the contour's sheet {cd.sheet}")
     rep = x.spectrum()
-    clearance = min((cut.distance_to_point(z) for z in rep.points), default=math.inf)
+    clearance = cut.distance_to_points(rep.points)
     if clearance <= cd.eps:
         raise SpectrumMeetsCut(
             f"spectrum clearance {clearance:.3g} from the cut is within eps={cd.eps:.3g}"
@@ -372,7 +442,7 @@ def sqrt_cut(
         theta = _tracked_angles(zs, alpha)
         return cd.sheet * np.sqrt(np.abs(zs)) * np.exp(0.5j * theta)
 
-    return _integrate(branch_sqrt, x, _polygon_rule(cd.polygon, rep.points), audit_sink)
+    return _integrate(branch_sqrt, x, _polygon_edges(cd.polygon, rep.points), audit_sink)
 
 
 def sqrt_near_one(
@@ -395,5 +465,5 @@ def sqrt_near_one(
         raise SpectrumTooLarge(
             f"spectral radius {rep.radius:.6g} is not inside the disc of radius 1/3"
         )
-    result = _integrate(lambda zs: np.sqrt(1.0 - zs), y, _circle_rule, audit_sink)
+    result = _integrate(lambda zs: np.sqrt(1.0 - zs), y, [_circle_edge], audit_sink)
     return 0.5 * result - 0.5 * alg.one()

@@ -96,3 +96,17 @@ def test_a_pair_without_reports_exits_2(tmp_path):
     proc = _compare(old, new)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.splitlines() == [f"error: neither {old} nor {new} holds a .json or .csv report"]
+
+
+def test_the_quadrature_budget_of_each_side_is_printed(tmp_path):
+    """The summed ``nodes`` and ``evaluated`` of every ``contour_audit``
+    record, old side first; a report from before ``evaluated`` counts 0."""
+    audits = [{"nodes": 64, "delta": 1e-13, "refinements": 1}, {"nodes": 36, "delta": 2e-13, "refinements": 2}]
+    old = dict(_REPORT, runs=[{"name": "local", "contour_audit": audits}, {"name": "trivial", "contour_audit": []}])
+    fewer = [dict(a, nodes=a["nodes"] // 2, evaluated=a["nodes"]) for a in audits]
+    new = dict(_REPORT, runs=[{"name": "local", "contour_audit": fewer}, {"name": "trivial", "contour_audit": []}])
+    proc = _compare(_write(tmp_path / "a", report=old), _write(tmp_path / "b", report=new))
+    assert proc.returncode == 1  # the audits' nodes and the new field differ
+    line = next(ln for ln in proc.stdout.splitlines() if ln.startswith("demo.json"))
+    assert line.endswith("; contour_audit nodes 100 -> 50, evaluated 0 -> 100")
+    assert "demo.csv" in proc.stdout and "contour_audit" not in proc.stdout.split("demo.json")[0]

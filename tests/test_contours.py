@@ -6,6 +6,7 @@ import pytest
 
 from oracles import polygon_is_simple_pairwise
 
+from idemlift import contours
 from idemlift.algebra import SpectrumReport
 from idemlift.contours import (
     JordanPolygon,
@@ -308,3 +309,73 @@ def test_escape_ray_refuses_a_non_finite_spectrum() -> None:
 
 def test_escape_ray_of_an_empty_spectrum_is_the_negative_axis() -> None:
     assert build_escape_arc(SpectrumReport((), True)).ray_direction == -1
+
+
+# -- the point queries work on edge arrays; each distance and winding
+# number is the scalar rules' arithmetic, bit for bit
+
+
+def _segment_distance(z: complex, a: complex, b: complex) -> float:
+    """The scalar rule: distance from ``z`` to the closed segment [a, b]."""
+    d = b - a
+    L2 = abs(d) ** 2
+    if L2 == 0.0:
+        return abs(z - a)
+    t = ((z - a).real * d.real + (z - a).imag * d.imag) / L2
+    t = min(1.0, max(0.0, t))
+    return abs(z - (a + t * d))
+
+
+def _winding_number(poly: JordanPolygon, z: complex) -> int:
+    """The scalar rule: crossings of z's horizontal, sided by ``_cross``."""
+    wn = 0
+    for a, b in poly.edges():
+        if a.imag <= z.imag:
+            if b.imag > z.imag and contours._cross(a, b, z) > 0:
+                wn += 1
+        elif b.imag <= z.imag and contours._cross(a, b, z) < 0:
+            wn -= 1
+    return wn
+
+
+def _query_cases(seed: int):
+    """Polygons with random points, their vertices and points on their edges."""
+    rng = np.random.default_rng(seed)
+    spec = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    arc = build_escape_arc(spec)
+    polys = [
+        build_gamma_pair(arc, 0.05 + rng.uniform(), 3.0),
+        circle_polygon(complex(*rng.standard_normal(2)), rng.uniform(0.1, 3.0), int(rng.integers(8, 70))),
+        square_polygon(0.5j, 1.0),
+    ]
+    for poly in polys:
+        pts = list(3.0 * (rng.standard_normal(30) + 1j * rng.standard_normal(30)))
+        pts += list(poly.vertices)
+        pts += [a + rng.uniform() * (b - a) for a, b in poly.edges()]
+        pts += [0.5 * (a + b) for a, b in poly.edges()]
+        yield arc, poly, pts
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_polygon_point_queries_equal_the_scalar_rules_bit_for_bit(seed) -> None:
+    for arc, poly, pts in _query_cases(seed):
+        dists = [min(_segment_distance(z, a, b) for a, b in poly.edges()) for z in pts]
+        winds = [_winding_number(poly, z) for z in pts]
+        assert [poly.distance_to_point(z) for z in pts] == dists
+        assert [poly.winding_number(z) for z in pts] == winds
+        assert poly.distance_to_points(pts) == min(dists)
+        assert 0.0 in dists and 0 in winds and 1 in winds  # vertices and edges are met
+        inside = [z for z, w in zip(pts, winds) if w == 1]
+        margin = 0.5 * max(d for d, w in zip(dists, winds) if w == 1)
+        assert poly.encloses(inside) and not poly.encloses(pts)
+        far = [z for z, d, w in zip(pts, dists, winds) if w == 1 and d >= margin]
+        assert poly.encloses(far, margin) and not poly.encloses(inside, margin)
+        rays = [contours._ray_distance(z, arc.ray_direction) for z in pts]
+        assert [arc.distance_to_point(z) for z in pts] == rays
+        assert arc.distance_to_points(pts) == min(rays)
+
+
+def test_point_queries_of_no_points() -> None:
+    poly = square_polygon(0j, 1.0)
+    assert poly.distance_to_points([]) == math.inf and poly.encloses([], margin=0.5)
+    assert PolygonalArc(1.0).distance_to_points([]) == math.inf

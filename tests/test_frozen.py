@@ -130,7 +130,7 @@ _SIGNATURES = {
     "HomFamily": "source, target, evaluator, embed=None, radius=inf, star_on_real=False, label=''",
     "Section": "pi, target, evaluator, radius=inf, label=''",
     "ContourData": "polygon, eps, branch='none', cut=None, sheet=1, label=''",
-    "QuadratureAudit": "nodes, delta, refinements",
+    "QuadratureAudit": "nodes, delta, refinements, evaluated",
     "LiftPoint": "lam, valid, defects=None, elements=None, allowances=None",
     "LiftTrace": "points, audits, contours=(), eps0=None, label=''",
     "Scenario": (
@@ -177,9 +177,9 @@ def _field_values(name: str) -> tuple:
         "HomFamily": (m2, m2, ident, ident, 2.0, True, "pi"),
         "Section": (il.HomFamily(m2, m2, ident), target, target.evaluator, 2.0, "s"),
         "ContourData": (il.circle_polygon(0j, 1.0), 0.1, "cut", il.PolygonalArc(-1), -1, "c"),
-        "QuadratureAudit": (16, 1e-15, 1),
+        "QuadratureAudit": (16, 1e-15, 1, 48),
         "LiftPoint": (0.1, True, {"idem": 1e-16}, {}, {"idem": 0.0}),
-        "LiftTrace": ((point,), (il.QuadratureAudit(16, 1e-15, 1),), (), 0.25, "t"),
+        "LiftTrace": ((point,), (il.QuadratureAudit(16, 1e-15, 1, 48),), (), 0.25, "t"),
         "Scenario": tuple(getattr(probe, field) for field in probe._fields),
     }[name]
 

@@ -15,6 +15,7 @@ from oracles import (
 
 from idemlift import funcalc
 from idemlift.algebra import (
+    BlockTriangularAlgebra,
     ConvolutionAlgebra,
     DualAlgebra,
     MatrixAlgebra,
@@ -372,9 +373,9 @@ def test_sqrt_near_one_evaluates_each_circle_node_once(monkeypatch) -> None:
     def spy(self, x):
         kernel = make_kernel(self, x)
 
-        def integral(zs, weights):
+        def integral(zs, weights, starts):
             seen.append(np.array(zs))
-            return kernel(zs, weights)
+            return kernel(zs, weights, starts)
 
         return integral
 
@@ -456,7 +457,9 @@ def test_sqrt_near_one_builds_one_power_table_per_integral(monkeypatch) -> None:
 
     make_kernel = UnitizationAlgebra.resolvent_kernel
     monkeypatch.setattr(
-        UnitizationAlgebra, "resolvent_kernel", lambda self, x: lambda zs, ws: make_kernel(self, x)(zs, ws)
+        UnitizationAlgebra,
+        "resolvent_kernel",
+        lambda self, x: lambda zs, ws, starts: make_kernel(self, x)(zs, ws, starts),
     )
     again = sqrt_near_one(x)
     assert up.scalar_part(again) == up.scalar_part(once)
@@ -599,11 +602,17 @@ def _start_rule_cases(n, seed):
     ]
 
 
-@pytest.mark.parametrize("n, seed", [(4, 59), (4, 61), (16, 67)])
-def test_the_start_rule_agrees_with_the_uniform_rule_on_fewer_resolvents(monkeypatch, n, seed) -> None:
-    """Each polygon call matches the uniform start (every edge at
-    QUAD_START_NODES, as before the start rule) and the eig reference to
-    1e-12, and evaluates no more resolvents than the uniform start."""
+def _refine_every_edge(norms):
+    """All-edge doubling: the per-edge loop with every edge refined on
+    every pass, as before it refined edge by edge."""
+    return list(range(len(norms)))
+
+
+@pytest.fixture
+def resolvent_count(monkeypatch):
+    """The nodes the matrix kernels receive, counted through a wrapped
+    ``algebra._resolvents``; ``run(call)`` gives the call's payload, the
+    nodes it evaluated and its one audit."""
     from idemlift import algebra
 
     evaluated = []
@@ -622,41 +631,288 @@ def test_the_start_rule_agrees_with_the_uniform_rule_on_fewer_resolvents(monkeyp
         (audit,) = audits
         return result, sum(evaluated), audit
 
+    return run
+
+
+@pytest.mark.parametrize("n, seed", [(4, 59), (4, 61), (16, 67)])
+def test_the_start_rule_agrees_with_the_uniform_rule_on_fewer_resolvents(
+    monkeypatch, resolvent_count, n, seed
+) -> None:
+    """Each polygon call matches the uniform start (every edge at
+    QUAD_START_NODES, as before the start rule) and the eig reference to
+    1e-12.  Per call it evaluates no more resolvents than all-edge
+    doubling from the same starts, and all the calls together fewer than
+    the uniform start."""
+
     def uniform_starts(edges, points):
         return np.full(len(edges), funcalc.QUAD_START_NODES)
 
     saved = 0
     for name, call, ref in _start_rule_cases(n, seed):
-        got, nodes, audit = run(call)
+        got, nodes, audit = resolvent_count(call)
         with monkeypatch.context() as m:
             m.setattr(funcalc, "_edge_starts", uniform_starts)
-            uniform, uniform_nodes, _ = run(call)
+            uniform, uniform_nodes, _ = resolvent_count(call)
+        with monkeypatch.context() as m:
+            m.setattr(funcalc, "_unconverged", _refine_every_edge)
+            _, doubled_nodes, doubled = resolvent_count(call)
         assert np.max(np.abs(got - ref)) <= 1e-12, name
         assert np.max(np.abs(got - uniform)) <= 1e-12, name
-        assert nodes <= uniform_nodes, name
-        # every pass starts over and doubles: all k + 1 passes hold
+        assert nodes == audit.evaluated <= doubled_nodes, name
+        # all-edge doubling starts over on every edge: its k + 1 passes hold
         # (2**(k + 1) - 1) / 2**k times the nodes of the accepted one
-        k = audit.refinements
-        assert nodes == audit.nodes * (2 ** (k + 1) - 1) // 2**k, name
+        k = doubled.refinements
+        assert doubled_nodes == doubled.nodes * (2 ** (k + 1) - 1) // 2**k, name
         saved += uniform_nodes - nodes
     assert saved > 0
 
 
 def test_a_polygon_integral_gives_up_at_the_node_cap_on_its_densest_edge(monkeypatch) -> None:
     """QUAD_MAX_NODES bounds the nodes of any one edge: a call that
-    accepts with d nodes on its densest edge still converges under a cap
-    of d and gives up under a cap of d / 2."""
+    accepts with d nodes on its densest edge converges to the same result
+    under a cap of d and gives up under a cap of d / 2.  The Riesz
+    projection's edges start apart; the cut square root's also end at
+    different levels, as its last passes refine only some edges."""
     rng = np.random.default_rng(59)
     v = _basis(rng, 4)
     a = MatrixAlgebra(4).wrap(v @ np.diag([0.1, 0.2j, 1.3, 0.9 - 0.1j]) @ np.linalg.inv(v))
     cd = ContourData(circle_polygon(1 + 0j, 0.45), eps=0.1)
-    audits = []
-    riesz_projection(a, cd, audits)
     starts = funcalc._edge_starts(cd.polygon.edges(), a.spectrum().points)
     assert starts.min() < starts.max()  # the edges start apart
-    densest = int(starts.max()) << audits[0].refinements
-    monkeypatch.setattr(funcalc, "QUAD_MAX_NODES", densest)
-    riesz_projection(a, cd)
-    monkeypatch.setattr(funcalc, "QUAD_MAX_NODES", densest // 2)
-    with pytest.raises(QuadratureNotConverged, match=f"at {densest // 2} nodes on its densest edge"):
-        riesz_projection(a, cd)
+    _, cut_sqrt, _ = _start_rule_cases(4, 61)[3]
+    calls = _kernel_runs(monkeypatch)
+    for name, call in (("riesz", lambda: riesz_projection(a, cd)), ("sqrt_cut", lambda: cut_sqrt([]))):
+        calls.clear()
+        got = call().payload
+        densest = max(max(runs) for runs in calls)
+        if name == "sqrt_cut":
+            assert len(set(map(len, calls))) > 1  # the last passes refine fewer edges
+        with monkeypatch.context() as m:
+            m.setattr(funcalc, "QUAD_MAX_NODES", densest)
+            assert np.array_equal(call().payload, got)
+            m.setattr(funcalc, "QUAD_MAX_NODES", densest // 2)
+            with pytest.raises(QuadratureNotConverged, match=f"at {densest // 2} nodes on its densest edge"):
+                call()
+
+
+# -- the per-edge loop: each pass refines only the edges whose own gap is
+# not yet below QUAD_TOL / E
+
+
+def _scripted_edges(values, calls):
+    """Edges whose sum at level k is ``values[e][k]``: one node at z = 1
+    with dz weight 2 pi i * value, against the resolvent of 0 in M_1.
+    Each evaluation is recorded in ``calls`` as (edge, level)."""
+
+    def edge(e):
+        def level(k):
+            calls.append((e, k))
+            return np.array([1.0 + 0j]), np.array([2j * np.pi * values[e][k]]), 0.0, 4 << k
+
+        return level
+
+    return [edge(e) for e in range(len(values))]
+
+
+def _scripted(values):
+    calls, audits = [], []
+    total = funcalc._integrate(np.ones_like, M1.zero(), _scripted_edges(values, calls), audits)
+    (audit,) = audits
+    return complex(total.payload[0, 0]), audit, calls
+
+
+def test_a_pass_refines_only_the_edges_that_have_not_converged_and_keeps_the_stale_gaps() -> None:
+    """Edge 0 settles at pass 1 with a gap of 0.45 tol, below tol / 2, so
+    it is never refined again, and its gap stays in the summed one: pass 2
+    reads 0.6 + 0.45 tol and goes on, pass 3 reads 0.01 + 0.45 tol and
+    stops.  Dropping the stale gap would stop at pass 2; refining every
+    edge would evaluate edge 0 at levels 2 and 3."""
+    tol = funcalc.QUAD_TOL
+    values = [[0.0, 0.45 * tol, 0.45 * tol, 0.45 * tol], [0.0, 1e-3, 1e-3 + 0.6 * tol, 1e-3 + 0.61 * tol]]
+    total, audit, calls = _scripted(values)
+    assert sorted(calls) == [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3)]
+    assert (audit.refinements, audit.nodes, audit.evaluated) == (3, 8 + 32, 6)
+    assert audit.delta == pytest.approx(0.46 * tol, rel=1e-4)
+    assert total == pytest.approx(1e-3 + 1.06 * tol, abs=1e-18)
+
+
+def test_acceptance_reads_the_summed_gap_not_each_edges_gap() -> None:
+    """Gaps of 0.7e-3 and -0.7e-3 cancel: the sum is accepted at pass 1,
+    although neither edge's own gap is below tol / 2."""
+    values = [[0.0, 0.7e-3, 0.7e-3], [0.0, -0.7e-3, -0.7e-3]]
+    total, audit, calls = _scripted(values)
+    assert audit.refinements == 1 and len(calls) == 4
+    assert audit.delta < funcalc.QUAD_TOL and total == 0.0
+
+
+def test_no_edge_over_its_share_does_not_accept_a_summed_gap_over_the_tolerance(monkeypatch) -> None:
+    """Under a stored norm that is not subadditive, |x|**2 / tol, two gaps
+    of 0.6 tol each read 0.36 tol, under tol / 2, while their sum reads
+    1.44 tol.  The loop refines every edge then, and accepts only a summed
+    gap below QUAD_TOL."""
+    tol = funcalc.QUAD_TOL
+    monkeypatch.setattr(
+        MatrixAlgebra, "_norm_parts", lambda self, p: (abs(p[0, 0]) ** 2 / tol,) * 2
+    )
+    values = [[0.0, 0.6 * tol, 0.6 * tol], [0.0, 0.6 * tol, 0.6 * tol]]
+    _, audit, calls = _scripted(values)
+    assert audit.refinements == 2 and sorted(calls)[-1] == (1, 2)
+    assert audit.delta < tol
+
+
+def _kernel_runs(monkeypatch):
+    """Record, per kernel call of a matrix integral, its run lengths."""
+    calls = []
+    make_kernel = MatrixAlgebra.resolvent_kernel
+
+    def spy(self, x):
+        kernel = make_kernel(self, x)
+
+        def integral(zs, weights, starts):
+            calls.append(np.diff(list(starts) + [len(zs)]).tolist())
+            return kernel(zs, weights, starts)
+
+        return integral
+
+    monkeypatch.setattr(MatrixAlgebra, "resolvent_kernel", spy)
+    return calls
+
+
+def test_each_pass_is_one_kernel_call_over_the_edges_it_refines(monkeypatch) -> None:
+    """Passes 0 and 1 send every edge of the gamma polygon, as one run
+    each, in one kernel call; later passes send fewer edges, each at
+    twice its last node count."""
+    _, call, _ = _start_rule_cases(4, 59)[3]
+    calls = _kernel_runs(monkeypatch)
+    audits = []
+    call(audits)
+    assert len(calls) == audits[0].refinements + 1 >= 3
+    assert len(calls[0]) == len(calls[1]) == 9
+    assert [2 * n for n in calls[0]] == calls[1]
+    assert all(len(runs) < 9 for runs in calls[2:])
+    assert audits[0].evaluated == sum(map(sum, calls))
+
+
+def _jordan_cases():
+    """(name, call, reference) on a 4 x 4 Jordan block at 2 + 0.5i, whose
+    square root is the binomial series sqrt(lam) sum_k C(1/2, k) (N/lam)^k,
+    and on Jordan blocks at 0.05 and 1.02 in one basis, whose Riesz
+    projection near 1 is the second block's identity."""
+    lam, n = 2.0 + 0.5j, 4
+    shift = np.eye(n, k=1, dtype=complex)
+    x = MatrixAlgebra(n).wrap(lam * np.eye(n) + shift)
+    P, gamma = _gamma_for(x)
+    theta = P.angle - 2.0 * np.pi + (np.angle(lam) - P.angle) % (2.0 * np.pi)
+    root = np.sqrt(abs(lam)) * np.exp(0.5j * theta)
+    series = sum(
+        math.prod((0.5 - j) / (j + 1) for j in range(k)) * np.linalg.matrix_power(shift / lam, k)
+        for k in range(n)
+    )
+    jordan = np.zeros((5, 5), dtype=complex)
+    jordan[:2, :2] = 0.05 * np.eye(2) + np.eye(2, k=1)
+    jordan[2:, 2:] = 1.02 * np.eye(3) + np.eye(3, k=1)
+    v = _basis(np.random.default_rng(71), 5)
+    a = MatrixAlgebra(5).wrap(v @ jordan @ np.linalg.inv(v))
+    ref = v @ np.diag([0, 0, 1, 1, 1]).astype(complex) @ np.linalg.inv(v)
+    around_one = ContourData(circle_polygon(1 + 0j, 0.45), eps=0.1)
+    return [
+        ("sqrt_cut", lambda s: sqrt_cut(x, P, gamma, audit_sink=s), root * series),
+        ("riesz_projection", lambda s: riesz_projection(a, around_one, s), ref),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_the_per_edge_loop_agrees_on_jordan_blocks_within_all_edge_doubling(
+    monkeypatch, resolvent_count, case
+) -> None:
+    name, call, ref = _jordan_cases()[case]
+    got, nodes, audit = resolvent_count(call)
+    with monkeypatch.context() as m:
+        m.setattr(funcalc, "_unconverged", _refine_every_edge)
+        doubled, doubled_nodes, _ = resolvent_count(call)
+    assert np.max(np.abs(got - ref)) <= 1e-12, name
+    assert np.max(np.abs(doubled - ref)) <= 1e-12, name
+    assert nodes == audit.evaluated <= doubled_nodes, name
+
+
+def test_the_circle_evaluates_exactly_the_nodes_of_its_estimate() -> None:
+    rng = np.random.default_rng(73)
+    for y in (MatrixAlgebra(4).wrap(_with_radius(rng, 4, 0.3)), M1.zero()):
+        audits = []
+        sqrt_near_one(y, audit_sink=audits)
+        assert audits[0].evaluated == audits[0].nodes >= 64
+
+
+def _same_payload(p, q) -> bool:
+    if isinstance(p, tuple):
+        return len(p) == len(q) and all(_same_payload(u, v) for u, v in zip(p, q))
+    if hasattr(p, "coeffs"):
+        return p.coeffs.tobytes() == q.coeffs.tobytes() and p.tail == q.tail
+    return np.asarray(p).tobytes() == np.asarray(q).tobytes()
+
+
+def _kernel_kinds():
+    rng = np.random.default_rng(79)
+    m2, m16 = MatrixAlgebra(2), MatrixAlgebra(16)
+    conv = ConvolutionAlgebra(8)
+    wien = WienerAlgebra(conv, 2)
+    up = UnitizationAlgebra(wien)
+    tailed = up.from_parts(wien.add_tail(wien.random_element(rng, 0.05), 1e-4), 0.1)
+    dual, block = DualAlgebra(m2), BlockTriangularAlgebra(1, 2)
+    prod = ProductAlgebra((up, m2))
+    return [
+        m16.random_element(rng, 0.3),
+        dual.random_element(rng, 0.3),
+        block.random_element(rng, 0.3),
+        UnitizationAlgebra(conv).from_parts(conv.random_element(rng, 0.05), 0.1j),
+        tailed,
+        prod.from_components(tailed, m2.random_element(rng, 0.3)),
+    ]
+
+
+@pytest.mark.parametrize("kind", range(6))
+def test_each_run_of_a_kernel_call_equals_a_one_run_call_on_its_nodes(kind) -> None:
+    """For every kind with a resolvent kernel.  On M_16 a block holds 16
+    nodes, so the runs of 40 nodes cross blocks, and whole runs of one
+    length inside a block are summed together."""
+    x = _kernel_kinds()[kind]
+    alg = x.algebra
+    zs = 1.5 * np.exp(2j * np.pi * np.arange(40) / 40)
+    ws = np.random.default_rng(83).standard_normal(40) * zs
+    starts = [0, 4, 8, 12, 21, 22, 39]
+    runs = alg.resolvent_kernel(x)(zs, ws, starts)
+    assert len(runs) == len(starts)
+    for run, lo, hi in zip(runs, starts, starts[1:] + [40]):
+        one = alg.resolvent_integral(x, zs[lo:hi], ws[lo:hi])
+        assert _same_payload(run.payload, one.payload), (lo, hi)
+    if kind == 4:
+        assert all(alg.tail_bound(run) > 0.0 for run in runs)  # every tail certified
+
+
+def test_gauss_legendre_rules_match_leggauss() -> None:
+    for n in (4, 8, 16):
+        x, w = funcalc._gauss_legendre(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x - ref_x)) <= 1e-15 and np.max(np.abs(w - ref_w)) <= 1e-15
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+
+def test_a_polygon_integral_leaves_numpy_polynomial_unimported() -> None:
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, numpy as np\n"
+        "from idemlift import MatrixAlgebra, ContourData, circle_polygon, riesz_projection\n"
+        "a = MatrixAlgebra(2).wrap(np.diag([0.0, 1.0]))\n"
+        "p = riesz_projection(a, ContourData(circle_polygon(1, 0.45), eps=0.1))\n"
+        "assert abs(p.payload[1, 1] - 1) < 1e-12\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={"PYTHONPATH": str(src)}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -8,7 +8,11 @@ only part of a report that is not deterministic); a CSV cell counts as a
 float when it parses as one and is not an integer.  For each pair the
 script prints whether every non-float field matches (else the first three
 paths that differ and how many differ), how many floats moved, and the
-worst relative move among the floats with |old| > 1e-12.
+worst relative move among the floats with |old| > 1e-12.  For a JSON
+pair that holds quadrature audits it also prints the quadrature budget of
+each side: the summed ``nodes`` and ``evaluated`` of every
+``contour_audit`` record (``evaluated`` reads 0 in a report older than
+version 5).
 The exit code is 1 when a non-float field differs or a file has no
 partner, else 0.  It is 2, with a one-line message, when an argument is
 not a directory or neither directory holds a ``.json`` or ``.csv`` file.
@@ -20,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -84,6 +89,20 @@ def compare(old, new) -> tuple[list[str], int, int, float]:
     return sorted(differ), moved, total, worst
 
 
+def audit_totals(body) -> tuple[int, int] | None:
+    """Summed ``nodes`` and ``evaluated`` over every ``contour_audit``
+    record in a report, or None when it has no ``contour_audit`` list."""
+    leaves = list(_leaves(body))
+    if not any(path.endswith("/contour_audit[]") for path, _ in leaves):
+        return None
+    totals = [0, 0]
+    for path, value in leaves:
+        field = re.fullmatch(r".*/contour_audit/\d+/(nodes|evaluated)", path)
+        if field:
+            totals[field.group(1) == "evaluated"] += value
+    return totals[0], totals[1]
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -107,11 +126,20 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name}: only in {old_dir if old.exists() else new_dir}")
             status = 1
             continue
-        differ, moved, total, worst = compare(load(old), load(new))
+        old_body, new_body = load(old), load(new)
+        differ, moved, total, worst = compare(old_body, new_body)
         fields = "non-float fields match"
         if differ:
             fields = f"non-float fields differ at {differ[:3]} ({len(differ)} in all)"
-        print(f"{name}: {fields}; {moved} of {total} floats moved; worst relative move {worst:.2g}")
+        line = f"{name}: {fields}; {moved} of {total} floats moved; worst relative move {worst:.2g}"
+        budgets = [audit_totals(body) for body in (old_body, new_body)] if name.endswith(".json") else []
+        if any(budgets):
+            (old_nodes, old_evaluated), (new_nodes, new_evaluated) = (b or (0, 0) for b in budgets)
+            line += (
+                f"; contour_audit nodes {old_nodes} -> {new_nodes},"
+                f" evaluated {old_evaluated} -> {new_evaluated}"
+            )
+        print(line)
         status |= bool(differ)
     return status
 
