@@ -5,8 +5,8 @@ integrals.  The first is the Riesz projection: integrate the resolvent
 around part of the spectrum and you get the idempotent projecting onto
 that part.  The second is a branch-cut square root: integrate
 sqrt(z) * resolvent around all of the spectrum, with the branch of sqrt
-tracked continuously relative to a cut ray that escapes to infinity
-between the spectral components.
+continuous off a cut ray that escapes to infinity between the spectral
+components; the loop must not meet that ray.
 
 This demo works in a plain matrix algebra where numpy can check every
 claim independently.

@@ -273,10 +273,13 @@ def circle_polygon(center: complex, radius: float, n: int = 64) -> JordanPolygon
         raise ParameterError(f"circle vertex count must be an integer, got {n!r}")
     if n < 8:
         raise ParameterError("circle approximation needs at least 8 vertices")
-    verts = tuple(
-        complex(center) + radius * cmath.exp(2j * math.pi * k / n) for k in range(n)
-    )
-    return JordanPolygon(verts)
+    return _regular_polygon(complex(center), radius, int(n))
+
+
+@functools.lru_cache(maxsize=256)
+def _regular_polygon(center: complex, radius: float, n: int) -> JordanPolygon:
+    """Built and tested for simplicity once per circle; callers share it."""
+    return JordanPolygon(tuple(center + radius * cmath.exp(2j * math.pi * k / n) for k in range(n)))
 
 
 def square_polygon(center: complex, half_side: float) -> JordanPolygon:

@@ -2,10 +2,10 @@
 
 The three workhorses are plain contour application (Cauchy integrals of
 scalar functions against a resolvent), Riesz spectral projections, and
-square roots with an explicit branch cut along an escape ray.  Branch
-angles are tracked cumulatively along the integration loop, so no
-principal-value convention at the cut ever enters; a loop-closure check
-guards against a contour that sneaks across the cut.
+square roots with an explicit branch cut along an escape ray, taken on
+the closed-form sheet of the plane slit along the ray; each call checks
+once, on the polygon, that the loop misses the ray, so every integrand
+is pointwise.
 
 Quadrature refines until two passes agree, edge by edge.  Polygons use
 composite Gauss-Legendre per edge.  Each edge starts at the order that
@@ -197,24 +197,22 @@ def _edge_starts(edges: list[tuple[complex, complex]], points: Sequence[complex]
     return starts
 
 
-def _tracked_angles(zs: np.ndarray, cut_angle: float) -> np.ndarray:
-    """Cumulative argument along the node sequence, pinned to the sheet
-    (cut_angle - 2pi, cut_angle] at the first node.
+def _sheet_angles(zs: np.ndarray, cut_angle: float) -> np.ndarray:
+    """The argument of each point on the sheet [cut_angle - 2pi, cut_angle),
+    continuous off the cut ray."""
+    return cut_angle - 2.0 * math.pi + (np.angle(zs) - cut_angle) % (2.0 * math.pi)
 
-    The tracked angles must agree with the closed-form cut-relative
-    angle at every node and close up around the loop; a mismatch means
-    the path crossed the cut.
-    """
-    rel = (np.angle(zs) - cut_angle) % (2.0 * math.pi)
-    closed_form = cut_angle - 2.0 * math.pi + rel
-    steps = np.angle(zs[1:] / zs[:-1])
-    tracked = closed_form[0] + np.concatenate(([0.0], np.cumsum(steps)))
-    if np.max(np.abs(tracked - closed_form)) > 1e-6:
+
+def _check_cut(polygon: JordanPolygon, cut: PolygonalArc) -> None:
+    """The loop must miss the cut ray.  In the frame where the ray is the
+    real axis's nonnegative half, no vertex may lie on it and no edge may
+    cross the axis, from one strict side to the other, at a point
+    (x y1 - y x1) / (y1 - y) >= 0."""
+    w = np.array(polygon.vertices) * cut.ray_direction.conjugate()
+    x, y, x1, y1 = w.real, w.imag, np.roll(w.real, -1), np.roll(w.imag, -1)
+    crosses = (np.sign(y) * np.sign(y1) < 0) & (np.sign(x * y1 - y * x1) * np.sign(y1 - y) >= 0)
+    if np.any(((y == 0.0) & (x >= 0.0)) | crosses):
         raise DegenerateGeometry("integration loop crosses the branch cut")
-    closure = np.angle(zs[0] / zs[-1])
-    if abs(tracked[-1] + closure - tracked[0]) > 1e-6:
-        raise DegenerateGeometry("branch angle fails to close up around the loop")
-    return tracked
 
 
 # an edge maps its level k (0 first) to the nodes it evaluates at that
@@ -276,10 +274,9 @@ def _integrate(
     each edge's change at its last refinement, is below QUAD_TOL.  A
     refined edge brings its new gap, one left alone keeps its last, so
     with every edge refined this is the whole sum's change.  Each pass
-    evaluates ``scalar_fn`` along the whole loop, so a branch tracked
-    along it sees a closed loop, and makes one call of the algebra's
-    resolvent kernel, built once for ``a``, with one run per refined
-    edge."""
+    evaluates the pointwise ``scalar_fn`` on the nodes of the edges it
+    refines and makes one call of the algebra's resolvent kernel, built
+    once for ``a``, with one run per refined edge."""
     alg: BanachAlgebra = a.algebra
     kernel = alg.resolvent_kernel(a)
     count = len(edges)
@@ -295,13 +292,9 @@ def _integrate(
         for e in refine:
             rules[e] = edges[e](levels[e])
             levels[e] += 1
-        zs = np.concatenate([r[0] for r in rules])
+        zs = np.concatenate([rules[e][0] for e in refine])
         gv = np.asarray(scalar_fn(zs), dtype=complex)
-        weights = gv * np.concatenate([r[1] for r in rules]) / (2j * math.pi)
-        if len(refine) < count:
-            bounds = list(itertools.accumulate((len(r[0]) for r in rules), initial=0))
-            take = np.concatenate([np.arange(bounds[e], bounds[e + 1]) for e in refine])
-            zs, weights = zs[take], weights[take]
+        weights = gv * np.concatenate([rules[e][1] for e in refine]) / (2j * math.pi)
         starts = list(itertools.accumulate((len(rules[e][0]) for e in refine[:-1]), initial=0))
         previous = {}
         for e, run in zip(refine, kernel(zs, weights, starts)):
@@ -338,13 +331,10 @@ def _integrate(
 
 def _vectorise(g: Callable) -> Callable[[np.ndarray], np.ndarray]:
     def run(zs: np.ndarray) -> np.ndarray:
-        try:
-            vals = np.asarray(g(zs), dtype=complex)
-            if vals.shape == zs.shape:
-                return vals
-        except (TypeError, ValueError):
-            pass
-        return np.asarray([g(z) for z in zs], dtype=complex)
+        vals = np.asarray(g(zs), dtype=complex)
+        if vals.shape != zs.shape:
+            raise ParameterError(f"g gave values of shape {vals.shape} on nodes of shape {zs.shape}")
+        return vals
 
     return run
 
@@ -417,11 +407,11 @@ def sqrt_cut(
 ) -> Element:
     """Square root of ``x`` with the branch cut placed along ``cut``.
 
-    The branch of sqrt is exp(log/2) with the argument tracked
-    continuously along the loop relative to the cut ray; sheet -1
-    negates the principal sheet globally.  Cut and sheet come from
-    ``cd``; the arguments are checked against it (``cut`` is the cut
-    where ``cd`` records none, ``sheet`` may be omitted).
+    The branch of sqrt is exp(log/2) with the argument in [alpha - 2pi,
+    alpha) for the cut ray's angle alpha; sheet -1 negates it globally.
+    Cut and sheet come from ``cd``; the arguments are checked against it
+    (``cut`` is the cut where ``cd`` records none, ``sheet`` may be
+    omitted).
     """
     if cd.cut is not None and cd.cut != cut:
         raise ParameterError(
@@ -436,11 +426,11 @@ def sqrt_cut(
             f"spectrum clearance {clearance:.3g} from the cut is within eps={cd.eps:.3g}"
         )
     _check_enclosure(rep, cd, require_inside=True)
+    _check_cut(cd.polygon, cut)
     alpha = cut.angle
 
     def branch_sqrt(zs: np.ndarray) -> np.ndarray:
-        theta = _tracked_angles(zs, alpha)
-        return cd.sheet * np.sqrt(np.abs(zs)) * np.exp(0.5j * theta)
+        return cd.sheet * np.sqrt(np.abs(zs)) * np.exp(0.5j * _sheet_angles(zs, alpha))
 
     return _integrate(branch_sqrt, x, _polygon_edges(cd.polygon, rep.points), audit_sink)
 

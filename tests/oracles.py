@@ -7,6 +7,8 @@ under test.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -101,3 +103,26 @@ def polygon_is_simple_pairwise(verts) -> bool:
             if _segments_cross(*segs[i], *segs[j]):
                 return False
     return True
+
+
+def tracked_angles(zs: np.ndarray, cut_angle: float) -> np.ndarray:
+    """Cumulative argument along the node sequence ``zs`` of a loop,
+    pinned to the sheet [cut_angle - 2pi, cut_angle) at the first node:
+    the sum of the angle steps between neighbouring nodes.
+
+    The tracked angles must agree with the closed-form cut-relative
+    angle at every node and close up around the loop; a mismatch means
+    the path crossed the cut, and raises ``DegenerateGeometry``.
+    """
+    from idemlift.errors import DegenerateGeometry
+
+    rel = (np.angle(zs) - cut_angle) % (2.0 * math.pi)
+    closed_form = cut_angle - 2.0 * math.pi + rel
+    steps = np.angle(zs[1:] / zs[:-1])
+    tracked = closed_form[0] + np.concatenate(([0.0], np.cumsum(steps)))
+    if np.max(np.abs(tracked - closed_form)) > 1e-6:
+        raise DegenerateGeometry("integration loop crosses the branch cut")
+    closure = np.angle(zs[0] / zs[-1])
+    if abs(tracked[-1] + closure - tracked[0]) > 1e-6:
+        raise DegenerateGeometry("branch angle fails to close up around the loop")
+    return tracked

@@ -45,6 +45,19 @@ def test_moved_floats_are_counted_and_exit_0(tmp_path):
     assert "demo.json: non-float fields match; 2 of 2 floats moved; worst relative move 0.5" in proc.stdout
 
 
+def test_the_worst_absolute_move_shows_moves_among_tiny_floats(tmp_path):
+    """A defect of 1.7e-15 that falls to 1.9e-16 is below the relative
+    measure's 1e-12 floor, so only the absolute move shows it."""
+    old = dict(_REPORT, runs=[{"name": "local", "eps": 0.5, "defect": 1.7e-15}])
+    new = dict(_REPORT, runs=[{"name": "local", "eps": 0.5, "defect": 1.9e-16}])
+    proc = _compare(_write(tmp_path / "a", report=old), _write(tmp_path / "b", report=new))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (
+        "demo.json: non-float fields match; 1 of 2 floats moved; worst relative move 0;"
+        " worst absolute move 1.5e-15"
+    ) in proc.stdout.splitlines()
+
+
 def test_a_differing_non_float_field_exits_1(tmp_path):
     csv = _CSV.replace(",3\n", ",4\n")  # an integer cell is not a float
     proc = _compare(_write(tmp_path / "a"), _write(tmp_path / "b", csv=csv))

@@ -145,6 +145,18 @@ def test_circle_polygon_refuses_a_non_integer_vertex_count() -> None:
     assert len(circle_polygon(0j, 1.0, n=np.int64(9)).vertices) == 9
 
 
+def test_circle_polygon_is_built_once_per_circle() -> None:
+    """Equal calls share one immutable polygon, built and tested for
+    simplicity once; the cache does not let a refused vertex count
+    through on its integer twin's entry."""
+    ring = circle_polygon(1 + 0j, 0.45)
+    assert circle_polygon(1, 0.45, 64) is ring
+    assert circle_polygon(1 + 0j, 0.45, n=np.int64(64)) is ring
+    assert circle_polygon(1 + 0j, 0.45, n=32) is not ring
+    with pytest.raises(ParameterError, match="must be an integer"):
+        circle_polygon(1 + 0j, 0.45, n=64.0)
+
+
 def test_square_polygon_refuses_a_non_finite_centre_or_half_side() -> None:
     bad = ((math.nan, 1.0), (complex(math.inf, 0), 1.0), (0j, math.nan), (0j, math.inf))
     for center, half in bad:

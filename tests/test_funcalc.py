@@ -1,5 +1,6 @@
 """Contour-integral functional calculus against eigendecomposition oracles."""
 
+import cmath
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from oracles import (
     principal_sqrt,
     random_sectorial_matrix,
     random_split_spectrum_matrix,
+    tracked_angles,
 )
 
 from idemlift import funcalc
@@ -24,6 +26,7 @@ from idemlift.algebra import (
     WienerAlgebra,
 )
 from idemlift.contours import (
+    JordanPolygon,
     PolygonalArc,
     build_escape_arc,
     build_gamma_pair,
@@ -279,6 +282,82 @@ def test_sqrt_cut_detects_loop_crossing_the_cut() -> None:
     )
     with pytest.raises(DegenerateGeometry):
         sqrt_cut(x, P, crossing)
+
+
+def test_sqrt_cut_detects_a_loop_crossing_the_cut_inside_an_edge() -> None:
+    """The 64-gon of the vertex case turned by half a step: the cut ray
+    passes through the interior of the edge from vertex 63 to vertex 0,
+    and no vertex lies on it."""
+    x = M1.wrap(np.array([[-1.0 + 0j]]))
+    P = PolygonalArc(1 + 0j)
+    turned = JordanPolygon(
+        tuple(-1 + 1.2 * np.exp(2j * np.pi * (k + 0.5) / 64) for k in range(64))
+    )
+    assert all(v.imag != 0.0 for v in turned.vertices)
+    crossing = ContourData(turned, eps=0.2, branch="cut", cut=P)
+    with pytest.raises(DegenerateGeometry, match="integration loop crosses the branch cut"):
+        sqrt_cut(x, P, crossing)
+
+
+def test_sqrt_cut_refuses_a_loop_around_the_origin() -> None:
+    """Any loop around the origin meets every ray from it; the spectrum
+    itself is enclosed and clear of the cut, so only the geometry fails."""
+    x = M2.wrap(np.diag([1.0, 0.5j]))
+    P = PolygonalArc(-1 + 0j)
+    around = ContourData(circle_polygon(0j, 2.0), eps=0.2, branch="cut", cut=P)
+    with pytest.raises(DegenerateGeometry, match="integration loop crosses the branch cut"):
+        sqrt_cut(x, P, around)
+
+
+def test_the_cut_check_refuses_no_gamma_pair_loop() -> None:
+    """The loop around a cut ray, built at 360 directions and three tube
+    widths, never meets its own ray."""
+    for eps in (1e-3, 0.1, 1.0):
+        for k in range(360):
+            P = PolygonalArc(np.exp(2j * np.pi * k / 360))
+            funcalc._check_cut(build_gamma_pair(P, eps, 2.0), P)
+
+
+def test_the_closed_form_sheet_angle_is_the_tracked_angle() -> None:
+    """On loops that avoid the cut, the closed-form argument at every
+    node is the cumulative argument tracked along the loop from the first
+    node (the reference in ``oracles``), at every level of every edge."""
+    for k in range(0, 360, 7):
+        P = PolygonalArc(np.exp(2j * np.pi * k / 360))
+        poly = build_gamma_pair(P, 0.1, 2.0)
+        for level in (0, 1, 2):
+            zs = np.concatenate([edge(level)[0] for edge in funcalc._polygon_edges(poly, [])])
+            closed = funcalc._sheet_angles(zs, P.angle)
+            assert np.max(np.abs(closed - tracked_angles(zs, P.angle))) <= 1e-12
+
+
+def test_contour_apply_refuses_values_not_shaped_like_the_nodes() -> None:
+    """``g`` is called once on the node array; a constant, which a retry
+    node by node once accepted, is refused with both shapes named."""
+    a = M2.wrap(np.diag([0.1, 0.2j]))
+    cd = ContourData(circle_polygon(0j, 1.0), eps=0.2)
+    with pytest.raises(ParameterError, match=r"of shape \(\) on nodes of shape \(\d+,\)"):
+        contour_apply(lambda z: 1.0, a, cd)
+    with pytest.raises(ParameterError, match=r"of shape \(2, \d+\) on nodes of shape \(\d+,\)"):
+        contour_apply(lambda z: np.stack((z, z)), a, cd)
+
+
+def test_contour_apply_lets_an_error_of_g_through_unchanged() -> None:
+    """An exception raised by ``g`` on the node array propagates as it
+    is; a scalar-only ``g`` such as ``cmath.exp`` is not retried node by
+    node."""
+    a = M2.wrap(np.diag([0.1, 0.2j]))
+    cd = ContourData(circle_polygon(0j, 1.0), eps=0.2)
+    refusal = ValueError("g refuses")
+
+    def refusing(zs):
+        raise refusal
+
+    with pytest.raises(ValueError) as info:
+        contour_apply(refusing, a, cd)
+    assert info.value is refusal
+    with pytest.raises(TypeError):
+        contour_apply(cmath.exp, a, cd)
 
 
 def test_quadrature_gives_up_on_hugging_pole() -> None:
@@ -776,6 +855,31 @@ def _kernel_runs(monkeypatch):
 
     monkeypatch.setattr(MatrixAlgebra, "resolvent_kernel", spy)
     return calls
+
+
+def test_sqrt_cut_evaluates_its_branch_only_on_the_nodes_it_sums(monkeypatch) -> None:
+    """Over all passes the square-root branch sees exactly the nodes the
+    audit counts as evaluated, though the edges end at different levels:
+    a pass that refines some edges evaluates no other edge's nodes."""
+    seen = []
+    integrate = funcalc._integrate
+
+    def spy(scalar_fn, a, edges, audit_sink):
+        def counted(zs):
+            seen.append(len(zs))
+            return scalar_fn(zs)
+
+        return integrate(counted, a, edges, audit_sink)
+
+    monkeypatch.setattr(funcalc, "_integrate", spy)
+    calls = _kernel_runs(monkeypatch)
+    _, call, _ = _start_rule_cases(4, 61)[3]
+    audits = []
+    call(audits)
+    (audit,) = audits
+    assert len({len(runs) for runs in calls}) > 1  # the last passes refine fewer edges
+    assert seen == [sum(runs) for runs in calls]
+    assert sum(seen) == audit.evaluated
 
 
 def test_each_pass_is_one_kernel_call_over_the_edges_it_refines(monkeypatch) -> None:

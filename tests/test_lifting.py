@@ -25,6 +25,7 @@ from idemlift.errors import (
     QuadratureNotConverged,
     SectionInvalid,
 )
+from idemlift.contours import square_polygon
 from idemlift.families import ElementFamily, HomFamily, Section, constant_family
 from idemlift.lifting import (
     LiftTrace,
@@ -358,6 +359,18 @@ def test_lift_local_sa_constant_diagonal_is_exact():
     for pt in trace.points:
         want = DUAL4.from_parts(p0, M4.zero())
         assert (pt.elements["p"] - want).norm() <= 1e-11
+
+
+def test_the_sa_loops_each_cover_only_their_half_of_the_plane():
+    """With margin 1/6 the square of half side 1/3 around 0 covers no
+    point with Re z >= 1/2 and the one around 1 none with Re z < 1/2, so
+    ``lift_local_sa`` asks each loop only about the points of its half."""
+    gamma0, gamma1 = square_polygon(0j, 1.0 / 3.0), square_polygon(1 + 0j, 1.0 / 3.0)
+    for x in np.linspace(-0.6, 1.6, 111):
+        for y in np.linspace(-0.6, 0.6, 31):
+            z = complex(x, y)
+            either = gamma0.encloses([z], margin=1 / 6) or gamma1.encloses([z], margin=1 / 6)
+            assert either == (gamma0 if z.real < 0.5 else gamma1).encloses([z], margin=1 / 6)
 
 
 def test_lift_local_sa_needs_real_grid():

@@ -8,7 +8,10 @@ only part of a report that is not deterministic); a CSV cell counts as a
 float when it parses as one and is not an integer.  For each pair the
 script prints whether every non-float field matches (else the first three
 paths that differ and how many differ), how many floats moved, and the
-worst relative move among the floats with |old| > 1e-12.  For a JSON
+worst relative move among the floats with |old| > 1e-12.  When a float
+moved it also prints the worst absolute move over every float, so a move
+among floats at or below 1e-12 in size, such as a report's defects,
+shows too.  For a JSON
 pair that holds quadrature audits it also prints the quadrature budget of
 each side: the summed ``nodes`` and ``evaluated`` of every
 ``contour_audit`` record (``evaluated`` reads 0 in a report older than
@@ -68,13 +71,13 @@ def _leaves(node, path=""):
         yield path, node
 
 
-def compare(old, new) -> tuple[list[str], int, int, float]:
+def compare(old, new) -> tuple[list[str], int, int, float, float]:
     """Differing non-float paths, floats moved, floats compared, worst
-    relative move."""
+    relative move, worst absolute move."""
     a, b = dict(_leaves(old)), dict(_leaves(new))
     differ = sorted(p for p in a.keys() | b.keys() if p not in a or p not in b)
     moved = total = 0
-    worst = 0.0
+    worst = worst_abs = 0.0
     for p in a.keys() & b.keys():
         u, v = a[p], b[p]
         if isinstance(u, float) and isinstance(v, float):
@@ -82,11 +85,12 @@ def compare(old, new) -> tuple[list[str], int, int, float]:
             if u == v or (math.isnan(u) and math.isnan(v)):
                 continue
             moved += 1
+            worst_abs = max(worst_abs, abs(v - u))
             if abs(u) > _SCALE_FLOOR:
                 worst = max(worst, abs(v - u) / abs(u))
         elif type(u) is not type(v) or u != v:
             differ.append(p)
-    return sorted(differ), moved, total, worst
+    return sorted(differ), moved, total, worst, worst_abs
 
 
 def audit_totals(body) -> tuple[int, int] | None:
@@ -127,11 +131,13 @@ def main(argv: list[str] | None = None) -> int:
             status = 1
             continue
         old_body, new_body = load(old), load(new)
-        differ, moved, total, worst = compare(old_body, new_body)
+        differ, moved, total, worst, worst_abs = compare(old_body, new_body)
         fields = "non-float fields match"
         if differ:
             fields = f"non-float fields differ at {differ[:3]} ({len(differ)} in all)"
         line = f"{name}: {fields}; {moved} of {total} floats moved; worst relative move {worst:.2g}"
+        if moved:
+            line += f"; worst absolute move {worst_abs:.2g}"
         budgets = [audit_totals(body) for body in (old_body, new_body)] if name.endswith(".json") else []
         if any(budgets):
             (old_nodes, old_evaluated), (new_nodes, new_evaluated) = (b or (0, 0) for b in budgets)
