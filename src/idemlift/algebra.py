@@ -42,7 +42,10 @@ take norms of whole payload stacks with one kernel, ``_norms``.  The series
 kind's product takes every coefficient product from one ``_products`` call
 of its base.  Contour sums go through ``resolvent_kernel(x)``, built once per
 integral, so that what does not depend on the nodes is done once; a call
-sums each run of its nodes (a quadrature's edges) apart.
+sums each run of its nodes (a quadrature's edges) apart, left to right.
+The dual, block-triangular and unitization kinds invert by their one-node
+sum at z = 0, ``x^-1 = -(0 - x)^-1``, and so refuse what their resolvents
+refuse.
 """
 
 from __future__ import annotations
@@ -177,12 +180,7 @@ class Element:
 
     def _coerce(self, other: Any) -> "Element":
         if isinstance(other, Element):
-            if other.algebra != self.algebra:
-                raise AlgebraMismatch(
-                    f"elements of {self.algebra.kind} and {other.algebra.kind} "
-                    "cannot be combined"
-                )
-            return other
+            return other  # the algebra method's _own refuses another algebra's
         if isinstance(other, numbers.Complex):
             return self.algebra.scale(complex(other), self.algebra.one())
         return NotImplemented  # type: ignore[return-value]
@@ -330,7 +328,8 @@ class BanachAlgebra(Frozen):
         raise NotImplementedError
 
     def _inverse(self, p):
-        raise NotImplementedError
+        """``x^-1 = -(0 - x)^-1``: the negated one-node resolvent sum at z = 0."""
+        return self._neg(self._own(self.resolvent_integral(self.wrap(p), [0j], [1.0])))
 
     def _adjoint(self, p):
         raise NoInvolution(f"{self.kind} has no involution")
@@ -412,23 +411,19 @@ class BanachAlgebra(Frozen):
         integral.
 
         Generic: each call builds one resolvent batch for all of its nodes,
-        weights it and sums each run pairwise in node order.  Kinds that can
-        contract the weights before building any element, or that have
-        node-independent work, override this."""
+        weights it and adds each run to zero left to right in node order, as
+        numpy sums a stack along its first axis (the matrix kernel), so the
+        sums match a batched kernel's byte for byte, signed zeros included.
+        Kinds that can contract the weights before building any element, or
+        that have node-independent work, override this."""
 
         def integral(zs, weights, starts) -> list[Element]:
             batch = self.resolvent_batch(x, zs)
             terms = [self._scale(complex(w), self._own(r)) for r, w in zip(batch, weights)]
-            sums = []
-            for lo, hi in _runs(starts, len(terms)):
-                run = terms[lo:hi] or [self._zero()]
-                while len(run) > 1:
-                    run = [
-                        self._add(run[i], run[i + 1]) if i + 1 < len(run) else run[i]
-                        for i in range(0, len(run), 2)
-                    ]
-                sums.append(self.wrap(run[0]))
-            return sums
+            return [
+                self.wrap(functools.reduce(self._add, terms[lo:hi], self._zero()))
+                for lo, hi in _runs(starts, len(terms))
+            ]
 
         return integral
 
@@ -648,8 +643,9 @@ class DualAlgebra(BanachAlgebra):
     """Elements ``b0 + b1*eps`` with ``eps**2 = 0`` over a base algebra.
 
     Norm ``||b0|| + ||b1||``; the spectrum of an element equals the base
-    spectrum of its ``b0`` part, and inversion uses
-    ``(b0 + b1 eps)^-1 = b0^-1 - b0^-1 b1 b0^-1 eps``.
+    spectrum of its ``b0`` part, and a resolvent is
+    ``(z - b0)^-1 + (z - b0)^-1 b1 (z - b0)^-1 eps``, so an inverse is
+    judged on ``b0`` alone.
     """
 
     __slots__ = ("base",)
@@ -685,11 +681,6 @@ class DualAlgebra(BanachAlgebra):
     def _norm_parts(self, p) -> tuple[float, float]:
         (n0, s0), (n1, s1) = self.base._norm_parts(p[0]), self.base._norm_parts(p[1])
         return n0 + n1, s0 + s1
-
-    def _inverse(self, p):
-        b = self.base
-        i0 = b._inverse(p[0])
-        return (i0, b._neg(b._mul(i0, b._mul(p[1], i0))))
 
     def _adjoint(self, p):
         return (self.base._adjoint(p[0]), self.base._adjoint(p[1]))
@@ -771,17 +762,6 @@ class BlockTriangularAlgebra(_ArrayAlgebra):
     def _mul(self, p, q):
         out = p @ q
         out[self.k :, : self.k] = 0.0
-        return out
-
-    def _inverse(self, p):
-        k = self.k
-        x, y, z = p[:k, :k], p[:k, k:], p[k:, k:]
-        xi = _checked_inv(x, "diagonal block is numerically singular")
-        zi = _checked_inv(z, "diagonal block is numerically singular")
-        out = np.zeros_like(p)
-        out[:k, :k] = xi
-        out[k:, k:] = zi
-        out[:k, k:] = -xi @ y @ zi
         return out
 
     def _spectrum(self, p) -> SpectrumReport:
@@ -911,13 +891,9 @@ class ConvolutionAlgebra(_ArrayAlgebra):
         return self.wrap(np.array([func(t) for t in self.grid], dtype=complex))
 
     def matrix_representation(self, x: Element) -> np.ndarray:
-        """Strictly lower triangular Toeplitz multiplication operator."""
-        p = self._own(x)
-        n = self.n_grid
-        mat = np.zeros((n, n), dtype=complex)
-        for d in range(1, n):
-            mat += np.diag(np.full(n - d, p[d - 1] / n), -d)
-        return mat
+        """Strictly lower triangular Toeplitz multiplication operator,
+        gathered through the index of ``_right_operand``."""
+        return np.concatenate(([0j], self._own(x)))[_toeplitz_index(self.n_grid)] / self.n_grid
 
 
 # ---------------------------------------------------------------------------
@@ -1253,12 +1229,6 @@ class UnitizationAlgebra(BanachAlgebra):
     def _norm_parts(self, p) -> tuple[float, float]:
         norm, stored = self.base._norm_parts(p[0])
         return norm + abs(p[1]), stored + abs(p[1])
-
-    def _inverse(self, p):
-        if abs(p[1]) < 1e-300:
-            raise NotInvertible("scalar part is zero")
-        # x^-1 = -(0 - x)^-1: the one-node resolvent integral at z = 0
-        return self._neg(self._own(self.resolvent_integral(self.wrap(p), [0j], [1.0])))
 
     def resolvent_kernel(self, x):
         """The one radical Neumann series of this algebra; ``inverse`` is

@@ -33,9 +33,7 @@ from .errors import (
     AmbiguousSign,
     EnclosureFailed,
     HalfInSpectrum,
-    NoInvolution,
     NotInvertible,
-    NotStarCompatible,
     ParameterError,
     QuadratureNotConverged,
     SectionInvalid,
@@ -366,13 +364,7 @@ def lift_local_sa(sec: Section, grid: Sequence[complex]) -> LiftTrace:
     if any(abs(l.imag) > 1e-12 for l in grid_pts):
         raise ParameterError("self-adjoint lifting runs on real grids")
     pi, q = sec.pi, sec.target
-    alg = pi.source
-    if not alg.has_involution:
-        raise NoInvolution(f"{alg.kind} has no involution")
-    if not pi.star_on_real:
-        raise NotStarCompatible("homomorphism family is not a *-family on real lambda")
-
-    sym = symmetrize(sec)
+    sym = symmetrize(sec)  # refuses a source with no involution and a non-* pi
     if sym.defect(0.0) > TOL_LIFT:
         raise SectionInvalid("symmetrized section does not lift the target at 0")
 

@@ -42,6 +42,7 @@ from .families import (
     ElementFamily,
     HomFamily,
     Section,
+    constant_family,
     exp_conjugation_family,
     memoised_evaluations,
 )
@@ -295,17 +296,11 @@ def build_block_testbed(seed: int = 0) -> Scenario:
     bot_idem = np.zeros((m, m), dtype=complex)
     bot_idem[0, 0] = 1.0
 
-    q_top = ElementFamily(
-        prod,
-        lambda lam: prod.from_components(
-            prod.factors[0].wrap(top_idem), prod.factors[1].zero()
-        ),
+    q_top = constant_family(
+        prod.from_components(prod.factors[0].wrap(top_idem), prod.factors[1].zero())
     )
-    q_bot = ElementFamily(
-        prod,
-        lambda lam: prod.from_components(
-            prod.factors[0].zero(), prod.factors[1].wrap(bot_idem)
-        ),
+    q_bot = constant_family(
+        prod.from_components(prod.factors[0].zero(), prod.factors[1].wrap(bot_idem))
     )
 
     rng = np.random.default_rng(seed)
@@ -399,8 +394,8 @@ def build_example1(seed: int = 0) -> Scenario:
     """
     scalars, series, pi = _evaluation_hom(12)
 
-    q_one = ElementFamily(scalars, lambda lam: scalars.one(), radius=1.0)
-    q_zero = ElementFamily(scalars, lambda lam: scalars.zero(), radius=1.0)
+    q_one = constant_family(scalars.one(), radius=1.0)
+    q_zero = constant_family(scalars.zero(), radius=1.0)
 
     def norm_probe(rng_: np.random.Generator) -> list[dict]:
         basis = series.probe_basis()
@@ -498,8 +493,8 @@ def build_example2(seed: int = 0) -> Scenario:
     n_grid = conv.n_grid
     pi = HomFamily(up, down, run, embed=emb, star_on_real=True, label="evaluate-unitized")
 
-    q_one = ElementFamily(down, lambda lam: down.one())
-    q_zero = ElementFamily(down, lambda lam: down.zero())
+    q_one = constant_family(down.one())
+    q_zero = constant_family(down.zero())
 
     h = _noise_series(conv, series, np.random.default_rng(seed))
     sec_one = Section(
@@ -588,9 +583,7 @@ def build_example3(seed: int = 0) -> Scenario:
         x1[i, i + 1] = 1.0
     orbit = exp_conjugation_family(mats.wrap(e1), mats.wrap(x1))
 
-    q_unit = ElementFamily(
-        target, lambda lam: target.from_components(down.one(), mats.zero())
-    )
+    q_unit = constant_family(target.from_components(down.one(), mats.zero()))
     q_orbit = ElementFamily(
         target, lambda lam: target.from_components(down.zero(), orbit(lam))
     )

@@ -126,3 +126,27 @@ def tracked_angles(zs: np.ndarray, cut_angle: float) -> np.ndarray:
     if abs(tracked[-1] + closure - tracked[0]) > 1e-6:
         raise DegenerateGeometry("branch angle fails to close up around the loop")
     return tracked
+
+
+def batched_run_sums(x, zs, ws, starts) -> list:
+    """The run sums of the contour sums of a dual (matrix base) or
+    block-triangular ``x``, built as whole stacks: one resolvent stack for
+    every node, the dual part ``r0 @ (b1 @ r0)`` as one batched product,
+    the weights broadcast, and each run summed along axis 0, which numpy
+    adds term by term in node order.  A payload per run."""
+    from idemlift.algebra import DualAlgebra, _resolvents, _runs
+
+    zs = np.asarray(zs, dtype=complex)
+    ws = np.asarray(ws, dtype=complex)[:, None, None]
+    if isinstance(x.algebra, DualAlgebra):
+        b0, b1 = x.payload
+        r0 = _resolvents(b0, zs)
+        r1 = r0 @ (b1 @ r0)
+        return [
+            ((ws * r0)[lo:hi].sum(axis=0), (ws * r1)[lo:hi].sum(axis=0))
+            for lo, hi in _runs(starts, len(zs))
+        ]
+    k = x.algebra.k
+    r = _resolvents(x.payload, zs)
+    r[:, k:, :k] = 0.0
+    return [(ws * r)[lo:hi].sum(axis=0) for lo, hi in _runs(starts, len(zs))]

@@ -157,11 +157,21 @@ def test_checked_inverse_guards_every_matrix_kernel() -> None:
     for diag in ([1.0, 0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 1.0, 1e-14]):
         p = np.diag(diag).astype(complex)
         p[0, 3] = 1.0
-        with pytest.raises(NotInvertible, match="diagonal block"):
+        with pytest.raises(NotInvertible, match="too close to the spectrum"):
             bt.wrap(p).inverse()
     y = bt.wrap(np.diag([0.5, 1.0, 2.0, 3.0, 4.0]))
     with pytest.raises(NotInvertible, match="too close to the spectrum"):
         bt.resolvent_batch(y, [5.0, 3.0])
+    # unit diagonal blocks, yet cond_2 = 4.0e14: an inverse is judged on the
+    # whole matrix, as a resolvent is
+    bt22 = il.BlockTriangularAlgebra(2, 2)
+    corner = np.eye(4, dtype=complex)
+    corner[:2, 2:] = 1e7
+    big = bt22.wrap(corner)
+    with pytest.raises(NotInvertible, match="condition bound"):
+        big.inverse()
+    with pytest.raises(NotInvertible, match="condition bound"):
+        bt22.resolvent_batch(big, [0])
 
 
 def test_inverses_roundtrip_all_kinds() -> None:
@@ -469,8 +479,14 @@ def test_unitization_inverse_is_the_negated_resolvent_at_zero() -> None:
         assert alg.scalar_part(inv) == alg.scalar_part(ref)
         assert alg.tail_bound(inv) == alg.tail_bound(ref)
     assert up.tail_bound(up.inverse(up.from_parts(f, c))) > 0.0
-    with pytest.raises(NotInvertible, match="scalar part is zero"):
+    with pytest.raises(NotInvertible, match="hits the one-point spectrum"):
         up.inverse(up.from_parts(f, 0.0))
+    # the dual and block-triangular kinds invert by their generic kernel
+    rng = np.random.default_rng(61)
+    for alg in (il.DualAlgebra(il.MatrixAlgebra(3)), il.BlockTriangularAlgebra(2, 3)):
+        el = alg.one() + alg.random_element(rng, 0.3)
+        inv, ref = alg.inverse(el), -(alg.resolvent_integral(el, [0], [1]))
+        assert np.asarray(inv.payload).tobytes() == np.asarray(ref.payload).tobytes(), alg.kind
 
 
 def test_certified_tail_does_not_depend_on_batching() -> None:
@@ -611,6 +627,7 @@ def test_matrix_representations_are_multiplicative() -> None:
     wien = il.WienerAlgebra(conv, 3)
     objs = [
         conv,
+        *(il.ConvolutionAlgebra(n) for n in (2, 3, 16, 32)),
         wien,
         il.DualAlgebra(il.MatrixAlgebra(2)),
         il.UnitizationAlgebra(conv),
@@ -631,6 +648,10 @@ def test_element_mixing_raises() -> None:
     rng = np.random.default_rng(97)
     with pytest.raises(AlgebraMismatch):
         _ = a.random_element(rng) + b.random_element(rng)
+    x, y = a.random_element(rng), b.random_element(rng)
+    for mixed in (lambda: x + y, lambda: y - x, lambda: x * y):
+        with pytest.raises(AlgebraMismatch):
+            mixed()
     with pytest.raises(ParameterError):
         il.MatrixAlgebra(0)
     with pytest.raises(ParameterError):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    batched_run_sums,
     eigenprojection_near,
     half_shift_root,
     principal_sqrt,
@@ -991,6 +992,25 @@ def test_each_run_of_a_kernel_call_equals_a_one_run_call_on_its_nodes(kind) -> N
         assert _same_payload(run.payload, one.payload), (lo, hi)
     if kind == 4:
         assert all(alg.tail_bound(run) > 0.0 for run in runs)  # every tail certified
+
+
+def test_generic_kernel_adds_each_run_left_to_right() -> None:
+    """Dual and block-triangular runs of 5, 1, 7 and 16 nodes: each sum is
+    the left-to-right sum, from zero, of its weighted resolvents, and the
+    batched stack sum of the reference, byte for byte."""
+    rng = np.random.default_rng(97)
+    zs = 2.5 * np.exp(2j * np.pi * (np.arange(29) + 0.5) / 29)
+    ws = rng.standard_normal(29) * zs
+    starts = [0, 5, 6, 13]
+    for alg in (DualAlgebra(MatrixAlgebra(3)), BlockTriangularAlgebra(2, 3)):
+        x = alg.random_element(rng)
+        runs = alg.resolvent_kernel(x)(zs, ws, starts)
+        batch = alg.resolvent_batch(x, zs)
+        refs = batched_run_sums(x, zs, ws, starts)
+        for run, ref, lo, hi in zip(runs, refs, starts, starts[1:] + [29]):
+            terms = [complex(w) * r for r, w in zip(batch[lo:hi], ws[lo:hi])]
+            assert _same_payload(run.payload, alg.sum([alg.zero(), *terms]).payload), (alg.kind, lo)
+            assert _same_payload(run.payload, ref), (alg.kind, lo)
 
 
 def test_gauss_legendre_rules_match_leggauss() -> None:

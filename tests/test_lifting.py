@@ -20,13 +20,15 @@ from idemlift.errors import (
     AmbiguousSign,
     EnclosureFailed,
     HalfInSpectrum,
+    NoInvolution,
     NotInvertible,
+    NotStarCompatible,
     ParameterError,
     QuadratureNotConverged,
     SectionInvalid,
 )
 from idemlift.contours import square_polygon
-from idemlift.families import ElementFamily, HomFamily, Section, constant_family
+from idemlift.families import ElementFamily, HomFamily, Section, constant_family, make_section
 from idemlift.lifting import (
     LiftTrace,
     choose_sign,
@@ -379,6 +381,19 @@ def test_lift_local_sa_needs_real_grid():
     sec = messy_section(pi, q, seed=23)
     with pytest.raises(ParameterError):
         lift_local_sa(sec, [0.0, 0.1 + 0.2j])
+
+
+def test_lift_local_sa_refuses_a_source_without_involution_and_a_non_star_pi():
+    block = BlockTriangularAlgebra(2, 2)
+    prod = ProductAlgebra((MatrixAlgebra(2), MatrixAlgebra(2)))
+    top = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    q = constant_family(prod.wrap((top, np.zeros((2, 2), dtype=complex))))
+    with pytest.raises(NoInvolution):
+        lift_local_sa(make_section(block_pi(block, prod), q), GRID)
+    pi = dual_pi().replace(star_on_real=False)
+    sec = messy_section(pi, ElementFamily(M4, rotated_projection), seed=23)
+    with pytest.raises(NotStarCompatible):
+        lift_local_sa(sec, GRID)
 
 
 # ---------------------------------------------------------------------------
