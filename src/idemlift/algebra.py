@@ -6,7 +6,7 @@ Seven algebra kinds are implemented:
     Square complex matrices under the operator 2-norm, with conjugate
     transposition as involution.
 ``dual``
-    Pairs ``b0 + b1*eps`` over a base algebra, where ``eps`` squares to zero.
+    Pairs ``b0 + b1*eps`` over a matrix algebra, where ``eps`` squares to zero.
 ``block-triangular``
     2x2 block upper triangular matrices; the strictly upper block is a
     square-zero ideal and there is no involution.
@@ -38,14 +38,17 @@ module-level function is ``alg_exp``.  The array-payload kinds (matrix,
 block-triangular, convolution) share one private base, ``_ArrayAlgebra``:
 numpy's linear arithmetic, a shape-checked ``wrap`` and, for matrix
 payloads, the spectral norm and the payload as its representation.  They
-take norms of whole payload stacks with one kernel, ``_norms``.  The series
-kind's product takes every coefficient product from one ``_products`` call
-of its base.  Contour sums go through ``resolvent_kernel(x)``, built once per
-integral, so that what does not depend on the nodes is done once; a call
-sums each run of its nodes (a quadrature's edges) apart, left to right.
-The dual, block-triangular and unitization kinds invert by their one-node
-sum at z = 0, ``x^-1 = -(0 - x)^-1``, and so refuse what their resolvents
-refuse.
+take norms of whole payload stacks with one kernel, ``_norms``.  A
+block-triangular payload is a matrix projected onto the block upper
+triangle (``_project``), and it sums through the matrix kind's kernel.  The
+series kind's product takes every coefficient product from one
+``_products`` call of its base.  Contour sums go through
+``resolvent_kernel(x)``, built once per integral, so that what does not
+depend on the nodes is done once; a call sums each run of its nodes (a
+quadrature's edges) apart, left to right; only the dual kind takes the
+generic per-node kernel.  The dual, block-triangular and unitization kinds
+invert by their one-node sum at z = 0, ``x^-1 = -(0 - x)^-1``, and so
+refuse what their resolvents refuse.
 """
 
 from __future__ import annotations
@@ -121,6 +124,15 @@ def _runs(starts: Sequence[int], count: int) -> list[tuple[int, int]]:
     nodes from ``starts[i]`` up to the next start, the last up to the end."""
     starts = [int(s) for s in starts]
     return list(zip(starts, starts[1:] + [count]))
+
+
+def _set_size(record, field: str, least: int, what: str) -> None:
+    """Store the size ``field`` of an algebra as an ``int``, refusing a
+    bool, a value that is not an integer or one below ``least``."""
+    value = getattr(record, field)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ParameterError(f"{what} must be an integer >= {least}, got {value!r}")
+    object.__setattr__(record, field, int(value))
 
 
 def _resolvents(p: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -410,12 +422,12 @@ class BanachAlgebra(Frozen):
         quadrature which calls the kernel once per pass does it once per
         integral.
 
-        Generic: each call builds one resolvent batch for all of its nodes,
-        weights it and adds each run to zero left to right in node order, as
-        numpy sums a stack along its first axis (the matrix kernel), so the
-        sums match a batched kernel's byte for byte, signed zeros included.
-        Kinds that can contract the weights before building any element, or
-        that have node-independent work, override this."""
+        Generic, and taken by the dual kind alone (a kind with no
+        ``resolvent_batch`` is refused by name): each call builds one
+        resolvent batch for all of its nodes, weights it and adds each run
+        to zero left to right in node order, as numpy sums a stack along its
+        first axis (the matrix kernel), so the sums match a batched kernel's
+        byte for byte, signed zeros included."""
 
         def integral(zs, weights, starts) -> list[Element]:
             batch = self.resolvent_batch(x, zs)
@@ -508,7 +520,8 @@ class _ArrayAlgebra(BanachAlgebra):
     (matrix, block-triangular, convolution): their linear arithmetic is
     numpy's, and ``wrap`` refuses a payload of any other shape.  A matrix
     payload is its own representation and takes the operator 2-norm; the
-    convolution kind, whose payload is a vector, overrides both."""
+    convolution kind, whose payload is a vector, has no unit and overrides
+    both and ``_random``."""
 
     __slots__ = ()
 
@@ -535,9 +548,22 @@ class _ArrayAlgebra(BanachAlgebra):
     def _norms(self, stack) -> np.ndarray:
         return _spectral_norms(stack)
 
+    def _one(self):
+        return np.eye(self.shape[-1], dtype=complex)
+
+    def _project(self, stack):
+        """``stack``, a payload or a stack of them, with the entries every
+        payload holds zero set to zero, in place: none here."""
+        return stack
+
+    def _random(self, rng, scale):
+        n = self.shape[-1]
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return scale * self._project(m) / np.sqrt(2.0 * n)
+
     def probe_basis(self) -> list[Element]:
         units = np.eye(math.prod(self.shape), dtype=complex).reshape((-1, *self.shape))
-        return [self.wrap(u) for u in units]
+        return [self.wrap(u) for u in self._project(units) if u.any()]
 
     def matrix_representation(self, x: Element) -> np.ndarray:
         return np.array(self._own(x), dtype=complex)
@@ -550,8 +576,7 @@ class MatrixAlgebra(_ArrayAlgebra):
     kind = "matrix"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError("matrix size must be >= 1")
+        _set_size(self, "n", 1, "matrix size")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -560,9 +585,6 @@ class MatrixAlgebra(_ArrayAlgebra):
     @property
     def involution_bound(self) -> float:
         return 1.0
-
-    def _one(self):
-        return np.eye(self.n, dtype=complex)
 
     def _mul(self, p, q):
         return p @ q
@@ -584,23 +606,22 @@ class MatrixAlgebra(_ArrayAlgebra):
     def _spectrum(self, p) -> SpectrumReport:
         return SpectrumReport(_as_point_tuple(_eigvals(p)), True)
 
-    def _random(self, rng, scale):
-        m = rng.standard_normal((self.n, self.n)) + 1j * rng.standard_normal((self.n, self.n))
-        return scale * m / np.sqrt(2.0 * self.n)
-
     def resolvent_batch(self, x: Element, zs: Sequence[complex]) -> list[Element]:
         inv = _resolvents(self._own(x), np.asarray(list(zs), dtype=complex))
         return [self.wrap(r) for r in inv]
 
     def resolvent_kernel(self, x):
-        """Each call inverts in blocks of RESOLVENT_BLOCK_BYTES, so memory
-        does not grow with the node count.  numpy sums a stack along its
-        first axis term by term, so each run is summed in node order, and
-        carried across blocks, whatever the blocks and the other runs are:
-        a run's sum equals a one-run call on its nodes.  The whole runs of
-        one length in a block are summed at once."""
-        p = self._own(x)
-        step = max(1, RESOLVENT_BLOCK_BYTES // (16 * self.n * self.n))
+        """The kernel of the matrix and block-triangular kinds.  Each call
+        inverts in blocks of RESOLVENT_BLOCK_BYTES, so memory does not grow
+        with the node count, and projects each resolvent stack once, before
+        weighting (block-triangular: zeroes its lower-left blocks).  numpy
+        sums a stack along its first axis term by term, so each run is
+        summed in node order, and carried across blocks, whatever the
+        blocks and the other runs are: a run's sum equals a one-run call
+        on its nodes.  The whole runs of one length in a block are summed
+        at once."""
+        p, n = self._own(x), self.shape[-1]
+        step = max(1, RESOLVENT_BLOCK_BYTES // (16 * n * n))
 
         def integral(zs, weights, starts) -> list[Element]:
             zs, ws = np.asarray(zs, dtype=complex), np.asarray(weights, dtype=complex)
@@ -609,7 +630,7 @@ class MatrixAlgebra(_ArrayAlgebra):
             r = 0
             for lo in range(0, len(zs), step):
                 hi = min(lo + step, len(zs))
-                terms = ws[lo:hi, None, None] * _resolvents(p, zs[lo:hi])
+                terms = ws[lo:hi, None, None] * self._project(_resolvents(p, zs[lo:hi]))
                 at = lo
                 while at < hi:
                     while runs[r][1] <= at:
@@ -620,7 +641,7 @@ class MatrixAlgebra(_ArrayAlgebra):
                         while j < len(runs) and runs[j][1] <= hi and runs[j][1] - runs[j][0] == length:
                             j += 1
                         end = runs[j - 1][1]
-                        group = terms[at - lo : end - lo].reshape(j - r, length, self.n, self.n)
+                        group = terms[at - lo : end - lo].reshape(j - r, length, n, n)
                         sums[r:j] = group.sum(axis=1)
                     else:
                         end = min(b, hi)
@@ -629,7 +650,7 @@ class MatrixAlgebra(_ArrayAlgebra):
                             part = np.concatenate((sums[r][None], part))
                         sums[r] = part.sum(axis=0)
                     at = end
-            # every sum has the payload shape, so wrap's check is skipped
+            # every sum has the payload shape and is projected: wrap's checks are skipped
             return [Element(self, self._zero() if t is None else t) for t in sums]
 
         return integral
@@ -640,20 +661,22 @@ class MatrixAlgebra(_ArrayAlgebra):
 
 
 class DualAlgebra(BanachAlgebra):
-    """Elements ``b0 + b1*eps`` with ``eps**2 = 0`` over a base algebra.
+    """Elements ``b0 + b1*eps`` with ``eps**2 = 0`` over a matrix algebra.
 
     Norm ``||b0|| + ||b1||``; the spectrum of an element equals the base
     spectrum of its ``b0`` part, and a resolvent is
     ``(z - b0)^-1 + (z - b0)^-1 b1 (z - b0)^-1 eps``, so an inverse is
-    judged on ``b0`` alone.
+    judged on ``b0`` alone.  Its contour sums, and so its inverses, go
+    node by node through the base's ``resolvent_batch``, which only the
+    matrix kind has: any other base is refused.
     """
 
     __slots__ = ("base",)
     kind = "dual"
 
     def __post_init__(self):
-        if not self.base.is_unital:
-            raise ParameterError("dual numbers need a unital base algebra")
+        if not isinstance(self.base, MatrixAlgebra):
+            raise ParameterError("dual numbers need a matrix base algebra")
 
     @property
     def involution_bound(self) -> float | None:
@@ -713,12 +736,8 @@ class DualAlgebra(BanachAlgebra):
         return out
 
     def matrix_representation(self, x: Element) -> np.ndarray:
-        p = self._own(x)
-        r0 = self.base.matrix_representation(self.base.wrap(p[0]))
-        r1 = self.base.matrix_representation(self.base.wrap(p[1]))
-        top = np.hstack([r0, r1])
-        bot = np.hstack([np.zeros_like(r0), r0])
-        return np.vstack([top, bot])
+        b0, b1 = self._own(x)
+        return np.block([[b0, b1], [np.zeros_like(b0), b0]])
 
     def base_part(self, x: Element) -> Element:
         return self.base.wrap(self._own(x)[0])
@@ -745,8 +764,8 @@ class BlockTriangularAlgebra(_ArrayAlgebra):
     kind = "block-triangular"
 
     def __post_init__(self):
-        if self.k < 1 or self.m < 1:
-            raise ParameterError("block sizes must be >= 1")
+        _set_size(self, "k", 1, "block size")
+        _set_size(self, "m", 1, "block size")
 
     @property
     def size(self) -> int:
@@ -756,24 +775,17 @@ class BlockTriangularAlgebra(_ArrayAlgebra):
     def shape(self) -> tuple[int, int]:
         return (self.size, self.size)
 
-    def _one(self):
-        return np.eye(self.size, dtype=complex)
+    def _project(self, stack):
+        stack[..., self.k :, : self.k] = 0.0
+        return stack
 
     def _mul(self, p, q):
-        out = p @ q
-        out[self.k :, : self.k] = 0.0
-        return out
+        return self._project(p @ q)
 
     def _spectrum(self, p) -> SpectrumReport:
         k = self.k
         pts = list(_eigvals(p[:k, :k])) + list(_eigvals(p[k:, k:]))
         return SpectrumReport(_as_point_tuple(pts), True)
-
-    def _random(self, rng, scale):
-        n = self.size
-        p = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        p[self.k :, : self.k] = 0.0
-        return scale * p / np.sqrt(2.0 * n)
 
     def wrap(self, payload) -> Element:
         elem = super().wrap(payload)
@@ -781,14 +793,7 @@ class BlockTriangularAlgebra(_ArrayAlgebra):
             raise ParameterError("lower-left block must be exactly zero")
         return elem
 
-    def resolvent_batch(self, x: Element, zs: Sequence[complex]) -> list[Element]:
-        inv = _resolvents(self._own(x), np.asarray(list(zs), dtype=complex))
-        inv[:, self.k :, : self.k] = 0.0
-        return [self.wrap(r) for r in inv]
-
-    def probe_basis(self) -> list[Element]:
-        units = np.eye(self.size**2, dtype=complex).reshape(-1, self.size, self.size)
-        return [self.wrap(u) for u in units if not u[self.k :, : self.k].any()]
+    resolvent_kernel = MatrixAlgebra.resolvent_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -823,8 +828,7 @@ class ConvolutionAlgebra(_ArrayAlgebra):
     kind = "convolution-discrete"
 
     def __post_init__(self):
-        if self.n_grid < 2:
-            raise ParameterError("grid size must be >= 2")
+        _set_size(self, "n_grid", 2, "grid size")
 
     @property
     def is_unital(self) -> bool:
@@ -952,8 +956,7 @@ class WienerAlgebra(BanachAlgebra):
     def __post_init__(self):
         if not isinstance(self.base, (MatrixAlgebra, ConvolutionAlgebra)):
             raise ParameterError("series coefficients need a matrix or convolution base")
-        if self.degree < 0:
-            raise ParameterError("truncation degree must be >= 0")
+        _set_size(self, "degree", 0, "truncation degree")
 
     @property
     def is_unital(self) -> bool:
@@ -1114,7 +1117,7 @@ class WienerAlgebra(BanachAlgebra):
         pads = [self.base._own(c) for c in coeffs]
         if len(pads) > self.degree + 1:
             raise ParameterError("too many coefficients")
-        if tail < 0:
+        if not tail >= 0:  # NaN too
             raise ParameterError("tail bound must be nonnegative")
         arr = self._zero().coeffs
         for k, c in enumerate(pads):

@@ -60,7 +60,7 @@ def memoised_evaluations() -> Iterator[None]:
 
 
 def _check_radius(lam: complex, radius: float, what: str) -> None:
-    if abs(lam) >= radius:
+    if not abs(lam) < radius:  # a NaN lambda lies in no disc
         raise OutOfRadius(f"|lambda| = {abs(lam):.6g} is outside the {what} radius {radius:.6g}")
 
 

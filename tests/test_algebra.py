@@ -161,7 +161,7 @@ def test_checked_inverse_guards_every_matrix_kernel() -> None:
             bt.wrap(p).inverse()
     y = bt.wrap(np.diag([0.5, 1.0, 2.0, 3.0, 4.0]))
     with pytest.raises(NotInvertible, match="too close to the spectrum"):
-        bt.resolvent_batch(y, [5.0, 3.0])
+        bt.resolvent_integral(y, [5.0, 3.0], [1.0, 1.0])
     # unit diagonal blocks, yet cond_2 = 4.0e14: an inverse is judged on the
     # whole matrix, as a resolvent is
     bt22 = il.BlockTriangularAlgebra(2, 2)
@@ -171,7 +171,7 @@ def test_checked_inverse_guards_every_matrix_kernel() -> None:
     with pytest.raises(NotInvertible, match="condition bound"):
         big.inverse()
     with pytest.raises(NotInvertible, match="condition bound"):
-        bt22.resolvent_batch(big, [0])
+        bt22.resolvent_integral(big, [0], [1.0])
 
 
 def test_inverses_roundtrip_all_kinds() -> None:
@@ -389,6 +389,18 @@ def test_wiener_refuses_bases_without_array_payloads() -> None:
             il.WienerAlgebra(base, 3)
 
 
+def test_a_series_tail_must_be_nonnegative() -> None:
+    """``tail < 0`` is false for NaN, so a NaN tail was stored and the
+    element's norm read NaN."""
+    alg = il.WienerAlgebra(il.MatrixAlgebra(1), 2)
+    for tail in (-1e-3, float("nan"), -float("inf")):
+        with pytest.raises(ParameterError, match="tail bound must be nonnegative"):
+            alg.from_coeffs([alg.base.one()], tail=tail)
+        with pytest.raises(ParameterError, match="tail bound must be nonnegative"):
+            alg.from_scalar_coeffs([1.0, 0.5], tail=tail)
+    assert alg.from_scalar_coeffs([1.0], tail=float("inf")).norm() == float("inf")
+
+
 def test_wiener_inverse_certified() -> None:
     base = il.MatrixAlgebra(1)
     alg = il.WienerAlgebra(base, 10)
@@ -481,7 +493,7 @@ def test_unitization_inverse_is_the_negated_resolvent_at_zero() -> None:
     assert up.tail_bound(up.inverse(up.from_parts(f, c))) > 0.0
     with pytest.raises(NotInvertible, match="hits the one-point spectrum"):
         up.inverse(up.from_parts(f, 0.0))
-    # the dual and block-triangular kinds invert by their generic kernel
+    # the dual kind inverts by the generic kernel, block-triangular by the matrix kernel
     rng = np.random.default_rng(61)
     for alg in (il.DualAlgebra(il.MatrixAlgebra(3)), il.BlockTriangularAlgebra(2, 3)):
         el = alg.one() + alg.random_element(rng, 0.3)
@@ -569,6 +581,23 @@ def test_spectrum_inclusion_under_kernel_perturbation() -> None:
         pert_pts = np.asarray(pert.spectrum().points)
         for p in base_pts:
             assert np.min(np.abs(pert_pts - p)) <= 1e-8
+
+
+def test_dual_numbers_need_a_matrix_base() -> None:
+    """A dual's contour sums and inverse go through its base's resolvent
+    batch, which only the matrix kind has: every other base is refused
+    when the algebra is built, not on a later inverse or integral."""
+    conv = il.ConvolutionAlgebra(4)
+    for base in (
+        il.UnitizationAlgebra(conv),
+        il.DualAlgebra(il.MatrixAlgebra(2)),
+        il.ProductAlgebra((il.MatrixAlgebra(1),)),
+        il.BlockTriangularAlgebra(1, 1),
+        il.WienerAlgebra(il.MatrixAlgebra(1), 2),
+        conv,
+    ):
+        with pytest.raises(ParameterError, match="dual numbers need a matrix base"):
+            il.DualAlgebra(base)
 
 
 def test_dual_spectrum_matches_embedding() -> None:
@@ -733,6 +762,34 @@ def test_algebra_replace_validates_again() -> None:
     with pytest.raises(ParameterError, match="matrix or convolution base"):
         alg.replace(base=il.DualAlgebra(il.MatrixAlgebra(1)))
     assert il.ProductAlgebra([il.MatrixAlgebra(1)]).replace().factors == (il.MatrixAlgebra(1),)
+
+
+def test_algebra_sizes_are_integers() -> None:
+    """A bool or a non-integral size used to be accepted and to fail later
+    with an untyped TypeError, and MatrixAlgebra(True) equalled
+    MatrixAlgebra(1); a numpy integer is stored as an int, so that the
+    repr still rebuilds an equal algebra."""
+    mat1 = il.MatrixAlgebra(1)
+    for build in (
+        lambda: il.MatrixAlgebra(2.5),  # n
+        lambda: il.MatrixAlgebra(True),
+        lambda: il.ConvolutionAlgebra(2.5),  # n_grid
+        lambda: il.BlockTriangularAlgebra(1.5, 1),  # k
+        lambda: il.BlockTriangularAlgebra(1, True),  # m
+        lambda: il.WienerAlgebra(mat1, 2.5),  # degree
+        lambda: il.WienerAlgebra(mat1, np.float64(2.0)),
+    ):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            build()
+    for alg, text in (
+        (il.MatrixAlgebra(np.int64(3)), "MatrixAlgebra(n=3)"),
+        (il.ConvolutionAlgebra(np.int32(4)), "ConvolutionAlgebra(n_grid=4)"),
+        (il.BlockTriangularAlgebra(np.int64(1), np.uint8(2)), "BlockTriangularAlgebra(k=1, m=2)"),
+        (il.WienerAlgebra(mat1, np.int64(2)), "WienerAlgebra(base=MatrixAlgebra(n=1), degree=2)"),
+    ):
+        assert repr(alg) == text
+        assert eval(text, {name: getattr(il, name) for name in il.__all__}) == alg
+        assert all(type(getattr(alg, f)) is int for f in alg._fields if f != "base")
 
 
 def test_algebra_repr_lists_the_fields() -> None:

@@ -228,6 +228,23 @@ def test_validity_radius_is_enforced():
     assert (hom_apply(pi, wide_source, 0.3) - M3.one()).norm() == 0.0
 
 
+def test_a_nan_lambda_lies_inside_no_radius():
+    """A NaN compares false with every radius, so it was let through: a
+    family returned its value and a homomorphism ran its evaluator."""
+    nan = complex(float("nan"), 0.0)
+    calls = []
+    pi = HomFamily(DUAL, M3, lambda lam, x: calls.append(lam) or DUAL.base_part(x), radius=1.0)
+    fam = constant_family(M3.one(), radius=1.0)
+    sec = Section(dual_projection(), fam, lambda lam: DUAL.one(), radius=1.0)
+    for call in (lambda: fam(nan), lambda: sec(nan), lambda: pi.apply(nan, DUAL.one())):
+        with pytest.raises(OutOfRadius, match="nan"):
+            call()
+    unbounded = constant_family(M3.one())  # an infinite radius too
+    with pytest.raises(OutOfRadius):
+        unbounded(complex(0.0, float("nan")))
+    assert calls == []
+
+
 def test_constant_family():
     rng = np.random.default_rng(7)
     x = M3.random_element(rng)
